@@ -7,8 +7,10 @@ ISOLET shape — and measures one in-process invoke through:
 - **reference**: the frozen seed kernels (``run_reference`` /
   ``accumulate_reference`` plus the pre-change per-op tanh/argmax
   dispatch), which re-cast weights and scan the accumulator per invoke;
-- **fastpath**: the fused BLAS engine as the interpreter and the Edge
-  TPU simulator actually run it.
+- **fastpath**: the int8 executor as the interpreter and the Edge TPU
+  simulator actually run it — the arena-backed
+  :class:`~repro.runtime.plan.ModelPlan` (VNNI kernels where the CPU
+  allows, the in-place numpy arena otherwise).
 
 Bit-identity — predictions *and* every quantized activation byte — is
 the regression guard; the wall-clock ratio is recorded to
@@ -109,7 +111,7 @@ def test_fastpath_speedup_and_bit_identity(record_result):
     fused_out = interpreter.run_quantized(x)
     assert fused_out.tobytes() == reference[-1].tobytes()
 
-    # The Edge TPU simulator shares the fused kernels: its TPU-subgraph
+    # The Edge TPU simulator shares the executor: its TPU-subgraph
     # output must match the reference chain's classifier activations.
     compiled = compile_model(model)
     device = EdgeTpuDevice(compiled.arch)

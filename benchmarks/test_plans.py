@@ -1,20 +1,22 @@
-"""Wall-clock of ahead-of-time serving plans on the paper workload.
+"""Wall-clock of the int8 executor on the paper workload.
 
 Builds the full-width ISOLET shape — a 617 → 10,000 nonlinear encoder
 (FC→TANH) feeding a 10,000 → 26 classifier (FC→ARGMAX) — and measures
 one batch-64 invocation through:
 
-- **fastpath**: ``Interpreter.run_quantized``, the fused BLAS engine
-  that is the current serving compute path (itself ~10x over the seed
+- **fastpath**: the allocating fused BLAS kernels called explicitly,
+  ``run_tanh_fused`` → ``run_argmax_fused`` — the serving compute path
+  before plans became the only executor (itself ~10x over the seed
   kernels, see ``BENCH_fastpath.json``);
 - **plan**: the arena-backed :class:`~repro.runtime.plan.ModelPlan` —
-  preallocated scratch, ``out=``-kernels and (where the CPU allows)
-  the AVX-512 VNNI fused microkernel.
+  preallocated scratch, int8 and packed weights only, ``out=``-kernels
+  and (where the CPU allows) the AVX-512 VNNI fused microkernel.
 
 Predictions are byte-compared against the frozen ``run_reference``
-oracle chain; the speedup and a sustained-throughput run of the
-plan-enabled :class:`~repro.serving.server.InferenceServer` land in
-``BENCH_plans.json`` (CI uploads it) and ``bench_results.txt``.
+oracle chain; the speedup and a sustained-throughput run of an
+:class:`~repro.serving.server.InferenceServer` with the default
+``ServeConfig`` land in ``BENCH_plans.json`` (CI uploads it) and
+``bench_results.txt``.
 
 Acceptance: ≥ 3x over the fast path at batch 64 with the native kernel
 (the portable numpy arena path is gated at a softer bar — BLAS alone
@@ -28,11 +30,13 @@ import time
 
 import numpy as np
 
+import pytest
+
 from repro import native
-from repro.config import PlanConfig, ServeConfig
+from repro.config import ServeConfig
 from repro.edgetpu import DevicePool, compile_model
 from repro.experiments.report import format_table
-from repro.runtime.plan import ModelPlan, bucket_ladder
+from repro.runtime.plan import ModelPlan
 from repro.serving import InferenceServer
 from repro.serving.arrivals import Request
 from repro.tflite import FlatModel, Interpreter, TensorSpec
@@ -81,6 +85,16 @@ def _reference_predictions(model: FlatModel, x: np.ndarray) -> np.ndarray:
     return out[:, 0].astype(np.int64)
 
 
+def _fused_chain(model: FlatModel):
+    """The allocating fused kernels, FC→TANH then FC→ARGMAX."""
+    encode, tanh, classify, _ = model.ops
+
+    def run(x: np.ndarray) -> np.ndarray:
+        return classify.run_argmax_fused(encode.run_tanh_fused(x, tanh))
+
+    return run
+
+
 def _best_of(fn, *args) -> float:
     best = float("inf")
     for _ in range(REPEATS):
@@ -101,8 +115,7 @@ def _sustained_serving(model: FlatModel) -> dict:
                 features=features[i], label=0)
         for i in range(SERVE_REQUESTS)
     ]
-    config = ServeConfig(max_batch=BATCH, max_queue=SERVE_REQUESTS,
-                         plan=PlanConfig())
+    config = ServeConfig(max_batch=BATCH, max_queue=SERVE_REQUESTS)
     compiled = compile_model(model)
     pool = DevicePool(1, compiled.arch)
     pool.load_replicated(compiled)
@@ -125,30 +138,33 @@ def _sustained_serving(model: FlatModel) -> dict:
 def test_plan_speedup_and_bit_identity(record_result):
     rng = np.random.default_rng(7)
     model = _full_width_model(rng)
-    interpreter = Interpreter(model)
+    fastpath = _fused_chain(model)
     floats = rng.uniform(-4, 4, (BATCH, FEATURES)).astype(np.float32)
     x = model.input_spec.qparams.quantize(floats)
 
-    plan = ModelPlan.for_model(model, bucket_ladder(BATCH))
+    plan = ModelPlan.for_model(model, BATCH)
 
     # --- bit-identity gates -----------------------------------------
     reference = _reference_predictions(model, x)
-    fast = interpreter.run_quantized(x)[:, 0].astype(np.int64)
+    fast = fastpath(x)[:, 0].astype(np.int64)
     assert fast.tobytes() == reference.tobytes()
+    interpreted = Interpreter(model).run_quantized(x)[:, 0]
+    assert interpreted.astype(np.int64).tobytes() == reference.tobytes()
     q = plan.stage(floats)
     assert q.tobytes() == x.tobytes()
     planned = np.asarray(plan.run_host(q), dtype=np.int64)
     assert planned.tobytes() == reference.tobytes(), \
         "plan diverged from the frozen oracle"
     # The numpy arena path must agree byte-for-byte with the native one.
-    numpy_plan = ModelPlan.for_model(model, bucket_ladder(BATCH),
-                                     allow_native=False)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(native, "library", lambda: None)
+        numpy_plan = ModelPlan.for_model(model, BATCH)
     numpy_q = numpy_plan.stage(floats)
     assert np.asarray(numpy_plan.run_host(numpy_q)).tobytes() \
         == reference.tobytes()
 
     # --- wall clock ---------------------------------------------------
-    fastpath_s = _best_of(interpreter.run_quantized, x)
+    fastpath_s = _best_of(fastpath, x)
     plan_s = _best_of(plan.run_host, q)
     numpy_plan_s = _best_of(numpy_plan.run_host, numpy_q)
     speedup = fastpath_s / plan_s
@@ -165,7 +181,7 @@ def test_plan_speedup_and_bit_identity(record_result):
         },
         "repeats": REPEATS,
         "native_kernel": plan.native,
-        "buckets": list(plan.buckets),
+        "arena_rows": plan.max_rows,
         "fastpath_seconds": fastpath_s,
         "plan_seconds": plan_s,
         "numpy_plan_seconds": numpy_plan_s,
@@ -217,12 +233,12 @@ def test_plan_steady_state_is_deterministic():
     """Back-to-back plan invokes on the same arena agree byte-for-byte."""
     rng = np.random.default_rng(11)
     model = _full_width_model(rng)
-    plan = ModelPlan.for_model(model, bucket_ladder(BATCH))
+    plan = ModelPlan.for_model(model, BATCH)
     floats = rng.uniform(-4, 4, (BATCH, FEATURES)).astype(np.float32)
     first = np.array(plan.predict(floats))
     for _ in range(3):
         np.testing.assert_array_equal(np.array(plan.predict(floats)),
                                       first)
-    # Interleaving another batch size does not corrupt the first.
+    # Interleaving a smaller batch does not corrupt the first.
     plan.predict(floats[:5])
     np.testing.assert_array_equal(np.array(plan.predict(floats)), first)

@@ -63,6 +63,8 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from repro.runtime.plan import ModelPlan
+
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.cluster.cluster import Cluster
     from repro.cluster.replica import _Rows
@@ -73,8 +75,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 __all__ = ["DeferredPredictions", "FastArrivalPump"]
 
 # Rows per vectorized prediction slice: large enough to amortize the
-# Python stage dispatch, small enough to keep the intermediate
-# activations cache-resident.
+# per-call dispatch, small enough to bound the resolver's arenas.
 _RESOLVE_SLICE = 8192
 
 
@@ -83,9 +84,10 @@ class DeferredPredictions:
 
     :meth:`~repro.serving.server.InferenceServer._dispatch_columns`
     hands over ``(compiled, ids)`` for every batch it serves on the
-    deferred path; :meth:`resolve` then runs each model's fused host
-    stages — the same kernels the CPU-fallback path uses, bit-identical
-    to the device simulator — over all of its rows at once.
+    deferred path; :meth:`resolve` then runs each model's whole chain
+    through a :class:`~repro.runtime.plan.ModelPlan` of its own — the
+    executor the CPU-fallback path uses, bit-identical to the device
+    simulator — over all of its rows, one slice at a time.
 
     Args:
         full: Also defer the per-batch latency bookkeeping (scatter,
@@ -134,16 +136,11 @@ class DeferredPredictions:
         for compiled, blocks in self._groups.values():
             ids = (blocks[0] if len(blocks) == 1
                    else np.concatenate(blocks))
-            qparams = compiled.model.input_spec.qparams
-            stages = compiled.host_stages()
-            output_is_index = compiled.model.output_is_index
+            # The arena is this call's, sized to its largest slice.
+            plan = ModelPlan(compiled, min(len(ids), _RESOLVE_SLICE))
             for start in range(0, len(ids), _RESOLVE_SLICE):
                 part = ids[start:start + _RESOLVE_SLICE]
-                out = qparams.quantize(features[part])
-                for stage in stages:
-                    out = stage(out)
-                predictions[part] = (out[:, 0] if output_is_index
-                                     else np.argmax(out, axis=-1))
+                predictions[part] = plan.predict(features[part])
         self._groups.clear()
         if self._book_ids:
             ids = (self._book_ids[0] if len(self._book_ids) == 1

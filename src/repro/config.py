@@ -35,7 +35,6 @@ __all__ = [
     "BackendSpec",
     "FleetSpec",
     "PipelineConfig",
-    "PlanConfig",
     "ServeConfig",
     "TierPolicy",
 ]
@@ -170,44 +169,6 @@ class FleetSpec:
 
 
 @dataclass(frozen=True)
-class PlanConfig:
-    """Ahead-of-time serving-plan knobs (``ServeConfig.plan``).
-
-    When set, the server compiles a
-    :class:`~repro.runtime.plan.ServingPlan` at construction: every
-    tier's op chain is resolved into arena-backed kernels, scratch
-    buffers are preallocated for a power-of-two bucket ladder, and the
-    per-``(model, batch)`` latency memos (``lower()``,
-    ``invoke_seconds``) are prewarmed — so the steady-state dispatch
-    path performs no heap allocations and no cold cache fills.
-
-    Attributes:
-        max_bucket: Largest padded batch the arena is sized for; the
-            bucket ladder is the powers of two up to it (plus itself
-            when not a power of two).  ``None`` uses the server's
-            ``max_batch``.
-        native: Allow the AVX-512 VNNI kernels (:mod:`repro.native`)
-            for stages that prove int32-safe; bit-identical either
-            way, so this only trades speed.  Disabled automatically on
-            unsupported CPUs.
-        prewarm: Pre-fill the ``lower()`` / ``invoke_seconds`` /
-            ``invoke_breakdown`` memos for every (tier, bucket) pair
-            at plan build, keeping the serve loop free of cold-path
-            fills.
-    """
-
-    max_bucket: int | None = None
-    native: bool = True
-    prewarm: bool = True
-
-    def __post_init__(self) -> None:
-        if self.max_bucket is not None and self.max_bucket < 1:
-            raise ValueError(
-                f"max_bucket must be >= 1, got {self.max_bucket}"
-            )
-
-
-@dataclass(frozen=True)
 class TierPolicy:
     """When the server sheds a batch to a cheaper resident tier.
 
@@ -312,9 +273,12 @@ class ServeConfig:
             tier ladder (``InferenceServer(..., tiers=...)``); ``None``
             uses the default :class:`TierPolicy` when tiers are
             present.
-        plan: Ahead-of-time serving-plan knobs (:class:`PlanConfig`);
-            ``None`` keeps the classic allocate-per-batch dispatch
-            path.
+
+    Every server runs one int8 executor — an arena-backed
+    :class:`~repro.runtime.plan.ModelPlan` per resident model, sized
+    to ``max_batch`` and run at each batch's real size — so there is
+    no execution-path selector here; ``REPRO_NATIVE=0`` turns off the
+    native VNNI kernels (results are bit-identical either way).
     """
 
     batcher: str = "dynamic"
@@ -324,7 +288,6 @@ class ServeConfig:
     max_queue: int = 256
     tracing: bool = False
     tiers: TierPolicy | None = None
-    plan: PlanConfig | None = None
 
     def __post_init__(self) -> None:
         if self.tiers is not None and not isinstance(self.tiers,
@@ -332,12 +295,6 @@ class ServeConfig:
             raise TypeError(
                 f"tiers must be a TierPolicy or None, "
                 f"got {type(self.tiers).__name__}"
-            )
-        if self.plan is not None and not isinstance(self.plan,
-                                                    PlanConfig):
-            raise TypeError(
-                f"plan must be a PlanConfig or None, "
-                f"got {type(self.plan).__name__}"
             )
         if self.batcher not in _BATCHERS:
             raise ValueError(

@@ -1,10 +1,11 @@
 """The Edge TPU device simulator.
 
-Functionally, the device executes the *same* int8 kernels as the
-reference interpreter (so results are bit-identical); temporally, every
-interaction advances a virtual clock according to the compiled latency
-plan: model loads pay USB transfer + setup, invocations pay dispatch
-overhead, activation transfers and MXU/vector compute.
+Functionally, the device executes the *same* int8 executor as the
+reference interpreter — a :class:`~repro.runtime.plan.ModelPlan`, so
+results are bit-identical; temporally, every interaction advances a
+virtual clock according to the compiled latency plan: model loads pay
+USB transfer + setup, invocations pay dispatch overhead, activation
+transfers and MXU/vector compute.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import numpy as np
 from repro.edgetpu.arch import EdgeTpuArch
 from repro.edgetpu.backend import AcceleratorArch
 from repro.edgetpu.compiler import CompiledModel
+from repro.runtime.plan import fit_plan
 
 __all__ = ["EdgeTpuDevice", "InvokeResult"]
 
@@ -72,11 +74,13 @@ class EdgeTpuDevice:
         self.arch = arch if arch is not None else EdgeTpuArch()
         self.compiled: CompiledModel | None = None
         self.stats = DeviceStats()
-        self._stages: list = []
-        # Co-resident models (serving tiers): id(compiled) -> (model,
-        # fused stages).  Residents survive load_model — a hot swap of
-        # the primary must not evict the degradation ladder.
-        self._resident: dict[int, tuple[CompiledModel, list]] = {}
+        # Co-resident models (serving tiers) by identity.  Residents
+        # survive load_model — a hot swap of the primary must not evict
+        # the degradation ladder.
+        self._resident: dict[int, CompiledModel] = {}
+        # This device's own arenas, per model it ran without an
+        # executor, sized to the largest batch it has run.
+        self._plans: dict = {}
         # invoke_cost results per (model identity, batch): the modeled
         # cost is a pure function of both, so the cluster fast path's
         # per-batch charge reduces to stats accounting plus a dict hit.
@@ -99,11 +103,10 @@ class EdgeTpuDevice:
             raise ValueError(
                 "model was compiled for a different EdgeTpuArch; recompile"
             )
+        previous = self.compiled
+        if previous is not None and id(previous) not in self._resident:
+            self._plans.pop(id(previous), None)
         self.compiled = compiled
-        # The op chain compiles once into fused stages (shared across
-        # every device running this model), and the latency plan is
-        # re-derived per batch size, not per invocation.
-        self._stages = compiled.stages()
         seconds = compiled.load_seconds()
         self.stats.models_loaded += 1
         self.stats.busy_seconds += seconds
@@ -126,7 +129,7 @@ class EdgeTpuDevice:
             )
         if id(compiled) in self._resident:
             return 0.0
-        self._resident[id(compiled)] = (compiled, compiled.stages())
+        self._resident[id(compiled)] = compiled
         seconds = compiled.load_seconds()
         self.stats.models_loaded += 1
         self.stats.busy_seconds += seconds
@@ -144,11 +147,14 @@ class EdgeTpuDevice:
                 omitted, else a model made co-resident with
                 :meth:`load_resident`.
             executor: Optional callable ``executor(x) -> int8 outputs``
-                replacing the interpreted stage loop — the hook a
-                precompiled :class:`~repro.runtime.plan.ModelPlan` uses
-                to run its arena-backed kernels under the *same* device
-                timing model.  The executor must be bit-identical to
-                the stage loop; latency charging is unchanged.
+                — the caller's own arena (a server passes its
+                :meth:`ModelPlan.run_device
+                <repro.runtime.plan.ModelPlan.run_device>`), whose
+                output view it reads before its next batch.  Without
+                one the device runs its own plan, sized to the largest
+                batch it has run, and returns a copy: callers such as
+                the training encode keep outputs across invokes.
+                Latency charging is the same either way.
 
         Returns:
             The :class:`InvokeResult` with outputs of the last TPU op.
@@ -163,15 +169,11 @@ class EdgeTpuDevice:
                     "no model loaded; call load_model() first"
                 )
             compiled = self.compiled
-            stages = self._stages
-        else:
-            entry = self._resident.get(id(compiled))
-            if entry is None:
-                raise RuntimeError(
-                    "model is not resident on this device; call "
-                    "load_resident() first"
-                )
-            stages = entry[1]
+        elif id(compiled) not in self._resident:
+            raise RuntimeError(
+                "model is not resident on this device; call "
+                "load_resident() first"
+            )
         x = np.asarray(x)
         if x.dtype != np.int8:
             raise TypeError(f"device input must be int8, got {x.dtype}")
@@ -189,9 +191,7 @@ class EdgeTpuDevice:
         if executor is not None:
             out = executor(x)
         else:
-            out = x
-            for stage in stages:
-                out = stage(out)
+            out = fit_plan(self._plans, compiled, batch).run_device(x).copy()
 
         # Callers receive a private copy (InvokeResult exposes the dict);
         # the latency plan itself is memoized on the compiled model and

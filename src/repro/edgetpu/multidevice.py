@@ -280,9 +280,10 @@ class DevicePool:
             at_s: Virtual invocation time (drives fault injection).
             model: Run this co-resident model (see
                 :meth:`load_resident`) instead of the device's primary.
-            executor: Optional bit-identical stage-loop replacement,
-                forwarded to :meth:`EdgeTpuDevice.invoke` (the serving
-                plan's arena-kernel hook).
+            executor: Optional caller-owned executor (a server's
+                :meth:`ModelPlan.run_device
+                <repro.runtime.plan.ModelPlan.run_device>`), forwarded
+                to :meth:`EdgeTpuDevice.invoke`.
 
         Returns:
             The device's :class:`~repro.edgetpu.device.InvokeResult`.

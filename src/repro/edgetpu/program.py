@@ -24,8 +24,8 @@ from repro.runtime.cache import LruCache
 __all__ = ["Instruction", "Program", "lower"]
 
 # Lowered programs are large (one Instruction per MXU tile), so the
-# per-model memo is tighter than the scalar latency caches — 16 batch
-# sizes still covers a power-of-two bucket ladder with room to spare.
+# per-model memo is tighter than the scalar latency caches; evicted
+# programs re-lower identically.
 _PROGRAM_CACHE_SIZE = 16
 
 

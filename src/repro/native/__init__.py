@@ -1,6 +1,6 @@
-"""Optional native AVX-512 VNNI kernels for the int8 serving fast path.
+"""Optional native AVX-512 VNNI kernels for the int8 executor.
 
-The BLAS fast path in :mod:`repro.tflite.ops` is bit-exact but pays for
+The numpy arena of :mod:`repro.runtime.plan` is bit-exact but pays for
 generality: the int8 GEMM runs through float64 (or float32) matrix
 multiplies, and the requantize + LUT epilogue is a separate numpy pass.
 On CPUs with the AVX-512 VNNI extension the whole fused stage — int8
@@ -24,10 +24,11 @@ This module is *strictly optional* and fails closed:
   numpy oracle before it is ever used;
 - ``REPRO_NATIVE=0`` disables the whole module.
 
-Callers (:mod:`repro.runtime.plan`) must additionally prove, per op,
-that the int32 accumulator cannot overflow — see
-:func:`vnni_accumulator_bound` — and fall back to the BLAS path
-otherwise.
+Callers must additionally prove, per op, that the int32 accumulator
+cannot overflow — see :func:`vnni_accumulator_bound` and
+:meth:`FullyConnectedOp.vnni_packed
+<repro.tflite.ops.FullyConnectedOp.vnni_packed>` — and otherwise run
+the numpy arena of :mod:`repro.runtime.plan`.
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ __all__ = [
     "IDENTITY_LUT",
     "PackedFc",
     "available",
-    "fc_fused_i8",
+    "fc_fused_i8_args",
     "library",
     "pack_fc",
     "vnni_accumulator_bound",
@@ -56,7 +57,7 @@ __all__ = [
 _INT32_MAX = 2**31 - 1
 _REQUIRED_FLAGS = {"avx512f", "avx512bw", "avx512_vnni"}
 
-#: LUT mapping ``code + 128 -> code``: running :func:`fc_fused_i8` with
+#: LUT mapping ``code + 128 -> code``: running the fused FC kernel with
 #: it yields the bare requantized int8 codes (a fully-connected op with
 #: no fused activation).
 IDENTITY_LUT = np.arange(-128, 128, dtype=np.int8)
@@ -104,6 +105,7 @@ def _compile(source: Path) -> Path | None:
     target = cache / f"kernels-{digest}.so"
     if target.exists():
         return target
+    tmp = None
     try:
         cache.mkdir(parents=True, exist_ok=True)
         fd, tmp = tempfile.mkstemp(suffix=".so", dir=cache)
@@ -114,12 +116,19 @@ def _compile(source: Path) -> Path | None:
             capture_output=True, timeout=120,
         )
         if result.returncode != 0:
-            os.unlink(tmp)
             return None
         os.replace(tmp, target)  # atomic: concurrent builders converge
+        tmp = None
         return target
     except (OSError, subprocess.SubprocessError):
         return None
+    finally:
+        # Every exit but a successful rename leaves the temp file behind.
+        if tmp is not None:
+            try:
+                os.unlink(tmp)
+            except OSError:
+                pass
 
 
 def _bind(lib: ctypes.CDLL) -> None:
@@ -149,11 +158,8 @@ def _smoke_test(lib: ctypes.CDLL) -> bool:
     packed = pack_fc(w, offset)
     a = _shift_u8(x, packed.k4)
     out = np.empty((m, packed.n_pad), dtype=np.int8)
-    lib.fc_fused_i8(
-        a.ctypes.data, packed.weights.ctypes.data, packed.offsets.ctypes.data,
-        mult, float(zp), float(qmin), float(qmax),
-        lut.ctypes.data, out.ctypes.data, m, packed.k4, packed.n_pad,
-    )
+    lib.fc_fused_i8(*fc_fused_i8_args(a, packed, mult, zp, qmin, qmax,
+                                      lut, out))
     acc = x.astype(np.int64) @ w.astype(np.int64) + offset
     codes = np.clip(np.round(acc.astype(np.float64) * mult) + zp, qmin, qmax)
     expected = lut[codes.astype(np.intp) + 128]
@@ -238,13 +244,20 @@ def vnni_accumulator_bound(weights_int8: np.ndarray,
     ``|offset| + 383 * sum_k |W_kj|``.  The caller must verify the
     returned bound is ``<= 2^31 - 1`` before using the kernel.
     """
-    col_abs = np.abs(weights_int8.astype(np.int64)).sum(axis=0)
+    # |int8| viewed as uint8 is exact for every code, -128 included, and
+    # the int64 sum needs no widened copy of the matrix.
+    col_abs = np.abs(weights_int8).view(np.uint8).sum(axis=0,
+                                                      dtype=np.int64)
     bound = np.abs(np.asarray(offset_int64, dtype=np.int64)) + 383 * col_abs
     return int(bound.max(initial=0))
 
 
 def pack_fc(weights_int8: np.ndarray, offset_int64: np.ndarray) -> PackedFc:
-    """Pack an op's weights + folded offset into the kernel layout."""
+    """Pack an op's weights + folded offset into the kernel layout.
+
+    The packed arrays are read-only: one packing is shared by every
+    plan running the op.
+    """
     w = np.ascontiguousarray(weights_int8, dtype=np.int8)
     k, n = w.shape
     k4 = -(-k // 4)
@@ -255,12 +268,15 @@ def pack_fc(weights_int8: np.ndarray, offset_int64: np.ndarray) -> PackedFc:
     packed = np.ascontiguousarray(
         wpad.reshape(k4, 4, n_pad // 16, 16).transpose(2, 0, 3, 1)
     )
-    col_sum = w.astype(np.int64).sum(axis=0)
+    col_sum = w.sum(axis=0, dtype=np.int64)
     offs = np.zeros(n_pad, dtype=np.int64)
     offs[:n] = np.asarray(offset_int64, dtype=np.int64) - 128 * col_sum
     if np.abs(offs).max(initial=0) > _INT32_MAX:
         raise OverflowError("folded offset exceeds int32")
-    return PackedFc(packed, offs.astype(np.int32), k4, n_pad, n)
+    offs = offs.astype(np.int32)
+    packed.setflags(write=False)
+    offs.setflags(write=False)
+    return PackedFc(packed, offs, k4, n_pad, n)
 
 
 def _shift_u8(x_int8: np.ndarray, k4: int,
@@ -274,10 +290,15 @@ def _shift_u8(x_int8: np.ndarray, k4: int,
     return out
 
 
-def fc_fused_i8(a_u8: np.ndarray, packed: PackedFc, mult: float, zp: int,
-                qmin: int, qmax: int, lut: np.ndarray,
-                out: np.ndarray) -> np.ndarray:
-    """Run the fused FC kernel on pre-shifted activations.
+def fc_fused_i8_args(a_u8: np.ndarray, packed: PackedFc, mult: float,
+                     zp: int, qmin: int, qmax: int, lut: np.ndarray,
+                     out: np.ndarray) -> tuple:
+    """The fused FC kernel's C arguments, converted once.
+
+    The kernel runs on buffers that never move — a plan's arenas — so
+    callers convert pointers and scalars here once and then call
+    ``library().fc_fused_i8(*args)`` per invoke.  The caller keeps the
+    buffers alive for as long as it uses the arguments.
 
     Args:
         a_u8: ``(m, k4 * 4)`` uint8 shifted activations
@@ -291,15 +312,13 @@ def fc_fused_i8(a_u8: np.ndarray, packed: PackedFc, mult: float, zp: int,
             table, or :data:`IDENTITY_LUT` for a bare FC).
         out: ``(m, packed.n_pad)`` int8 destination (written in place).
     """
-    lib = library()
-    if lib is None:
-        raise RuntimeError("native kernels unavailable")
-    m = a_u8.shape[0]
-    lib.fc_fused_i8(
-        a_u8.ctypes.data, packed.weights.ctypes.data,
-        packed.offsets.ctypes.data,
-        float(mult), float(zp), float(qmin), float(qmax),
-        lut.ctypes.data, out.ctypes.data,
-        m, packed.k4, packed.n_pad,
+    return (
+        ctypes.c_void_p(a_u8.ctypes.data),
+        ctypes.c_void_p(packed.weights.ctypes.data),
+        ctypes.c_void_p(packed.offsets.ctypes.data),
+        ctypes.c_double(mult), ctypes.c_double(zp),
+        ctypes.c_double(qmin), ctypes.c_double(qmax),
+        ctypes.c_void_p(lut.ctypes.data), ctypes.c_void_p(out.ctypes.data),
+        ctypes.c_int64(a_u8.shape[0]), ctypes.c_int64(packed.k4),
+        ctypes.c_int64(packed.n_pad),
     )
-    return out

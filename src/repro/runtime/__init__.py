@@ -46,12 +46,10 @@ _EXPORTS = {
     "PipelineResult": "repro.runtime.pipeline",
     "PlacementAdvisor": "repro.runtime.placement",
     "PlacementDecision": "repro.runtime.placement",
-    "ServingPlan": "repro.runtime.plan",
     "SharedArray": "repro.runtime.executor",
     "TrainingPipeline": "repro.runtime.pipeline",
     "WorkerPool": "repro.runtime.executor",
     "Workload": "repro.runtime.costs",
-    "bucket_ladder": "repro.runtime.plan",
     "format_seconds": "repro.runtime.profiler",
     "resolve_shared": "repro.runtime.executor",
     "simulate_makespan": "repro.runtime.executor",

@@ -1,36 +1,32 @@
-"""Ahead-of-time serving plans: arena-backed, zero-allocation dispatch.
+"""The int8 executor: arena-backed, zero-allocation op-chain plans.
 
-The classic serving path re-derives work per batch: it stacks request
-features into a fresh array, quantizes into another, and every fused
-stage allocates its widened input, accumulator and output.  At edge
-batch sizes the allocator traffic rivals the arithmetic.  A
-:class:`ServingPlan` moves all of that to deployment time:
+Every int8 inference in the stack runs through a :class:`ModelPlan`:
+the server's dispatch, CPU fallback and tier sheds, the device
+simulator's :meth:`~repro.edgetpu.device.EdgeTpuDevice.invoke`, the
+cluster's deferred epilogue, the reference
+:class:`~repro.tflite.interpreter.Interpreter` and the build-time
+accuracy of compression tiers.  A plan resolves one compiled model's
+op chain once into stages with preallocated scratch buffers:
 
-- **Batch bucketing** — incoming batches are padded up to a power-of-
-  two bucket ladder (plus the configured maximum).  Padding rows carry
-  the input zero point (real 0.0), and their outputs are sliced off
-  before anything reads them.  A handful of bucket sizes means every
-  per-``(model, batch)`` memo in the stack — ``lower()`` programs,
-  ``invoke_seconds``, ``invoke_breakdown`` — is prewarmed once and hit
-  forever after.
-- **Arena-backed stages** — each tier's op chain is resolved once into
-  a :class:`ModelPlan`: per fused stage, scratch buffers (widened
-  input, accumulator, float64 codes, gather indices, int8 output) are
-  preallocated at the largest bucket and sliced per bucket.  Steady-
-  state invokes write through ``out=`` numpy kernels (or the native
-  AVX-512 VNNI kernels of :mod:`repro.native` when the CPU and the
-  op's int32 bound allow) and perform **zero heap allocations**.
-- **Shared execution** — the same plan object serves the device
-  simulator (via the ``executor=`` hook on
-  :meth:`~repro.edgetpu.device.EdgeTpuDevice.invoke`), the host
-  CPU-fallback path and every degraded tier, so all paths stay
-  bit-identical to the reference interpreter by construction (the
-  tests assert it against the frozen ``run_reference`` oracles).
+- **Arena-backed stages** — per fused ``FC(+TANH)`` stage the widened
+  input, accumulator, float64 codes, gather indices and int8 output
+  live in buffers sized to the owner's largest batch.  Invokes write
+  through ``out=`` numpy kernels, or through the native AVX-512 VNNI
+  kernels of :mod:`repro.native` when the module is available and the
+  op's int32 bound allows, and perform **zero heap allocations** in
+  steady state.
+- **Real batch sizes** — an ``n``-row batch runs on ``[:n]`` views of
+  the arenas, bound on first use of that size.  Nothing is padded, so
+  devices and host tails are charged exactly the rows they run.
+- **Ownership** — a plan belongs to the server, device, resolver or
+  interpreter that runs it, never to the shared
+  :class:`~repro.edgetpu.compiler.CompiledModel` (a compile cache can
+  hand one model to concurrent worker threads).  Only the read-only
+  packed weights are cached per op.
 
-The plan changes *measured wall time only*: modeled virtual-clock
-charges are derived from the same ``invoke_breakdown`` /
-``cpu_op_seconds`` plans as the classic path, evaluated at the padded
-bucket size actually dispatched.
+Both kernel choices are bit-identical to the frozen
+``run_reference`` oracles (the tests assert it), so plans change
+measured wall time only; modeled virtual-clock charges never see them.
 """
 
 from __future__ import annotations
@@ -40,42 +36,21 @@ import numpy as np
 from repro import native
 from repro.tflite.ops import ArgmaxOp, FullyConnectedOp, TanhOp
 
-__all__ = ["ModelPlan", "ServingPlan", "bucket_ladder"]
-
-_INT32_MAX = 2**31 - 1
-
-
-def bucket_ladder(max_batch: int) -> tuple[int, ...]:
-    """The padded batch sizes a plan preallocates for.
-
-    Powers of two up to ``max_batch``, with ``max_batch`` itself
-    appended when it is not a power of two — so no batch pads by more
-    than 2x and the dispatcher's own cap is always representable.
-    """
-    if max_batch < 1:
-        raise ValueError(f"max_batch must be >= 1, got {max_batch}")
-    ladder = []
-    size = 1
-    while size < max_batch:
-        ladder.append(size)
-        size *= 2
-    ladder.append(max_batch)
-    return tuple(ladder)
+__all__ = ["ModelPlan", "fit_plan"]
 
 
 # ----------------------------------------------------------------------
-# Stage compilation: op chain -> spec list -> per-bucket closures
+# Stage compilation: op chain -> spec list -> per-size closures
 # ----------------------------------------------------------------------
 
 
 def _stage_specs(ops, width: int):
-    """Resolve an op chain into ``(kind, op, fused, in_w, out_w)`` specs.
+    """Resolve an op chain into ``(kind, op, fused, in_w)`` specs.
 
-    Mirrors :func:`repro.tflite.ops.fused_stages` pairing: ``FC+TANH``
-    becomes one fused stage; ``FC+ARGMAX`` splits into a bare FC plus
-    an argmax (bit-identical — requantization is monotone, so argmax
-    over int8 codes equals argmax over the float64 codes the fused
-    kernel reduces).
+    ``FC+TANH`` becomes one fused stage; ``FC+ARGMAX`` splits into a
+    bare FC plus an argmax (bit-identical — requantization is
+    monotone, so argmax over int8 codes equals argmax over the float64
+    codes a fused kernel would reduce).
     """
     specs = []
     ops = list(ops)
@@ -84,63 +59,45 @@ def _stage_specs(ops, width: int):
         op = ops[index]
         nxt = ops[index + 1] if index + 1 < len(ops) else None
         if isinstance(op, FullyConnectedOp):
-            out_w = op.output_dim(width)
-            if isinstance(nxt, TanhOp):
-                specs.append(("fc", op, nxt, width, out_w))
-                index += 2
-            elif isinstance(nxt, ArgmaxOp):
-                specs.append(("fc", op, None, width, out_w))
-                specs.append(("argmax", nxt, None, out_w, 1))
-                index += 2
-            else:
-                specs.append(("fc", op, None, width, out_w))
-                index += 1
-            width = out_w
+            fused = nxt if isinstance(nxt, TanhOp) else None
+            specs.append(("fc", op, fused, width))
+            index += 2 if fused is not None else 1
         elif isinstance(op, TanhOp):
-            specs.append(("tanh", op, None, width, width))
+            specs.append(("tanh", op, None, width))
             index += 1
         elif isinstance(op, ArgmaxOp):
-            specs.append(("argmax", op, None, width, 1))
+            specs.append(("argmax", op, None, width))
             index += 1
-            width = 1
         else:
-            # Unknown op kind: correct but allocating (op.run).  None of
-            # the repo's models hit this; the zero-allocation guarantee
-            # covers FC/TANH/ARGMAX chains.
-            specs.append(("generic", op, None, width, op.output_dim(width)))
-            width = op.output_dim(width)
-            index += 1
+            # An op kind without an arena path is a build-time error,
+            # never a silent slow path.
+            raise TypeError(
+                f"op kind {type(op).__name__} has no arena execution path"
+            )
+        width = op.output_dim(width)
     return specs
 
 
 class _FcStage:
     """Arena + kernels for one fused ``FC(+TANH)`` stage.
 
-    Dispatches to the native VNNI kernel when the module is available,
-    the requantization multiplier is per-tensor, and the static bound
-    proves the kernel's int32 accumulator cannot overflow; otherwise to
-    the in-place numpy path (``accumulate_into`` / ``requantize_into``
-    on the op).  Both are bit-identical to the op's ``run`` /
-    ``run_tanh_fused``.
+    Dispatches to the native VNNI kernel when the module is available
+    and the op has a packed layout (per-tensor multiplier, static int32
+    bound proven); otherwise to the in-place numpy path
+    (``accumulate_into`` / ``requantize_into`` on the op).  Both are
+    bit-identical to the op's ``run`` / ``run_tanh_fused``.
     """
 
     def __init__(self, op: FullyConnectedOp, tanh: TanhOp | None,
-                 max_rows: int, allow_native: bool):
+                 max_rows: int):
         self.op = op
         self.tanh = tanh
         self.n = op.weights.shape[1]
-        self.native = False
-        if (allow_native and native.available()
-                and isinstance(op._multiplier, float)
-                and native.vnni_accumulator_bound(
-                    op.weights, op._offset_i64) <= _INT32_MAX):
-            try:
-                self._packed = native.pack_fc(op.weights, op._offset_i64)
-            except OverflowError:
-                self._packed = None
-            else:
-                self.native = True
+        lib = native.library()
+        self._packed = op.vnni_packed() if lib is not None else None
+        self.native = self._packed is not None
         if self.native:
+            self._kernel = lib.fc_fused_i8
             packed = self._packed
             # Shifted-activation buffer: the zero padding in columns
             # [k, k4*4) is written once here and never again.
@@ -169,27 +126,31 @@ class _FcStage:
                 self._mult_tile[:] = op._multiplier
 
     def bind(self, rows: int, x_view: np.ndarray):
-        """Build this stage's zero-allocation closure for one bucket.
+        """Build this stage's zero-allocation closure for ``rows`` rows.
 
         Returns ``(run, out_view)`` where ``run()`` consumes ``x_view``
         in place and ``out_view`` is the stage's int8 output.
         """
         if self.native:
-            op, packed, lut = self.op, self._packed, self._lut
-            a_u8 = self._a_u8[:rows]
+            op = self.op
+            qparams = op.output_qparams
             out = self._out[:rows]
-            trimmed = out[:, :self.n]
-            mult = op._multiplier
-            zp = op.output_qparams.zero_point
-            qmin, qmax = op.output_qparams.qmin, op.output_qparams.qmax
-            k4 = packed.k4
+            # The arenas never move: views and the kernel's C arguments
+            # are resolved here, once per batch size.
+            x_u8 = x_view.view(np.uint8)
+            a_cols = self._a_u8[:rows, :x_view.shape[1]]
+            kernel = self._kernel
+            args = native.fc_fused_i8_args(
+                self._a_u8[:rows], self._packed, op._multiplier,
+                qparams.zero_point, qparams.qmin, qparams.qmax, self._lut,
+                out)
 
             def run() -> None:
-                native._shift_u8(x_view, k4, out=a_u8)
-                native.fc_fused_i8(a_u8, packed, mult, zp, qmin, qmax,
-                                   lut, out)
+                # x + 128 as uint8 (wraparound), then the fused kernel.
+                np.add(x_u8, 128, out=a_cols)
+                kernel(*args)
 
-            return run, trimmed
+            return run, out[:, :self.n]
 
         op = self.op
         x_wide = self._x_wide[:rows]
@@ -241,7 +202,7 @@ class _TanhStage:
 
 
 class _ArgmaxStage:
-    """Arena for the final argmax: int8 codes -> int64 class indices."""
+    """Arena for an argmax: int8 codes -> int64 class indices."""
 
     def __init__(self, max_rows: int):
         # np.argmax(out=...) demands an intp destination; on every
@@ -259,15 +220,14 @@ class _ArgmaxStage:
         return run, out
 
 
-class _Bucket:
-    """One padded batch size's precompiled views and closures."""
+class _Views:
+    """One batch size's bound arena views and stage closures."""
 
-    __slots__ = ("rows", "scratch", "q", "device_runs", "device_out",
-                 "tail_runs", "predictions", "executor")
+    __slots__ = ("scratch", "q", "device_runs", "device_out",
+                 "tail_runs", "predictions")
 
-    def __init__(self, rows, scratch, q, device_runs, device_out,
-                 tail_runs, predictions):
-        self.rows = rows
+    def __init__(self, scratch, q, device_runs, device_out, tail_runs,
+                 predictions):
         self.scratch = scratch
         self.q = q
         self.device_runs = device_runs
@@ -275,25 +235,14 @@ class _Bucket:
         self.tail_runs = tail_runs
         self.predictions = predictions
 
-        def executor(x: np.ndarray) -> np.ndarray:
-            # The server hands back the plan's own arena view; any other
-            # caller (tests, standalone use) is copied in, still
-            # allocation-free.
-            if x is not q:
-                np.copyto(q, x)
-            for run in device_runs:
-                run()
-            return device_out
-
-        self.executor = executor
-
 
 class _HostModel:
     """Duck-typed ``CompiledModel`` stand-in for a bare :class:`FlatModel`.
 
-    Lets :meth:`ModelPlan.for_model` plan the *whole* op chain as host
-    stages — the reference-interpreter view of the model, with no
-    device/tail split and no lowering plans to derive a tail width from.
+    Lets :meth:`ModelPlan.for_model` plan the *whole* op chain as
+    device stages — the reference-interpreter view of the model, with
+    no device/tail split and no lowering plans to derive a tail width
+    from.
     """
 
     __slots__ = ("model", "tpu_ops", "cpu_ops", "plans")
@@ -308,87 +257,85 @@ class _HostModel:
 class ModelPlan:
     """One compiled model's arena-backed execution plan.
 
-    Built once (typically by :class:`ServingPlan`); afterwards the
-    steady-state path
+    Built once per owner; afterwards the steady-state path
 
-    ``stage() -> executor (device) -> run_tail()``
+    ``stage() -> run_device() -> run_tail()``
 
     performs no heap allocations: features land in a preallocated
     float64 scratch, quantize in place, flow through per-stage arenas,
     and predictions come back as a view into a preallocated buffer.
+    Every call takes the batch at its real size ``n <= max_rows`` and
+    returns ``n``-row views, valid until the plan's next call.
 
     Args:
         compiled: The :class:`~repro.edgetpu.compiler.CompiledModel`.
-        buckets: Padded batch sizes to preallocate (see
-            :func:`bucket_ladder`).
-        allow_native: Permit the AVX-512 VNNI kernels where provably
-            exact (bit-identical either way).
+        max_rows: The owner's largest batch; arenas are sized to it.
     """
 
-    def __init__(self, compiled, buckets, allow_native: bool = True):
+    def __init__(self, compiled, max_rows: int):
+        if max_rows < 1:
+            raise ValueError(f"max_rows must be >= 1, got {max_rows}")
         self.compiled = compiled
-        self._allow_native = allow_native
-        self.buckets = tuple(sorted(set(buckets)))
-        if not self.buckets or self.buckets[0] < 1:
-            raise ValueError("buckets must be positive batch sizes")
-        self.max_rows = self.buckets[-1]
+        self.max_rows = max_rows
         self._qparams = compiled.model.input_spec.qparams
         self.in_dim = compiled.model.input_spec.size
-        self._output_is_index = compiled.model.output_is_index
 
-        max_rows = self.max_rows
         self._scratch = np.zeros((max_rows, self.in_dim), dtype=np.float64)
         self._q = np.zeros((max_rows, self.in_dim), dtype=np.int8)
-
-        device_specs = _stage_specs(compiled.tpu_ops, self.in_dim)
         tail_width = (compiled.plans[-1].output_dim
                       if compiled.plans else self.in_dim)
-        tail_specs = _stage_specs(compiled.cpu_ops, tail_width)
-        self._device_stages = [self._build_stage(s) for s in device_specs]
-        self._tail_stages = [self._build_stage(s) for s in tail_specs]
+        self._device_stages = [
+            self._build_stage(spec)
+            for spec in _stage_specs(compiled.tpu_ops, self.in_dim)
+        ]
+        self._tail_stages = [
+            self._build_stage(spec)
+            for spec in _stage_specs(compiled.cpu_ops, tail_width)
+        ]
+        # Models whose last op emits activations get the final argmax
+        # in the tail (mirroring run_host_tail); index-output models end
+        # in an ARGMAX op whose (rows, 1) output is reduced by a view.
+        if not compiled.model.output_is_index:
+            self._tail_stages.append(_ArgmaxStage(max_rows))
         self.native = any(
             isinstance(st, _FcStage) and st.native
             for st in self._device_stages + self._tail_stages
         )
-        # Models whose last op emits activations get the final argmax
-        # here (mirroring run_host_tail); index-output models end in an
-        # ARGMAX op whose (rows, 1) output is reduced by a view.
-        self._final_argmax = (None if self._output_is_index
-                              else _ArgmaxStage(max_rows))
-
-        self._by_rows: dict[int, _Bucket] = {}
-        for rows in self.buckets:
-            self._by_rows[rows] = self._bind_bucket(rows)
+        self._views: dict[int, _Views] = {}
 
     @classmethod
-    def for_model(cls, model, buckets, allow_native: bool = True
-                  ) -> "ModelPlan":
+    def for_model(cls, model, max_rows: int) -> "ModelPlan":
         """Plan a bare :class:`~repro.tflite.flatmodel.FlatModel`.
 
-        The whole op chain executes host-side through the arenas (no
-        device/tail split) — the zero-allocation counterpart of
-        :meth:`Interpreter.predict
-        <repro.tflite.interpreter.Interpreter.predict>`, bit-identical
-        to it.
+        The whole op chain executes as device stages (no device/tail
+        split) — the interpreter's executor; :meth:`run_device` returns
+        the last op's output.
         """
-        return cls(_HostModel(model), buckets, allow_native=allow_native)
+        return cls(_HostModel(model), max_rows)
 
     def _build_stage(self, spec):
-        kind, op, fused, in_w, _out_w = spec
+        kind, op, fused, in_w = spec
         if kind == "fc":
-            return _FcStage(op, fused, self.max_rows, self._allow_native)
+            return _FcStage(op, fused, self.max_rows)
         if kind == "tanh":
             return _TanhStage(op, in_w, self.max_rows)
-        if kind == "argmax":
-            return _ArgmaxStage(self.max_rows)
-        # Plans are opt-in: an op kind without an arena path is a
-        # build-time error, never a silent slow path.
-        raise TypeError(
-            f"op kind {type(op).__name__} has no arena execution path"
-        )
+        return _ArgmaxStage(self.max_rows)
 
-    def _bind_bucket(self, rows: int) -> _Bucket:
-        scratch = self._scratch[:rows]
+    def _bound(self, rows: int) -> _Views:
+        """The views for ``rows`` rows, bound on first use."""
+        views = self._views.get(rows)
+        if views is None:
+            if rows < 1:
+                raise ValueError("cannot run an empty batch")
+            if rows > self.max_rows:
+                raise ValueError(
+                    f"batch of {rows} exceeds the plan's {self.max_rows} "
+                    f"rows"
+                )
+            views = self._views[rows] = self._bind(rows)
+        return views
+
+    def _bind(self, rows: int) -> _Views:
         q = self._q[:rows]
         current = q
         device_runs = []
@@ -400,151 +347,81 @@ class ModelPlan:
         for stage in self._tail_stages:
             run, current = stage.bind(rows, current)
             tail_runs.append(run)
-        if self._final_argmax is not None:
-            run, current = self._final_argmax.bind(rows, current)
-            tail_runs.append(run)
-        predictions = current[:, 0]
-        return _Bucket(rows, scratch, q, device_runs, device_out,
-                       tail_runs, predictions)
+        return _Views(self._scratch[:rows], q, device_runs, device_out,
+                      tail_runs, current[:, 0])
 
     # ------------------------------------------------------------------
     # Steady-state API (all zero-allocation)
     # ------------------------------------------------------------------
 
-    def bucket_for(self, n: int) -> int:
-        """Smallest preallocated bucket holding ``n`` rows."""
-        for rows in self.buckets:
-            if rows >= n:
-                return rows
-        raise ValueError(
-            f"batch of {n} exceeds the largest plan bucket "
-            f"{self.buckets[-1]}"
-        )
-
     def stage(self, features) -> np.ndarray:
-        """Load a float batch into the arena and quantize it, padded.
+        """Load a float batch into the arena and quantize it.
 
         Args:
             features: A ``(n, in_dim)`` array or a sequence of ``n``
                 1-D feature rows.
 
         Returns:
-            The padded int8 input view, ``(bucket_for(n), in_dim)``.
-            Padding rows quantize real 0.0 — exactly the input zero
-            point — and their outputs are sliced off downstream.
+            The int8 input view, ``(n, in_dim)`` — bit-identical to
+            ``input_spec.qparams.quantize(features)``.
         """
-        n = len(features)
-        bucket = self._by_rows[self.bucket_for(n)]
+        views = self._bound(len(features))
         if isinstance(features, np.ndarray):
-            bucket.scratch[:n] = features
+            views.scratch[:] = features
         else:
             for i, row in enumerate(features):
-                bucket.scratch[i] = row
-        if n < bucket.rows:
-            bucket.scratch[n:] = 0.0
-        self._qparams.quantize_into(bucket.scratch, bucket.q,
-                                    bucket.scratch)
-        return bucket.q
+                views.scratch[i] = row
+        self._qparams.quantize_into(views.scratch, views.q, views.scratch)
+        return views.q
 
-    def executor_for(self, rows: int):
-        """The device-executor closure for one bucket size.
+    def run_device(self, x: np.ndarray) -> np.ndarray:
+        """Run the device-mapped stages on an int8 batch.
 
-        Pass to :meth:`EdgeTpuDevice.invoke(..., executor=...)
-        <repro.edgetpu.device.EdgeTpuDevice.invoke>`: it runs the
-        arena-backed device stages in place of the interpreted stage
-        loop, bit-identically, and returns the device-output view.
+        The executor :meth:`EdgeTpuDevice.invoke
+        <repro.edgetpu.device.EdgeTpuDevice.invoke>` runs: bit-identical
+        to the op chain, returning a view of the device-output arena.
+        ``x`` may be the view :meth:`stage` returned (no copy) or any
+        int8 array, which is copied in.
         """
-        return self._by_rows[rows].executor
+        views = self._bound(x.shape[0])
+        if x is not views.q:
+            np.copyto(views.q, x)
+        for run in views.device_runs:
+            run()
+        return views.device_out
 
     def run_tail(self, outputs: np.ndarray) -> np.ndarray:
-        """Host tail on device outputs; returns int64 predictions.
-
-        The returned view covers the *padded* rows; slice ``[:n]`` for
-        the real requests.
-        """
-        bucket = self._by_rows[outputs.shape[0]]
-        if outputs is not bucket.device_out:
-            np.copyto(bucket.device_out, outputs)
-        for run in bucket.tail_runs:
+        """Host tail on device outputs; returns an int64 predictions view."""
+        views = self._bound(outputs.shape[0])
+        if outputs is not views.device_out:
+            np.copyto(views.device_out, outputs)
+        for run in views.tail_runs:
             run()
-        return bucket.predictions
+        return views.predictions
 
     def run_host(self, q: np.ndarray) -> np.ndarray:
         """Full chain on the host (CPU-fallback path); predictions view."""
-        bucket = self._by_rows[q.shape[0]]
-        outputs = bucket.executor(q)
-        return self.run_tail(outputs)
+        return self.run_tail(self.run_device(q))
 
     def predict(self, features) -> np.ndarray:
-        """Convenience: quantize + device stages + tail, sliced to ``n``.
+        """Quantize + device stages + tail.
 
         Returns a *view* into the plan's prediction buffer — copy it if
-        it must survive the next invoke.
+        it must survive the next call.
         """
-        n = len(features)
-        q = self.stage(features)
-        return self.run_host(q)[:n]
+        return self.run_host(self.stage(features))
 
 
-class ServingPlan:
-    """The server's ahead-of-time plan across every resident tier.
+def fit_plan(plans: dict, compiled, rows: int) -> ModelPlan:
+    """The owner's plan for ``compiled``, rebuilt when ``rows`` outgrow it.
 
-    Compiles a :class:`ModelPlan` per tier, prewarms the lowering and
-    latency memos for every (tier, bucket) pair, and survives hot swaps
-    via :meth:`replace_primary` (only tier 0's plan is rebuilt; the
-    degradation ladder keeps its arenas).
-
-    Args:
-        tiers: Compiled models, tier 0 first (a single-model server
-            passes a one-element list).
-        max_bucket: Largest padded batch (usually the batcher's
-            ``max_batch``).
-        allow_native: Permit the native VNNI kernels.
-        prewarm: Pre-fill ``lower()`` / ``invoke_seconds`` /
-            ``invoke_breakdown`` for every (tier, bucket) pair.
+    ``plans`` maps ``id(compiled)`` to that owner's :class:`ModelPlan`
+    (the plan pins the model, so the id stays valid).  A server passes
+    its ``max_batch``; a device, which cannot know its largest batch up
+    front, passes each batch's rows and so grows its arena to the
+    largest batch it has been asked to run.
     """
-
-    def __init__(self, tiers, max_bucket: int, allow_native: bool = True,
-                 prewarm: bool = True):
-        tiers = list(tiers)
-        if not tiers:
-            raise ValueError("need at least one compiled model")
-        self.buckets = bucket_ladder(max_bucket)
-        self.allow_native = allow_native
-        self.prewarm = prewarm
-        self.plans = [self._compile(c) for c in tiers]
-        self._by_id = {id(p.compiled): p for p in self.plans}
-
-    def _compile(self, compiled) -> ModelPlan:
-        plan = ModelPlan(compiled, self.buckets,
-                         allow_native=self.allow_native)
-        if self.prewarm:
-            from repro.edgetpu.program import lower
-            for rows in self.buckets:
-                lower(compiled, rows)
-                compiled.invoke_breakdown(rows)
-                compiled.invoke_seconds(rows)
-        return plan
-
-    def bucket_for(self, n: int) -> int:
-        """Smallest bucket holding ``n`` rows (shared ladder)."""
-        return self.plans[0].bucket_for(n)
-
-    def plan_for(self, compiled) -> ModelPlan | None:
-        """The tier plan serving ``compiled`` (identity match)."""
-        return self._by_id.get(id(compiled))
-
-    def replace_primary(self, compiled) -> ModelPlan:
-        """Recompile tier 0 for a hot-swapped model.
-
-        The old primary's plan (and its arenas) is dropped; degraded
-        tiers keep theirs — a swap replaces only tier 0.
-        """
-        old = self.plans[0]
-        if compiled is old.compiled:
-            return old
-        del self._by_id[id(old.compiled)]
-        plan = self._compile(compiled)
-        self.plans[0] = plan
-        self._by_id[id(compiled)] = plan
-        return plan
+    plan = plans.get(id(compiled))
+    if plan is None or plan.max_rows < rows:
+        plan = plans[id(compiled)] = ModelPlan(compiled, rows)
+    return plan

@@ -13,11 +13,17 @@ of a production serving stack:
   :class:`~repro.edgetpu.multidevice.DevicePool` with the host
   dequantize/argmax tail serialized behind it, exactly the timing model
   of :class:`~repro.runtime.executor.MicroBatchDispatcher`.
+- **One int8 executor** — every batch runs through the server's own
+  arena-backed :class:`~repro.runtime.plan.ModelPlan` per resident
+  model, sized to ``max_batch``: features quantize in place, the
+  device runs the plan's stages, the host tail reads its views, all
+  at the batch's real size (nothing is padded, so the virtual clock
+  charges exactly the rows served).
 - **Fault tolerance** — device failures injected via
   :class:`~repro.edgetpu.multidevice.FailurePlan` are detected at
   dispatch (paying the modeled detection cost), retried once on the
-  next healthy device, and finally served by the existing CPU-fallback
-  op path — the same int8 kernels run on the host, so predictions stay
+  next healthy device, and finally served by the CPU-fallback path —
+  the same plan runs the whole chain on the host, so predictions stay
   bit-identical and in request order, only slower.
 - **Hot swap** — a :class:`~repro.serving.swap.ModelSwapper` commits a
   freshly retrained model atomically between batches.
@@ -48,7 +54,8 @@ from repro.observability.metrics import MetricsRegistry
 from repro.observability.trace import Tracer
 from repro.platforms.base import Platform
 from repro.runtime.cache import LruCache
-from repro.runtime.executor import cpu_op_seconds, run_host_tail
+from repro.runtime.executor import cpu_op_seconds
+from repro.runtime.plan import ModelPlan, fit_plan
 from repro.runtime.profiler import LatencyTracker
 from repro.serving.batcher import DynamicBatcher
 from repro.serving.swap import ModelSwapper, SwapRecord
@@ -398,6 +405,11 @@ class InferenceServer:
         self.tracer = tracer
         self.metrics = metrics
         self._compiled: CompiledModel = loaded[0]
+        # The server's arenas, one ModelPlan per model it has served
+        # (primary and any shed-to tier), built on first use at the
+        # batcher's max_batch; keyed by identity (the plan pins the
+        # model).  A hot swap drops the old primary's.
+        self._plans: dict[int, ModelPlan] = {}
         # Per-batch-size service estimates are pure in (compiled model,
         # batch); the event loop re-evaluates the batch trigger after
         # every arrival, so memoize instead of re-deriving the latency
@@ -445,26 +457,6 @@ class InferenceServer:
                 "config.tiers sets a shedding policy but no tier "
                 "ladder was provided; pass tiers="
             )
-        self._plan = None
-        if config is not None and config.plan is not None:
-            from repro.runtime.plan import ServingPlan
-            plan_cfg = config.plan
-            max_bucket = (plan_cfg.max_bucket
-                          if plan_cfg.max_bucket is not None
-                          else config.max_batch)
-            if max_bucket < config.max_batch:
-                raise ValueError(
-                    f"plan.max_bucket {max_bucket} is smaller than "
-                    f"max_batch {config.max_batch}; the plan could not "
-                    f"hold a full batch"
-                )
-            tier_models = ([t.compiled for t in self._tiers]
-                           if self._tiers is not None
-                           else [self._compiled])
-            self._plan = ServingPlan(
-                tier_models, max_bucket=max_bucket,
-                allow_native=plan_cfg.native, prewarm=plan_cfg.prewarm,
-            )
 
     # ------------------------------------------------------------------
     # Cost estimation (drives the deadline-aware batch trigger)
@@ -481,27 +473,14 @@ class InferenceServer:
             seconds += self.host.argmax_seconds(rows, width)
         return seconds
 
-    def _charged_rows(self, batch_size: int) -> int:
-        """Rows a dispatch actually charges: the padded bucket when a
-        serving plan is active, the raw batch size otherwise."""
-        if self._plan is not None:
-            return self._plan.bucket_for(batch_size)
-        return batch_size
-
     def service_estimate(self, batch_size: int) -> float:
-        """Modeled device invoke + host tail for one batch (memoized).
-
-        Under a serving plan the estimate is evaluated at the padded
-        bucket size — the rows the device would actually be charged
-        for — so the batch trigger sees the real dispatch cost.
-        """
+        """Modeled device invoke + host tail for one batch (memoized)."""
         if batch_size < 1:
             raise ValueError(
                 f"batch_size must be >= 1, got {batch_size}"
             )
         estimate = self._estimate_cache.get(batch_size)
         if estimate is None:
-            rows = self._charged_rows(batch_size)
             # A heterogeneous pool serves per-backend variants of the
             # primary; the batch trigger must plan for the slowest one
             # (it cannot know which device a batch will land on).  On a
@@ -512,8 +491,8 @@ class InferenceServer:
                 if model is not None and model.model is self._compiled.model:
                     variants.setdefault(id(model), model)
             estimate = max(
-                compiled.invoke_seconds(rows)
-                + self._host_tail_seconds(compiled, rows)
+                compiled.invoke_seconds(batch_size)
+                + self._host_tail_seconds(compiled, batch_size)
                 for compiled in variants.values()
             )
             self._estimate_cache.put(batch_size, estimate)
@@ -527,9 +506,8 @@ class InferenceServer:
         estimate = self._degraded_estimates.get(key)
         if estimate is None:
             compiled = self._tiers[tier_index].compiled
-            rows = self._charged_rows(batch_size)
-            estimate = (compiled.invoke_seconds(rows)
-                        + self._host_tail_seconds(compiled, rows))
+            estimate = (compiled.invoke_seconds(batch_size)
+                        + self._host_tail_seconds(compiled, batch_size))
             self._degraded_estimates.put(key, estimate)
         return estimate
 
@@ -651,12 +629,11 @@ class InferenceServer:
         if self.swapper is not None:
             swapped = self.swapper.poll(dispatch_t)
             if swapped is not None:
+                # The old primary's arena goes with it; degraded tiers
+                # keep theirs (a swap replaces only tier 0).
+                self._plans.pop(id(self._compiled), None)
                 self._compiled = swapped
                 self._estimate_cache = LruCache(128)
-                if self._plan is not None:
-                    # Recompile tier 0's arena plan for the new
-                    # weights; degraded tiers keep theirs.
-                    self._plan.replace_primary(swapped)
                 # The commit's device load blocks every reloaded device.
                 load = self.swapper.records[-1].load_seconds
                 for i in self.pool.healthy_indices():
@@ -712,28 +689,17 @@ class InferenceServer:
                            to_tier=tier_index,
                            tier=self._tiers[tier_index].name)
             self._active_tier = tier_index
-        plan_model = (self._plan.plan_for(compiled)
-                      if self._plan is not None else None)
         if defer is not None:
             # Deferred path: no staging at all — modeled cost is a
-            # function of the charged row count alone, and the
-            # arithmetic happens after the simulation.
-            quantized = None
-            executor = None
-            charged = self._charged_rows(rows)
-        elif plan_model is not None:
-            # Arena path: features land in the plan's preallocated
-            # scratch and quantize in place, padded to the bucket with
-            # zero-point rows (their outputs are sliced off below).
-            quantized = plan_model.stage(features)
-            executor = plan_model.executor_for(len(quantized))
-            charged = len(quantized)
+            # function of the row count alone, and the arithmetic
+            # happens after the simulation.
+            plan = quantized = executor = None
         else:
-            x = (features if isinstance(features, np.ndarray)
-                 else np.stack(features))
-            quantized = compiled.model.input_spec.qparams.quantize(x)
-            executor = None
-            charged = rows
+            # Features land in the plan's arena and quantize in place;
+            # the device runs the plan's stages on that view.
+            plan = fit_plan(self._plans, compiled, self.batcher.max_batch)
+            quantized = plan.stage(features)
+            executor = plan.run_device
 
         batch_span = (tracer.add("serve.batch", dispatch_t, dispatch_t,
                                  parent_id=root, batch=rows,
@@ -753,7 +719,7 @@ class InferenceServer:
             start = max(detect_t, device_free[chosen])
             try:
                 if defer is not None:
-                    invoke = self.pool.invoke_cost(chosen, charged,
+                    invoke = self.pool.invoke_cost(chosen, rows,
                                                    at_s=start,
                                                    model=invoke_model)
                 else:
@@ -774,29 +740,20 @@ class InferenceServer:
             device_free[chosen] = device_done
             device_busy[chosen] += invoke.elapsed_s
             if defer is not None:
-                # The host tail is charged at the rows the device ran
-                # (the padded bucket under a plan) — the same per-op
-                # sum run_host_tail/run_tail would have accumulated.
+                # The host tail is charged by the same per-op sum the
+                # plan's tail would have run.
                 defer.add(compiled, ids)
                 deferred_served = True
-                key = (id(compiled), charged)
+                key = (id(compiled), rows)
                 tail_cost = self._tail_cache.get(key)
                 if tail_cost is None:
-                    tail_cost = self._host_tail_seconds(compiled,
-                                                        charged)
+                    tail_cost = self._host_tail_seconds(compiled, rows)
                     self._tail_cache[key] = tail_cost
-            elif plan_model is not None:
-                # Arena tail (bit-identical to run_host_tail); the
-                # modeled cost is the same per-op plan evaluated at the
-                # padded rows the device just ran.
-                predictions = plan_model.run_tail(invoke.outputs)[:rows]
-                tail_cost = self._host_tail_seconds(
-                    compiled, len(invoke.outputs)
-                )
             else:
-                predictions, tail_cost = run_host_tail(
-                    compiled, invoke.outputs, self.host,
-                )
+                # Arena tail on the device-output view (bit-identical
+                # to run_host_tail, and charged the same per-op sum).
+                predictions = plan.run_tail(invoke.outputs)
+                tail_cost = self._host_tail_seconds(compiled, rows)
             tail_start = max(host_free, device_done)
             host_free = tail_start + tail_cost
             report.host_seconds += tail_cost
@@ -819,33 +776,22 @@ class InferenceServer:
             break
 
         if predictions is None and not deferred_served:
-            # Retry exhausted or no healthy device: the CPU-fallback op
-            # path — the same fused int8 kernels on the host,
+            # Retry exhausted or no healthy device: the CPU-fallback
+            # path — the same plan runs the whole chain on the host,
             # bit-identical.  Modeled cost stays per-op (fusion is
             # execution dispatch, not a timing change).
             width = compiled.model.input_spec.size
             cost = 0.0
             for op in list(compiled.tpu_ops) + list(compiled.cpu_ops):
-                cost += cpu_op_seconds(self.host, op, charged, width)
+                cost += cpu_op_seconds(self.host, op, rows, width)
                 width = op.output_dim(width)
+            if not compiled.model.output_is_index:
+                cost += self.host.argmax_seconds(rows, width)
             if defer is not None:
                 defer.add(compiled, ids)
                 deferred_served = True
-                if not compiled.model.output_is_index:
-                    cost += self.host.argmax_seconds(charged, width)
-            elif plan_model is not None:
-                predictions = plan_model.run_host(quantized)[:rows]
-                if not compiled.model.output_is_index:
-                    cost += self.host.argmax_seconds(charged, width)
             else:
-                out = quantized
-                for stage in compiled.host_stages():
-                    out = stage(out)
-                if compiled.model.output_is_index:
-                    predictions = out[:, 0]
-                else:
-                    cost += self.host.argmax_seconds(charged, width)
-                    predictions = np.argmax(out, axis=-1)
+                predictions = plan.run_host(quantized)
             fallback_start = max(host_free, detect_t)
             host_free = fallback_start + cost
             report.host_seconds += cost

@@ -10,7 +10,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.tflite.flatmodel import FlatModel
-from repro.tflite.ops import fused_stages
 
 __all__ = ["Interpreter"]
 
@@ -18,10 +17,12 @@ __all__ = ["Interpreter"]
 class Interpreter:
     """Executes a quantized flat model.
 
-    The op chain is compiled once into fused execution stages
-    (``FC→TANH`` / ``FC→requant→ARGMAX`` pairs collapse, skipping the
-    intermediate int8 tensors); outputs are bit-identical to running
-    ``op.run`` op by op, which the tests assert.
+    The op chain runs through the stack's one int8 executor, an
+    arena-backed :class:`~repro.runtime.plan.ModelPlan` owned by this
+    interpreter and grown to the largest batch it has run (``FC→TANH``
+    pairs fuse, skipping the intermediate int8 tensor); outputs are
+    bit-identical to running ``op.run`` op by op, which the tests
+    assert.
 
     Args:
         model: The flat model to execute.
@@ -35,7 +36,7 @@ class Interpreter:
 
     def __init__(self, model: FlatModel):
         self.model = model
-        self._stages = fused_stages(model.ops)
+        self._plan = None
 
     def run_quantized(self, x: np.ndarray) -> np.ndarray:
         """Run on already-quantized input.
@@ -59,9 +60,14 @@ class Interpreter:
                 f"expected input width {self.model.input_spec.size}, "
                 f"got shape {x.shape}"
             )
-        for stage in self._stages:
-            x = stage(x)
-        return x[0] if single else x
+        if len(x) == 0:
+            dtype = np.int64 if self.model.output_is_index else np.int8
+            return np.empty((0, self.model.output_spec.size), dtype=dtype)
+        plan = self._plan
+        if plan is None or plan.max_rows < len(x):
+            plan = self._plan = self.plan(len(x))
+        out = plan.run_device(x).copy()
+        return out[0] if single else out
 
     def run(self, x: np.ndarray) -> np.ndarray:
         """Run on float input: quantize → execute → dequantize.
@@ -86,20 +92,20 @@ class Interpreter:
             return np.asarray(out, dtype=np.int64)
         return np.argmax(out, axis=-1).astype(np.int64)
 
-    def plan(self, max_batch: int, *, allow_native: bool = True):
-        """Compile an arena-backed serving plan for this model.
+    def plan(self, max_batch: int):
+        """A new arena-backed plan for this model, owned by the caller.
 
         The returned :class:`~repro.runtime.plan.ModelPlan` executes the
-        whole op chain through preallocated scratch buffers —
+        whole op chain through buffers sized to ``max_batch`` rows; any
+        batch up to that runs at its real size on ``[:n]`` views.
         ``plan.predict(x)`` is bit-identical to :meth:`predict` but
-        allocation-free in steady state (and routed through the native
-        AVX-512 VNNI kernels where provably exact).
+        allocation-free in steady state, with int8 operands and packed
+        weights only — the native AVX-512 VNNI kernels where
+        :func:`repro.native.available` and the op's int32 bound allow,
+        the in-place numpy arena otherwise.
 
         Args:
-            max_batch: Largest batch to preallocate for; smaller batches
-                pad up a power-of-two bucket ladder.
-            allow_native: Permit the :mod:`repro.native` kernels.
+            max_batch: Largest batch the plan runs.
         """
-        from repro.runtime.plan import ModelPlan, bucket_ladder
-        return ModelPlan.for_model(self.model, bucket_ladder(max_batch),
-                                   allow_native=allow_native)
+        from repro.runtime.plan import ModelPlan
+        return ModelPlan.for_model(self.model, max_batch)

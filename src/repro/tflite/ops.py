@@ -17,11 +17,10 @@ Fast path
 
 ``FullyConnectedOp`` precomputes, once per op (weights are immutable):
 
-- widened ``int64``/``float64`` copies of the weight matrix, so ``run``
-  never re-casts parameters per invocation;
 - a per-column offset ``-in_zp * W.sum(axis=0) (+ bias)`` folding the
   input zero-point centering out of the matmul, so the kernel consumes
-  raw int8 codes;
+  raw int8 codes (column sums accumulate the int8 weights in int64,
+  with no widened copy of the matrix);
 - static worst-case accumulator bounds from the weights.  When the
   bound proves the int32 accumulator can never overflow, the per-invoke
   ``O(batch·d)`` min/max scan is skipped; when it proves every partial
@@ -32,19 +31,22 @@ Fast path
   frozen seed oracle the equivalence tests and benchmarks compare
   against).
 
-:func:`fused_stages` additionally fuses ``FC→TANH`` and
-``FC→requant→ARGMAX`` pairs so executors skip materializing the
-intermediate int8 tensor; the interpreter, the Edge TPU device
-simulator and the serving CPU fallback all dispatch through it.
+The op holds its weights as int8 only.  Widened ``int64``/``float64``
+/``float32`` copies are built lazily, and only by the numpy arena
+fallback and the allocating oracles (``run``, ``run_reference``, the
+fused ``run_tanh_fused``/``run_argmax_fused`` kernels); the native
+VNNI layout (:meth:`FullyConnectedOp.vnni_packed`) is packed from the
+int8 weights.  Production inference runs through
+:class:`~repro.runtime.plan.ModelPlan`.
 """
 
 from __future__ import annotations
 
 import functools
-from typing import Callable, Sequence
 
 import numpy as np
 
+from repro import native
 from repro.tflite.quantization import (
     PerChannelQuantParams,
     QuantParams,
@@ -52,7 +54,7 @@ from repro.tflite.quantization import (
     qparams_symmetric,
 )
 
-__all__ = ["ArgmaxOp", "FullyConnectedOp", "Op", "TanhOp", "fused_stages"]
+__all__ = ["ArgmaxOp", "FullyConnectedOp", "Op", "TanhOp"]
 
 # TFLite fixes int8 tanh output quantization to scale=1/128, zero_point=0,
 # so the representable range is [-1, 127/128].
@@ -139,8 +141,8 @@ class FullyConnectedOp(Op):
     """int8 fully connected: ``y = requant((x - in_zp) @ W + bias)``.
 
     Weights and bias are treated as immutable after construction (the
-    op caches widened copies and precomputed bounds); the stored views
-    are read-only to enforce that.
+    op caches derived weight layouts and precomputed bounds); the
+    stored views are read-only to enforce that.
 
     Args:
         weights: Quantized int8 weights, shape ``(input_dim, output_dim)``.
@@ -206,9 +208,9 @@ class FullyConnectedOp(Op):
             )
         # --- fast-path precomputation (weights are immutable) ---------
         zp = input_qparams.zero_point
-        self._weights_i64 = weights.astype(np.int64)
-        self._weights_f64 = weights.astype(np.float64)
-        column_sum = self._weights_i64.sum(axis=0)
+        # int64 accumulation straight from the int8 weights: no widened
+        # copy of the matrix is ever held.
+        column_sum = weights.sum(axis=0, dtype=np.int64)
         # Fold the input zero-point centering into a per-column offset so
         # the matmul consumes raw int8 codes:
         #   (x - zp) @ W + b  ==  x @ W + (-zp * W.sum(axis=0) + b)
@@ -219,7 +221,9 @@ class FullyConnectedOp(Op):
         self._offset_f64 = offset.astype(np.float64)
         # Static worst-case accumulator bound, per column:
         #   |acc_j| <= max|x - zp| * sum_i |W_ij| + |b_j|
-        column_abs_sum = np.abs(self._weights_i64).sum(axis=0)
+        # |int8| viewed as uint8 is exact for every code, -128 included.
+        column_abs_sum = np.abs(weights).view(np.uint8).sum(
+            axis=0, dtype=np.int64)
         max_centered = max(abs(input_qparams.qmin - zp),
                            abs(input_qparams.qmax - zp))
         acc_bound = max_centered * column_abs_sum
@@ -294,6 +298,45 @@ class FullyConnectedOp(Op):
 
     def macs_per_sample(self) -> int:
         return self.weights.size
+
+    # ------------------------------------------------------------------
+    # Weight layouts, derived lazily from the int8 weights and cached
+    # ------------------------------------------------------------------
+
+    @functools.cached_property
+    def _weights_i64(self) -> np.ndarray:
+        """int64 weights: the integer fallback and oracle operand."""
+        return self.weights.astype(np.int64)
+
+    @functools.cached_property
+    def _weights_f64(self) -> np.ndarray:
+        """float64 weights: the BLAS operand of the allocating kernels."""
+        return self.weights.astype(np.float64)
+
+    def vnni_packed(self) -> "native.PackedFc | None":
+        """This op's weights in the native VNNI kernel layout, or ``None``.
+
+        ``None`` when the kernel cannot run the op exactly: a
+        per-channel multiplier, or an int32 bound the static check
+        cannot prove (see :func:`repro.native.vnni_accumulator_bound`).
+        Packed once per op and read-only, so every plan — on any
+        thread — shares it.  Callers check :func:`repro.native.available`
+        first; packing itself needs no native code.
+        """
+        try:
+            return self.__dict__["_vnni_packed"]
+        except KeyError:
+            pass
+        packed = None
+        if (isinstance(self._multiplier, float)
+                and native.vnni_accumulator_bound(
+                    self.weights, self._offset_i64) <= _INT32_MAX):
+            try:
+                packed = native.pack_fc(self.weights, self._offset_i64)
+            except OverflowError:
+                packed = None
+        self.__dict__["_vnni_packed"] = packed
+        return packed
 
     # ------------------------------------------------------------------
     # Accumulation: BLAS fast path, integer fallback, frozen oracle
@@ -387,8 +430,8 @@ class FullyConnectedOp(Op):
     def _gemm_operands(self) -> tuple:
         """Weights and folded offset widened to :attr:`gemm_dtype`.
 
-        The float32 copies are built lazily (only in-place callers need
-        them) and cached — weights are immutable.
+        Built lazily (only the numpy arena fallback needs them) and
+        cached — weights are immutable.
         """
         dtype = self.gemm_dtype
         if dtype == np.float64:
@@ -397,7 +440,7 @@ class FullyConnectedOp(Op):
             return self._weights_i64, self._offset_i64
         cached = self.__dict__.get("_gemm_operands_f32")
         if cached is None:
-            cached = (self._weights_f64.astype(np.float32),
+            cached = (self.weights.astype(np.float32),
                       self._offset_f64.astype(np.float32))
             self.__dict__["_gemm_operands_f32"] = cached
         return cached
@@ -482,7 +525,8 @@ class FullyConnectedOp(Op):
         ).astype(np.int8)
 
     # ------------------------------------------------------------------
-    # Fused kernels (internal dispatch via :func:`fused_stages`)
+    # Allocating fused kernels: the pre-plan serving path, kept as the
+    # wall-clock baseline the plan benchmark measures against
     # ------------------------------------------------------------------
 
     def run_tanh_fused(self, x: np.ndarray, tanh: "TanhOp") -> np.ndarray:
@@ -565,32 +609,3 @@ class ArgmaxOp(Op):
             raise TypeError(f"input must be int8, got {x.dtype}")
         return np.argmax(x, axis=-1, keepdims=True).astype(np.int64)
 
-
-def fused_stages(ops: Sequence[Op]) -> list[Callable[[np.ndarray], np.ndarray]]:
-    """Compile an op chain into fused execution stages.
-
-    ``FULLY_CONNECTED`` immediately followed by ``TANH`` or ``ARGMAX``
-    collapses into one stage that never materializes the intermediate
-    int8 tensor; every other op becomes its own ``op.run`` stage.  The
-    stage list is pure dispatch — outputs are bit-identical to running
-    the ops one by one — so executors (the reference interpreter, the
-    Edge TPU device simulator, the serving CPU fallback) can share it
-    without changing any public surface.  Callers should build the list
-    once per op chain and reuse it across invocations.
-    """
-    stages: list[Callable[[np.ndarray], np.ndarray]] = []
-    index = 0
-    ops = list(ops)
-    while index < len(ops):
-        op = ops[index]
-        nxt = ops[index + 1] if index + 1 < len(ops) else None
-        if isinstance(op, FullyConnectedOp) and isinstance(nxt, TanhOp):
-            stages.append(functools.partial(op.run_tanh_fused, tanh=nxt))
-            index += 2
-        elif isinstance(op, FullyConnectedOp) and isinstance(nxt, ArgmaxOp):
-            stages.append(op.run_argmax_fused)
-            index += 2
-        else:
-            stages.append(op.run)
-            index += 1
-    return stages

@@ -80,28 +80,39 @@ class QuantParams:
         return np.dtype(self.dtype)
 
     def quantize(self, real: np.ndarray) -> np.ndarray:
-        """Quantize float values (round-to-nearest-even, then clamp)."""
-        q = np.round(np.asarray(real, dtype=np.float64) / self.scale)
-        q = q + self.zero_point
-        return np.clip(q, self.qmin, self.qmax).astype(self.numpy_dtype)
+        """Quantize float values (round-to-nearest-even, then clamp).
+
+        One float64 temporary: the divide allocates it (never aliasing
+        ``real``) and round, shift and clamp run in place — the same
+        float64 operations in the same order as the textbook
+        ``clip(round(real / scale) + zp)``, so bit-identical to it.
+        """
+        q = np.asarray(np.divide(real, self.scale, dtype=np.float64))
+        np.round(q, out=q)
+        q += self.zero_point
+        np.clip(q, self.qmin, self.qmax, out=q)
+        out = q.astype(self.numpy_dtype)
+        return out if out.ndim else out[()]
 
     def quantize_into(self, real: np.ndarray, out: np.ndarray,
                       scratch: np.ndarray) -> np.ndarray:
         """Allocation-free :meth:`quantize` into preallocated buffers.
 
         Bit-identical to :meth:`quantize` (same float64 divide / round /
-        clamp sequence), but every intermediate lives in ``scratch``
-        and the result is written into ``out`` — the serving plan's
-        arena path.
+        clamp sequence; ``rint`` is what ``round`` runs at zero
+        decimals), but every intermediate lives in ``scratch`` and the
+        result is written into ``out`` — the plan's arena path.
 
         Args:
-            real: Float values, same shape as ``out``.
+            real: Float values, same shape as ``out`` (may be
+                ``scratch`` itself).
             out: Destination of dtype :attr:`numpy_dtype`.
             scratch: float64 working buffer of the same shape.
         """
-        np.copyto(scratch, real, casting="unsafe")
+        if real is not scratch:
+            np.copyto(scratch, real, casting="unsafe")
         np.divide(scratch, self.scale, out=scratch)
-        np.round(scratch, out=scratch)
+        np.rint(scratch, out=scratch)
         scratch += self.zero_point
         np.clip(scratch, self.qmin, self.qmax, out=scratch)
         np.copyto(out, scratch, casting="unsafe")

@@ -6,6 +6,7 @@ import pytest
 from repro.edgetpu import EdgeTpuDevice, compile_model
 from repro.edgetpu.compiler import _MEMO_CACHE_SIZE
 from repro.edgetpu.program import _PROGRAM_CACHE_SIZE, lower
+from repro.tflite.ops import FullyConnectedOp
 from tests.edgetpu.test_compiler import _hdc_like_model
 
 
@@ -15,10 +16,17 @@ def compiled(rng):
 
 
 class TestStageReuse:
-    """Satellite: fused stages are built once per compiled model."""
+    """Satellite: packed weights are built once per op; arenas are
+    per owner."""
+
+    @staticmethod
+    def _fc_ops(compiled):
+        return [op for op in compiled.tpu_ops
+                if isinstance(op, FullyConnectedOp)]
 
     def test_same_object_across_calls(self, compiled):
-        assert compiled.stages() is compiled.stages()
+        for op in self._fc_ops(compiled):
+            assert op.vnni_packed() is op.vnni_packed()
 
     def test_shared_across_pool_devices(self, compiled):
         a = EdgeTpuDevice(arch=compiled.arch)
@@ -29,16 +37,31 @@ class TestStageReuse:
         out_a = a.invoke(x)
         out_b = b.invoke(x)
         np.testing.assert_array_equal(out_a.outputs, out_b.outputs)
-        assert compiled.stages() is compiled.stages()
+        # Each device owns its arena; the read-only packed weights are
+        # the op's, shared by both.
+        plan_a = a._plans[id(compiled)]
+        plan_b = b._plans[id(compiled)]
+        assert plan_a is not plan_b
+        for stage_a, stage_b in zip(plan_a._device_stages,
+                                    plan_b._device_stages):
+            assert getattr(stage_a, "_packed", None) \
+                is getattr(stage_b, "_packed", None)
 
-    def test_rebuilds_when_op_chain_replaced(self, compiled):
-        first = compiled.stages()
-        # Replacing the list object (same ops) changes identity, so the
-        # cache must rebuild rather than serve a stale chain.
-        compiled.tpu_ops = list(compiled.tpu_ops)
-        again = compiled.stages()
-        assert again is compiled.stages()
-        assert len(again) == len(first)
+    def test_rebuilds_when_op_chain_replaced(self, compiled, rng):
+        device = EdgeTpuDevice(arch=compiled.arch)
+        device.load_model(compiled)
+        x = np.zeros((4, compiled.model.input_spec.size), dtype=np.int8)
+        device.invoke(x)
+        first = device._plans[id(compiled)]
+        # Loading a different model (a new op chain) must build a new
+        # plan rather than run a stale one.
+        other = compile_model(_hdc_like_model(rng))
+        device.load_model(other)
+        device.invoke(x)
+        again = device._plans[id(other)]
+        assert again is not first
+        assert again.compiled is other
+        assert id(compiled) not in device._plans
 
 
 class TestMemoEviction:

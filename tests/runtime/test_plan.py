@@ -1,4 +1,4 @@
-"""Ahead-of-time serving plans: arenas, bucketing, zero allocations."""
+"""The int8 executor: arenas at real batch sizes, zero allocations."""
 
 import tracemalloc
 
@@ -7,12 +7,14 @@ import pytest
 
 from repro import native
 from repro.compression.tiers import TierSpec, build_tiers, compiled_predict
-from repro.config import PlanConfig
-from repro.edgetpu import EdgeTpuDevice, compile_model
+from repro.config import ServeConfig
+from repro.edgetpu import DevicePool, EdgeTpuDevice, compile_model
 from repro.hdc.bagging import BaggingConfig, BaggingHDCTrainer
 from repro.hdc.model import HDCClassifier
 from repro.nn import from_classifier
-from repro.runtime.plan import ModelPlan, ServingPlan, bucket_ladder
+from repro.runtime.plan import ModelPlan, fit_plan
+from repro.serving import InferenceServer
+from repro.serving.arrivals import Request
 from repro.tflite import convert
 from repro.tflite.interpreter import Interpreter
 
@@ -61,47 +63,34 @@ def reference_predictions(compiled, x):
     return np.argmax(out, axis=-1).astype(np.int64)
 
 
-class TestBucketLadder:
-    def test_powers_of_two_plus_max(self):
-        assert bucket_ladder(64) == (1, 2, 4, 8, 16, 32, 64)
-        assert bucket_ladder(48) == (1, 2, 4, 8, 16, 32, 48)
-        assert bucket_ladder(1) == (1,)
-
-    def test_validates(self):
-        with pytest.raises(ValueError, match="max_batch"):
-            bucket_ladder(0)
-
-    def test_no_batch_pads_more_than_2x(self):
-        ladder = bucket_ladder(100)
-        for n in range(1, 101):
-            rows = next(r for r in ladder if r >= n)
-            assert rows < 2 * n or rows == 1
-
-
 class TestModelPlan:
     @pytest.mark.parametrize("allow_native", [True, False])
-    def test_bit_identical_to_reference(self, compiled, data, allow_native):
+    def test_bit_identical_to_reference(self, compiled, data, allow_native,
+                                        monkeypatch):
         x, _ = data
-        plan = ModelPlan(compiled, bucket_ladder(32),
-                         allow_native=allow_native)
+        if not allow_native:
+            monkeypatch.setattr(native, "library", lambda: None)
+        plan = ModelPlan(compiled, 32)
         for n in (1, 3, 17, 32):
             np.testing.assert_array_equal(
                 np.array(plan.predict(x[:n])),
                 reference_predictions(compiled, x[:n]),
             )
 
-    def test_native_flag_matches_module(self, compiled):
-        plan = ModelPlan(compiled, (8,))
-        assert plan.native == native.available()
-        assert ModelPlan(compiled, (8,), allow_native=False).native is False
+    def test_native_flag_matches_module(self, compiled, monkeypatch):
+        assert ModelPlan(compiled, 8).native == native.available()
+        monkeypatch.setattr(native, "library", lambda: None)
+        assert ModelPlan(compiled, 8).native is False
 
     def test_padding_rows_are_invisible(self, compiled, data):
-        # A 3-row batch runs in the 4-row bucket; the padded row's
-        # output never leaks into the sliced predictions.
+        # An n-row batch runs on [:n] views of an arena sized for more:
+        # the arena rows past n — stale from a larger batch — never
+        # leak into its predictions, and nothing runs padded.
         x, _ = data
-        plan = ModelPlan(compiled, bucket_ladder(8))
+        plan = ModelPlan(compiled, 8)
+        plan.predict(x[8:16])
         q = plan.stage(x[:3])
-        assert q.shape[0] == 4
+        assert q.shape[0] == 3
         out = plan.predict(x[:3])
         assert out.shape == (3,)
         np.testing.assert_array_equal(
@@ -110,18 +99,18 @@ class TestModelPlan:
 
     def test_executor_through_device_invoke(self, compiled, data):
         x, _ = data
-        plan = ModelPlan(compiled, bucket_ladder(16))
+        plan = ModelPlan(compiled, 16)
         device = EdgeTpuDevice(arch=compiled.arch)
         device.load_model(compiled)
         q = plan.stage(x[:16])
         plain = device.invoke(q.copy())
-        arena = device.invoke(q, executor=plan.executor_for(16))
+        arena = device.invoke(q, executor=plan.run_device)
         np.testing.assert_array_equal(plain.outputs, arena.outputs)
         assert arena.elapsed_s == plain.elapsed_s
 
     def test_predict_returns_view(self, compiled, data):
         x, _ = data
-        plan = ModelPlan(compiled, bucket_ladder(8))
+        plan = ModelPlan(compiled, 8)
         first = plan.predict(x[:4])
         kept = np.array(first)
         second = plan.predict(x[4:8])
@@ -134,9 +123,11 @@ class TestModelPlan:
 
     def test_oversized_batch_rejected(self, compiled, data):
         x, _ = data
-        plan = ModelPlan(compiled, bucket_ladder(8))
+        plan = ModelPlan(compiled, 8)
         with pytest.raises(ValueError, match="exceeds"):
             plan.predict(x[:9])
+        with pytest.raises(ValueError, match="max_rows"):
+            ModelPlan(compiled, 0)
 
     def test_for_model_matches_interpreter(self, compiled, data):
         x, _ = data
@@ -146,6 +137,34 @@ class TestModelPlan:
             np.testing.assert_array_equal(
                 np.array(plan.predict(x[:n])), interp.predict(x[:n])
             )
+
+
+class TestDeviceArena:
+    def test_invoke_outputs_survive_the_next_invoke(self, compiled, data):
+        # The device runs its own arena but hands back copies: the
+        # training encode keeps every chunk until it stacks them.
+        x, _ = data
+        device = EdgeTpuDevice(arch=compiled.arch)
+        device.load_model(compiled)
+        qparams = compiled.model.input_spec.qparams
+        first = device.invoke(qparams.quantize(x[:8])).outputs
+        kept = first.copy()
+        second = device.invoke(qparams.quantize(x[8:16])).outputs
+        np.testing.assert_array_equal(first, kept)
+        assert not np.shares_memory(first, second)
+        assert not np.array_equal(first, second)
+
+    def test_arena_grows_to_the_largest_batch(self, compiled, data):
+        x, _ = data
+        device = EdgeTpuDevice(arch=compiled.arch)
+        device.load_model(compiled)
+        qparams = compiled.model.input_spec.qparams
+        arena_rows = []
+        for n in (4, 16, 2):
+            out = device.invoke(qparams.quantize(x[:n])).outputs
+            assert out.shape[0] == n
+            arena_rows.append(device._plans[id(compiled)].max_rows)
+        assert arena_rows == [4, 16, 16]
 
 
 class TestZeroAllocation:
@@ -167,12 +186,25 @@ class TestZeroAllocation:
         assert out is not None
         return max(peak - baseline, current - baseline)
 
+    @staticmethod
+    def _default_server_plan(compiled, x):
+        """The arena a server built with the default ``ServeConfig()``
+        served ``compiled`` through."""
+        pool = DevicePool(1, compiled.arch)
+        pool.load_replicated(compiled)
+        server = InferenceServer(pool, ServeConfig())
+        server.serve([Request(i, i * 1e-4, 1.0, row, 0)
+                      for i, row in enumerate(x[:40])])
+        return server._plans[id(compiled)]
+
     @pytest.mark.parametrize("allow_native", [True, False])
     def test_full_width_plan_is_allocation_free(self, compiled, data,
-                                                allow_native):
+                                                allow_native, monkeypatch):
         x, _ = data
-        plan = ModelPlan(compiled, bucket_ladder(32),
-                         allow_native=allow_native)
+        if not allow_native:
+            monkeypatch.setattr(native, "library", lambda: None)
+        plan = self._default_server_plan(compiled, x)
+        assert plan.native == (allow_native and native.available())
         # Any real regression re-allocates a per-stage array: the f64
         # codes buffer alone is 32 * 512 * 8 = 128 KiB per invoke.
         # Transient Python objects (slice views, closures) stay well
@@ -182,7 +214,7 @@ class TestZeroAllocation:
     def test_compressed_tier_plan_is_allocation_free(self, tier_set, data):
         x, _ = data
         degraded = tier_set[1].compiled
-        plan = ModelPlan(degraded, bucket_ladder(32))
+        plan = self._default_server_plan(degraded, x)
         assert self._steady_state_peak(plan, x[:32]) < 8 * 1024
         np.testing.assert_array_equal(
             np.array(plan.predict(x[:32])),
@@ -190,10 +222,10 @@ class TestZeroAllocation:
         )
 
     def test_mixed_bucket_steady_state(self, compiled, data):
-        # Alternating bucket sizes stays allocation-free too: every
-        # bucket's views were bound at build time.
+        # Alternating batch sizes stays allocation-free too: each size's
+        # views are bound on its first use and reused after.
         x, _ = data
-        plan = ModelPlan(compiled, bucket_ladder(32))
+        plan = self._default_server_plan(compiled, x)
         for n in (32, 7, 1, 16):
             plan.predict(x[:n])
         tracemalloc.start()
@@ -212,74 +244,76 @@ class TestZeroAllocation:
 
 
 class TestServingPlan:
-    def test_prewarm_fills_latency_memos(self, compiled):
-        plan = ServingPlan([compiled], max_bucket=16)
-        # Every bucket's invoke_seconds was computed at build time and
-        # comes back as the exact same float (LRU hit, no recompute).
-        for rows in plan.buckets:
-            first = compiled.invoke_seconds(rows)
-            assert compiled.invoke_seconds(rows) == first
-
     def test_plan_for_identity(self, compiled, tier_set):
+        # An owner holds one plan per model, by identity, reused while
+        # it fits and rebuilt when a larger batch outgrows it.
         degraded = tier_set[1].compiled
-        plan = ServingPlan([compiled, degraded], max_bucket=8)
-        assert plan.plan_for(compiled) is plan.plans[0]
-        assert plan.plan_for(degraded) is plan.plans[1]
-        assert plan.plan_for(object()) is None
+        plans = {}
+        first = fit_plan(plans, compiled, 8)
+        assert fit_plan(plans, compiled, 5) is first
+        assert fit_plan(plans, degraded, 8) is not first
+        assert plans == {id(compiled): first,
+                         id(degraded): plans[id(degraded)]}
+        grown = fit_plan(plans, compiled, 9)
+        assert grown is not first and grown.max_rows == 9
 
     def test_replace_primary_rebuilds_tier0_only(self, compiled, tier_set,
                                                  data):
-        x, _ = data
+        # A device loading a new primary drops the old primary's arena;
+        # the co-resident degradation ladder keeps its own.
+        x, y = data
         degraded = tier_set[1].compiled
-        plan = ServingPlan([compiled, degraded], max_bucket=8)
-        old_degraded_plan = plan.plans[1]
-        swapped = fresh_compiled(x, data[1])
-        new_plan = plan.replace_primary(swapped)
-        assert plan.plans[0] is new_plan
-        assert plan.plans[1] is old_degraded_plan
-        assert plan.plan_for(compiled) is None
+        device = EdgeTpuDevice(arch=compiled.arch)
+        device.load_model(compiled)
+        device.load_resident(degraded)
+        q = compiled.model.input_spec.qparams.quantize(x[:8])
+        device.invoke(q)
+        device.invoke(degraded.model.input_spec.qparams.quantize(x[:8]),
+                      compiled=degraded)
+        old_degraded_plan = device._plans[id(degraded)]
+        swapped = fresh_compiled(x, y)
+        device.load_model(swapped)
+        assert id(compiled) not in device._plans
+        assert device._plans[id(degraded)] is old_degraded_plan
+        outputs = device.invoke(
+            swapped.model.input_spec.qparams.quantize(x[:8])).outputs
         np.testing.assert_array_equal(
-            np.array(new_plan.predict(x[:8])),
+            ModelPlan(swapped, 8).run_tail(outputs),
             reference_predictions(swapped, x[:8]),
         )
 
-    def test_empty_tiers_rejected(self):
+    def test_empty_tiers_rejected(self, compiled):
+        pool = DevicePool(1, compiled.arch)
+        pool.load_replicated(compiled)
         with pytest.raises(ValueError, match="at least one"):
-            ServingPlan([], max_bucket=8)
+            InferenceServer(pool, ServeConfig(), tiers=[])
 
 
 class TestCompiledPredictPlanRouting:
     def test_model_plan_route(self, compiled, data):
         x, _ = data
-        plan = ModelPlan(compiled, bucket_ladder(16))
+        plan = ModelPlan(compiled, 16)
         np.testing.assert_array_equal(
             compiled_predict(compiled, x, plan=plan),
             compiled_predict(compiled, x),
         )
+        np.testing.assert_array_equal(compiled_predict(compiled, x),
+                                      reference_predictions(compiled, x))
 
     def test_serving_plan_route_and_fallback(self, compiled, tier_set,
                                              data):
         x, _ = data
-        plan = ServingPlan([compiled], max_bucket=16)
+        pool = DevicePool(1, compiled.arch)
+        pool.load_replicated(compiled)
+        server = InferenceServer(pool, ServeConfig(max_batch=16))
+        plan = fit_plan(server._plans, compiled, 16)
         np.testing.assert_array_equal(
             compiled_predict(compiled, x, plan=plan),
             compiled_predict(compiled, x),
         )
-        # A model the plan does not serve falls back to the classic path.
+        # A plan for another model is not used: the call builds its own.
         foreign = tier_set[1].compiled
         np.testing.assert_array_equal(
             compiled_predict(foreign, x, plan=plan),
-            compiled_predict(foreign, x),
+            reference_predictions(foreign, x),
         )
-
-
-class TestPlanConfig:
-    def test_defaults(self):
-        config = PlanConfig()
-        assert config.max_bucket is None
-        assert config.native is True
-        assert config.prewarm is True
-
-    def test_validates(self):
-        with pytest.raises(ValueError, match="max_bucket"):
-            PlanConfig(max_bucket=0)

@@ -114,6 +114,21 @@ class TestInterpreter:
         out = interp.run(data[0])
         assert out.shape == (4,)
 
+    def test_empty_batch_and_growing_batches(self, rng):
+        net = _float_net(rng)
+        data = rng.standard_normal((64, 10)).astype(np.float32)
+        model = convert(net, data)
+        interp = Interpreter(model)
+        empty = interp.run_quantized(np.zeros((0, 10), dtype=np.int8))
+        assert empty.shape == (0, 4) and empty.dtype == np.int8
+        assert interp.predict(data[:0]).shape == (0,)
+        # Outputs survive later, larger batches (the arena regrows).
+        small = interp.run(data[:3])
+        kept = small.copy()
+        interp.run(data[3:40])
+        np.testing.assert_array_equal(small, kept)
+        np.testing.assert_array_equal(interp.run(data[:3]), kept)
+
     def test_rejects_float_for_quantized_entry(self, rng):
         net = _float_net(rng)
         interp = Interpreter(

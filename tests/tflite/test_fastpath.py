@@ -2,8 +2,9 @@
 
 Every optimized path in ``repro.tflite.ops`` — the BLAS float64 matmul,
 the precomputed zero-point offset, the static overflow bound, the fused
-``FC→TANH`` / ``FC→requant→ARGMAX`` stages, and the uint8-view tanh LUT
-— must be *byte-identical* to the frozen seed implementation
+``FC→TANH`` / ``FC→requant→ARGMAX`` kernels, the uint8-view tanh LUT
+and the arena plan the interpreter executes through — must be
+*byte-identical* to the frozen seed implementation
 (``run_reference`` / ``accumulate_reference``).  These tests sweep
 random shapes and qparams (per-channel weights, bias, zero-point
 extremes, adversarial saturated inputs) and force the integer fallback
@@ -16,14 +17,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.tflite.ops as ops_module
+from repro.runtime.plan import ModelPlan, _stage_specs
 from repro.tflite.interpreter import Interpreter
 from repro.tflite.flatmodel import FlatModel
-from repro.tflite.ops import (
-    ArgmaxOp,
-    FullyConnectedOp,
-    TanhOp,
-    fused_stages,
-)
+from repro.tflite.ops import ArgmaxOp, FullyConnectedOp, TanhOp
 from repro.tflite.quantization import qparams_asymmetric
 from repro.tflite.tensor import TensorSpec
 
@@ -187,21 +184,25 @@ class TestFusedStages:
                                       argmax.run(fc.run(x)))
 
     def test_stage_plan_shape(self, rng):
+        # The plan fuses FC+TANH into one stage; FC+ARGMAX stays a bare
+        # FC plus an argmax (bit-identical: requantization is monotone).
         chain, _ = self._chain(rng)
-        assert len(fused_stages(chain)) == 2  # FC+TANH, FC+ARGMAX
-        assert len(fused_stages(chain[:3])) == 2  # FC+TANH, bare FC
-        assert len(fused_stages([chain[1]])) == 1  # bare tanh
-        assert len(fused_stages(chain[:1])) == 1  # bare FC
+        kinds = [(kind, fused is not None)
+                 for kind, _, fused, _ in _stage_specs(chain, 37)]
+        assert kinds == [("fc", True), ("fc", False), ("argmax", False)]
+        assert len(_stage_specs(chain[:3], 37)) == 2  # FC+TANH, bare FC
+        assert len(_stage_specs([chain[1]], 64)) == 1  # bare tanh
+        assert len(_stage_specs(chain[:1], 37)) == 1  # bare FC
 
     def test_full_chain_matches_op_by_op(self, rng):
         chain, in_qp = self._chain(rng)
+        model = FlatModel("hdc", TensorSpec("input", (37,), in_qp), chain)
         x = _adversarial_inputs(rng, 17, chain[0].input_dim)
         expected = x
         for op in chain:
             expected = op.run(expected)
-        got = x
-        for stage in fused_stages(chain):
-            got = stage(got)
+        got = ModelPlan.for_model(model, len(x)).run_device(x)
+        assert got.dtype == np.int64
         assert got.tobytes() == expected.tobytes()
 
     def test_interpreter_uses_fused_dispatch(self, rng):
@@ -213,6 +214,8 @@ class TestFusedStages:
         for op in chain:
             expected = op.run(expected)
         got = interp.run_quantized(x)
+        # The interpreter runs its own arena plan, grown to the batch.
+        assert interp._plan.max_rows == len(x)
         assert got.tobytes() == expected[..., :].tobytes()
         # Reference semantics end to end: per-op seed kernels.
         ref = chain[1].run(chain[0].run_reference(x))

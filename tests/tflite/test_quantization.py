@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from repro.tflite import (
     CalibrationObserver,
@@ -52,6 +53,70 @@ class TestQuantParams:
     def test_rejects_unknown_dtype(self):
         with pytest.raises(ValueError, match="dtype"):
             QuantParams(scale=1.0, zero_point=0, dtype="float8")
+
+
+def _textbook_quantize(qp, real):
+    """The pre-optimization expression, kept as the oracle."""
+    q = np.round(np.asarray(real, dtype=np.float64) / qp.scale)
+    q = q + qp.zero_point
+    return np.clip(q, qp.qmin, qp.qmax).astype(qp.numpy_dtype)
+
+
+class TestQuantizeInPlace:
+    """``quantize`` runs one temporary in place, bit-identical to the
+    textbook expression, and never writes into the caller's array."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        scale=st.floats(1e-4, 50.0),
+        zero_point=st.integers(-128, 127),
+        dtype=st.sampled_from([np.float32, np.float64]),
+        data=st.data(),
+    )
+    def test_matches_textbook_expression(self, scale, zero_point, dtype,
+                                         data):
+        qp = QuantParams(scale=scale, zero_point=zero_point)
+        width = 32 if dtype == np.float32 else 64
+        real = data.draw(hnp.arrays(
+            dtype, hnp.array_shapes(max_dims=2, max_side=24),
+            elements=st.floats(-1e6, 1e6, width=width)
+            | st.sampled_from([np.inf, -np.inf]),
+        ))
+        # Exact ties on the integer grid and far out-of-range values.
+        ties = (np.arange(-140, 140) + 0.5) * scale
+        real = np.concatenate([real.ravel(), ties.astype(dtype)])
+        before = real.copy()
+        expected = _textbook_quantize(qp, real).tobytes()
+        got = qp.quantize(real)
+        assert got.dtype == np.int8
+        assert got.tobytes() == expected
+        np.testing.assert_array_equal(real, before)
+        # The arena variant agrees too, into its own buffers.
+        arena = np.empty(real.shape, dtype=np.int8)
+        scratch = np.empty(real.shape)
+        assert qp.quantize_into(real, arena, scratch).tobytes() == expected
+        np.copyto(scratch, real)
+        assert qp.quantize_into(scratch, arena, scratch).tobytes() \
+            == expected
+
+    def test_half_ties_round_to_even(self):
+        qp = QuantParams(scale=0.5, zero_point=0)
+        real = np.array([-1.25, -0.75, -0.25, 0.25, 0.75, 1.25])
+        np.testing.assert_array_equal(qp.quantize(real),
+                                      [-2, -2, 0, 0, 2, 2])
+
+    def test_float64_input_is_not_written(self):
+        qp = QuantParams(scale=0.1, zero_point=3)
+        real = np.linspace(-20.0, 20.0, 64)
+        before = real.copy()
+        qp.quantize(real)
+        np.testing.assert_array_equal(real, before)
+
+    def test_scalar_in_scalar_out(self):
+        qp = QuantParams(scale=0.5, zero_point=1)
+        got = qp.quantize(1.25)
+        assert np.ndim(got) == 0 and got.dtype == np.int8
+        assert got == _textbook_quantize(qp, 1.25)
 
 
 class TestAsymmetric:
