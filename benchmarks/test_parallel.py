@@ -56,7 +56,7 @@ def test_parallel_training_and_dispatch(benchmark, record_result):
     def run():
         serial_trainer, serial_wall = _train(ds, None)
         parallel_trainer, parallel_wall = _train(
-            ds, ExecutorConfig(workers=WORKERS, backend="thread")
+            ds, ExecutorConfig(workers=WORKERS)
         )
         return serial_trainer, serial_wall, parallel_trainer, parallel_wall
 

@@ -4,17 +4,18 @@ The Table-I activity datasets (UCIHAR, PAMAP2) arrive as precomputed
 windowed statistics; this example runs the *whole* pipeline a wearable
 would: generate raw multichannel IMU traces per activity, cut sliding
 windows, extract HAR-style features, train HDC, quantize, and deploy on
-the simulated Edge TPU — then asks the placement advisor whether this
-feature width even deserves the accelerator.
+the simulated Edge TPU — then asks the placement optimizer whether
+this feature width even deserves the accelerator.
 
 Run:  python examples/raw_sensor_pipeline.py
 """
 
+from repro import BackendSpec, FleetSpec, PlacementOptimizer, TenantSpec
 from repro.data import ImuConfig, feature_count, make_activity_dataset
 from repro.edgetpu import compile_model, lower
 from repro.hdc import HDCClassifier
 from repro.nn import from_classifier
-from repro.runtime import InferencePipeline, PlacementAdvisor, Workload
+from repro.runtime import InferencePipeline
 from repro.tflite import convert
 
 
@@ -42,15 +43,18 @@ def main(num_windows: int = 200, dimension: int = 2048) -> None:
     print(f"Edge TPU accuracy: {outcome.accuracy:.3f}  "
           f"({1e6 * outcome.seconds / dataset.num_test:.1f} us/sample)")
 
-    # Is an accelerator even worth it at this feature width?
-    workload = Workload(
-        name="imu-activity",
-        num_train=dataset.num_train, num_test=dataset.num_test,
-        num_features=dataset.num_features,
-        num_classes=dataset.num_classes,
+    # Is an accelerator even worth it at this feature width?  Offer the
+    # optimizer an equal-price Edge TPU and Pi-class CPU, one sample
+    # per invoke (the paper's real-time mode): price ties, so the
+    # faster backend for this model shape wins.
+    fleet = FleetSpec(backends=(BackendSpec("edgetpu"),
+                                BackendSpec("pi-cpu")),
+                      energy_weight=0.0)
+    placement = PlacementOptimizer(fleet, buckets=(1,)).place(
+        compiled, [TenantSpec("imu-activity", rate_hz=100.0,
+                              deadline_s=1.0)],
     )
-    decision = PlacementAdvisor().advise(workload)
-    print(decision.summary())
+    print(placement.summary())
 
     # Peek at the device program for one inference.
     program = lower(compiled, batch=1)

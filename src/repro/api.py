@@ -33,7 +33,6 @@ extension surface; this module is the short path through it.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Protocol, runtime_checkable
 
@@ -147,8 +146,7 @@ class Deployment:
         load_s: Modeled load time (parallel across devices, so the
             slowest single load).
         fleet: The :class:`~repro.config.FleetSpec` the pool was built
-            from; ``None`` for the single-device default and the
-            deprecated ``num_devices=`` path.
+            from; ``None`` for the single-device default.
         placement: Optional
             :class:`~repro.runtime.placement.FleetPlacement` attached
             at deploy time (recorded in the summary; feed it to
@@ -187,8 +185,7 @@ class Deployment:
 
 
 def deploy(trained: PipelineResult, *, fleet: FleetSpec | None = None,
-           placement: FleetPlacement | None = None,
-           num_devices: int | None = None) -> Deployment:
+           placement: FleetPlacement | None = None) -> Deployment:
     """Load a training result's inference model onto a device fleet.
 
     Args:
@@ -204,8 +201,6 @@ def deploy(trained: PipelineResult, *, fleet: FleetSpec | None = None,
         placement: Optional
             :class:`~repro.runtime.placement.FleetPlacement` to record
             on the deployment (see :class:`Deployment`).
-        num_devices: Deprecated spelling of
-            ``fleet=FleetSpec.single(count=num_devices)``.
 
     Returns:
         A :class:`Deployment` ready for :func:`serve`.
@@ -216,19 +211,7 @@ def deploy(trained: PipelineResult, *, fleet: FleetSpec | None = None,
             "trained must be a PipelineResult or CompiledModel, "
             f"got {type(trained).__name__}"
         )
-    if num_devices is not None:
-        if fleet is not None:
-            raise TypeError(
-                "fleet= and the deprecated num_devices= are mutually "
-                "exclusive"
-            )
-        warnings.warn(
-            "num_devices= is deprecated; pass "
-            "fleet=repro.FleetSpec.single(count=...)",
-            DeprecationWarning, stacklevel=2,
-        )
-        pool = DevicePool(num_devices, compiled.arch)
-    elif fleet is not None:
+    if fleet is not None:
         if not isinstance(fleet, FleetSpec):
             raise TypeError(
                 f"fleet must be a FleetSpec, got {type(fleet).__name__}"

@@ -264,18 +264,15 @@ class Cluster:
 
         ``least_queue`` routes on queue depths that every pick mutates
         (no chunk form), mixed feature widths have no columnar chunks,
-        and a non-stock batcher has no inline trigger.
+        and the fast path records no request spans, so a replica
+        server with a tracer runs the scalar pump.
         """
-        from repro.serving.batcher import DynamicBatcher, FixedSizeBatcher
         if self.config.policy == "least_queue":
             return False
         if not traffic._uniform_width:
             return False
-        return all(
-            type(replica.server.batcher) in (DynamicBatcher,
-                                             FixedSizeBatcher)
-            for replica in self.replicas
-        )
+        return all(replica.server.tracer is None
+                   for replica in self.replicas)
 
     def _replica_config(self, index: int) -> ServeConfig:
         """The serve config replica ``index`` runs under.

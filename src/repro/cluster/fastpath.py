@@ -52,8 +52,8 @@ produces.
 Eligibility is decided by :class:`~repro.cluster.cluster.Cluster`
 (``ClusterConfig.fast``): the ``least_queue`` policy routes on queue
 depths each pick mutates, mixed tenant feature widths have no columnar
-chunk form, and non-stock batchers have no inline trigger — those runs
-fall back to the scalar pump unchanged.
+chunk form, and a traced replica records per-request spans the fast
+path never builds — those runs fall back to the scalar pump unchanged.
 """
 
 from __future__ import annotations

@@ -447,11 +447,12 @@ class Replica:
         every modeled time and report column stays bit-identical to the
         scalar path (``tests/cluster/test_equivalence.py``).
 
-        Requires a routed replica (:meth:`open`), an untraced server,
-        and one of the two stock batchers, whose trigger math is
-        reproduced inline.
+        Requires a routed replica (:meth:`open`) and an untraced
+        server; the server's batcher is always one of the two stock
+        policies (:meth:`~repro.config.ServeConfig.make_batcher`),
+        whose trigger math is reproduced inline.
         """
-        from repro.serving.batcher import DynamicBatcher, FixedSizeBatcher
+        from repro.serving.batcher import DynamicBatcher
         if self._rows is None or self._source is not None:
             raise RuntimeError("fast mode requires an open() replica")
         server = self.server
@@ -465,14 +466,9 @@ class Replica:
         if isinstance(batcher, DynamicBatcher):
             self._fast_dynamic = True
             self._fast_slack = batcher.slack_s
-        elif isinstance(batcher, FixedSizeBatcher):
+        else:
             self._fast_dynamic = False
             self._fast_timeout = batcher.timeout_s
-        else:
-            raise ValueError(
-                f"no inline trigger for {type(batcher).__name__}; "
-                "use the scalar path"
-            )
         self._fast_max_batch = batcher.max_batch
         self._fast_est = [None] * batcher.max_batch
         self._defer = defer

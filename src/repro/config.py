@@ -1,11 +1,10 @@
 """Validated, frozen configuration objects for the top-level API.
 
-The pipelines and the server accreted keyword sprawl
-(``TrainingPipeline(dimension=..., iterations=..., executor=...)``,
-``InferenceServer(pool, batcher, host, max_queue, ...)``).  These
-dataclasses collapse each sprawl into one immutable, validated value
-that can be stored, compared, hashed into experiment manifests and
-passed across the :mod:`repro.api` facade:
+Every layer is built from one config object —
+``TrainingPipeline(PipelineConfig(...))``,
+``InferenceServer(pool, ServeConfig(...))``, ``deploy(result,
+fleet=FleetSpec(...))`` — that can be stored, compared, hashed into
+experiment manifests and passed across the :mod:`repro.api` facade:
 
 - :class:`PipelineConfig` — everything a training run needs.
 - :class:`ServeConfig` — everything the online server needs.
@@ -14,10 +13,7 @@ passed across the :mod:`repro.api` facade:
   :class:`~repro.runtime.placement.PlacementOptimizer`.
 
 All validate at construction (a bad config fails before any work
-runs) and are frozen (a config can never drift mid-run).  The old
-keyword constructors still work through deprecation shims on
-:class:`~repro.runtime.pipeline.TrainingPipeline` and
-:class:`~repro.serving.server.InferenceServer`.
+runs) and are frozen (a config can never drift mid-run).
 """
 
 from __future__ import annotations
@@ -40,6 +36,8 @@ __all__ = [
 ]
 
 _BATCHERS = ("dynamic", "fixed")
+# ExecutorConfig fields only InferencePipeline reads.
+_INFERENCE_EXECUTOR_FIELDS = ("micro_batch", "num_devices", "placement")
 
 
 @dataclass(frozen=True)
@@ -221,7 +219,9 @@ class PipelineConfig:
         executor: Parallelism knobs; an int is shorthand for that many
             workers.  Normalized to an
             :class:`~repro.runtime.executor.ExecutorConfig` at
-            construction.
+            construction.  Training reads only ``workers``; the
+            inference-side fields (``micro_batch``, ``num_devices``,
+            ``placement``) must stay at their defaults.
         tracing: Record a span-level trace of the run (zero modeled
             cost either way; the trace rides on
             :attr:`PipelineResult.trace <repro.runtime.pipeline.PipelineResult>`).
@@ -247,9 +247,15 @@ class PipelineConfig:
             raise ValueError(
                 f"learning_rate must be > 0, got {self.learning_rate}"
             )
-        object.__setattr__(
-            self, "executor", ExecutorConfig.coerce(self.executor)
-        )
+        executor = ExecutorConfig.coerce(self.executor)
+        for name in _INFERENCE_EXECUTOR_FIELDS:
+            if getattr(executor, name) != getattr(ExecutorConfig, name):
+                raise ValueError(
+                    f"executor.{name} is an inference setting that "
+                    f"training never reads; leave it at its default "
+                    f"(got {getattr(executor, name)!r})"
+                )
+        object.__setattr__(self, "executor", executor)
 
 
 @dataclass(frozen=True)

@@ -11,9 +11,10 @@ microsecond dispatch, dense-MAC compute with no pipeline fill, and
 board-level power well above an accelerator's.
 
 The placement optimizer offloads narrow tenants here: below the
-crossover feature count, USB dispatch overhead costs the TPU more than
-the matmul saves (``repro.runtime.placement.tpu_feature_crossover``
-finds the same boundary analytically).
+crossover feature count, the TPU's fixed per-invoke (dispatch + USB
+round-trip) cost outweighs the matmul it saves — the Fig. 10 boundary
+:class:`~repro.runtime.placement.PlacementOptimizer` reproduces on a
+{pi-cpu, edgetpu} fleet.
 """
 
 from __future__ import annotations

@@ -27,13 +27,7 @@ import numpy as np
 
 from repro.hdc.encoder import NonlinearEncoder
 from repro.hdc.model import HDCClassifier, TrainingHistory
-from repro.runtime.executor import (
-    ExecutorConfig,
-    SharedArray,
-    WorkerPool,
-    resolve_shared,
-    spawn_rngs,
-)
+from repro.runtime.executor import ExecutorConfig, WorkerPool, spawn_rngs
 
 __all__ = ["BaggingConfig", "BaggingHDCTrainer", "FusedHDCModel"]
 
@@ -200,65 +194,6 @@ def draw_feature_mask(rng: np.random.Generator, num_features: int,
     return mask
 
 
-@dataclass
-class _SubModelTask:
-    """One sub-model's training job: picklable for process workers.
-
-    Every random quantity the sub-model needs — bootstrap indices,
-    feature mask, base hypervectors, epoch shuffles — is drawn from
-    ``rng``, a child generator spawned for this task index.  The task
-    is therefore a pure function of its payload, independent of which
-    worker runs it and when: the parallel determinism contract.
-
-    ``x``/``y`` may be :class:`~repro.runtime.executor.SharedArray`
-    handles (process backend): every task then pickles a few dozen
-    bytes instead of the full training set, and workers attach to one
-    shared copy.  Values are identical either way.
-    """
-
-    rng: np.random.Generator
-    x: np.ndarray | SharedArray
-    y: np.ndarray | SharedArray
-    config: BaggingConfig
-    num_classes: int
-    subset_size: int
-    kept_features: int
-    validation: tuple[np.ndarray, np.ndarray] | None
-
-
-def _train_sub_model(task: _SubModelTask):
-    """Train one bagging sub-model (module-level: process-pool safe)."""
-    rng = task.rng
-    config = task.config
-    x = resolve_shared(task.x)
-    y = resolve_shared(task.y)
-    num_features = x.shape[1]
-    indices = draw_bootstrap_subset(
-        rng, len(x), task.subset_size, config.replace,
-    )
-    mask = draw_feature_mask(rng, num_features, task.kept_features)
-    encoder = NonlinearEncoder(
-        num_features=num_features,
-        dimension=config.effective_sub_dimension,
-        seed=rng,
-        feature_mask=None if mask.all() else mask,
-    )
-    model = HDCClassifier(
-        dimension=config.effective_sub_dimension,
-        encoder=encoder,
-        learning_rate=config.learning_rate,
-        chunk_size=config.chunk_size,
-        seed=rng,
-    )
-    history = model.fit(
-        x[indices], y[indices],
-        iterations=config.iterations,
-        num_classes=task.num_classes,
-        validation=task.validation,
-    )
-    return model, history, indices, mask
-
-
 class BaggingHDCTrainer:
     """Trains ``M`` narrow HDC sub-models and fuses them for inference.
 
@@ -341,37 +276,39 @@ class BaggingHDCTrainer:
         subset_size = max(1, int(round(config.dataset_ratio * len(x))))
         kept_features = max(1, int(round(config.feature_ratio * num_features)))
 
-        # Process workers would pickle the full training set once per
-        # task; publish it as one shared-memory copy instead.  Falls
-        # back to plain arrays where shared memory is unavailable.
-        task_x, task_y = x, y
-        shared: list[SharedArray] = []
-        if (self.executor.backend == "process"
-                and self.executor.workers > 1 and config.num_models > 1):
-            try:
-                task_x = SharedArray.create(x)
-                task_y = SharedArray.create(y)
-                shared = [task_x, task_y]
-            except OSError:
-                if isinstance(task_x, SharedArray):
-                    task_x.unlink()
-                task_x, task_y = x, y
-                shared = []
-        tasks = [
-            _SubModelTask(
-                rng=rng, x=task_x, y=task_y, config=config,
+        def train_one(rng):
+            # Every random quantity the sub-model needs (bootstrap
+            # indices, feature mask, base hypervectors, epoch shuffles)
+            # comes from its own spawned child generator, so the task
+            # is independent of which worker runs it and when.
+            indices = draw_bootstrap_subset(
+                rng, len(x), subset_size, config.replace,
+            )
+            mask = draw_feature_mask(rng, num_features, kept_features)
+            encoder = NonlinearEncoder(
+                num_features=num_features,
+                dimension=config.effective_sub_dimension,
+                seed=rng,
+                feature_mask=None if mask.all() else mask,
+            )
+            model = HDCClassifier(
+                dimension=config.effective_sub_dimension,
+                encoder=encoder,
+                learning_rate=config.learning_rate,
+                chunk_size=config.chunk_size,
+                seed=rng,
+            )
+            history = model.fit(
+                x[indices], y[indices],
+                iterations=config.iterations,
                 num_classes=num_classes,
-                subset_size=subset_size, kept_features=kept_features,
                 validation=validation,
             )
-            for rng in spawn_rngs(self._rng, config.num_models)
-        ]
-        try:
-            pool = WorkerPool(self.executor.workers, self.executor.backend)
-            results = pool.map(_train_sub_model, tasks)
-        finally:
-            for handle in shared:
-                handle.unlink()
+            return model, history, indices, mask
+
+        pool = WorkerPool(self.executor.workers)
+        results = pool.map(train_one,
+                           spawn_rngs(self._rng, config.num_models))
         self.last_parallel_report = pool.last_report
 
         self.sub_models = [model for model, _, _, _ in results]

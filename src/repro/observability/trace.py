@@ -184,7 +184,6 @@ class Tracer:
     Not thread-safe by design: concurrent tasks each record into their
     own tracer and the owner merges them in task order with
     :meth:`splice` (the repo's worker-order-invariance convention).
-    Instances are picklable, so process-pool tasks can return them.
     """
 
     def __init__(self, enabled: bool = True):

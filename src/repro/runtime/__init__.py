@@ -44,17 +44,12 @@ _EXPORTS = {
     "PhaseBreakdown": "repro.runtime.costs",
     "PhaseProfiler": "repro.runtime.profiler",
     "PipelineResult": "repro.runtime.pipeline",
-    "PlacementAdvisor": "repro.runtime.placement",
-    "PlacementDecision": "repro.runtime.placement",
-    "SharedArray": "repro.runtime.executor",
     "TrainingPipeline": "repro.runtime.pipeline",
     "WorkerPool": "repro.runtime.executor",
     "Workload": "repro.runtime.costs",
     "format_seconds": "repro.runtime.profiler",
-    "resolve_shared": "repro.runtime.executor",
     "simulate_makespan": "repro.runtime.executor",
     "spawn_rngs": "repro.runtime.executor",
-    "tpu_feature_crossover": "repro.runtime.placement",
 }
 
 __all__ = sorted(_EXPORTS)

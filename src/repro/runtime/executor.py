@@ -6,11 +6,12 @@ parallelism, and this module exploits both:
 - **Training**: the ``M`` bagging sub-models are trained on independent
   bootstrap subsets (Sec. III-B) — :class:`WorkerPool` runs the
   sub-model training tasks concurrently on a ``concurrent.futures``
-  pool, thread- or process-backed.  Determinism is preserved by seed
-  *spawning*: each sub-model draws every random quantity from its own
-  child generator spawned from one :class:`numpy.random.SeedSequence`
-  root, so the trained weights are bit-identical for any worker count
-  (``workers=1`` runs the same tasks sequentially in-process).
+  thread pool (numpy's kernels release the GIL).  Determinism is
+  preserved by seed *spawning*: each sub-model draws every random
+  quantity from its own child generator spawned from one
+  :class:`numpy.random.SeedSequence` root, so the trained weights are
+  bit-identical for any worker count (``workers=1`` runs the same
+  tasks sequentially in-process).
 - **Inference**: a request stream is independent sample-by-sample —
   :class:`MicroBatchDispatcher` splits it into micro-batches,
   round-robins them across a :class:`~repro.edgetpu.multidevice.DevicePool`
@@ -48,16 +49,13 @@ __all__ = [
     "ExecutorConfig",
     "MicroBatchDispatcher",
     "ParallelReport",
-    "SharedArray",
     "WorkerPool",
     "cpu_op_seconds",
-    "resolve_shared",
     "run_host_tail",
     "simulate_makespan",
     "spawn_rngs",
 ]
 
-_BACKENDS = ("thread", "process")
 _PLACEMENTS = ("replicate", "shard")
 
 
@@ -70,12 +68,8 @@ class ExecutorConfig:
     unaffected until they opt in.
 
     Attributes:
-        workers: Concurrent sub-model training tasks.  ``1`` trains
-            sequentially in-process (no pool is created).
-        backend: ``"thread"`` or ``"process"``.  Threads share memory
-            (required when tasks close over shared state such as a
-            :class:`~repro.runtime.pipeline.CompileCache`); processes
-            sidestep the GIL for pure-Python hot loops.
+        workers: Concurrent sub-model training tasks (threads).  ``1``
+            trains sequentially in-process (no pool is created).
         micro_batch: Samples per inference micro-batch handed to one
             device; ``None`` lets the caller's batch size stand.
         num_devices: Inference device-pool size.
@@ -85,7 +79,6 @@ class ExecutorConfig:
     """
 
     workers: int = 1
-    backend: str = "thread"
     micro_batch: int | None = None
     num_devices: int = 1
     placement: str = "replicate"
@@ -93,10 +86,6 @@ class ExecutorConfig:
     def __post_init__(self) -> None:
         if self.workers < 1:
             raise ValueError(f"workers must be >= 1, got {self.workers}")
-        if self.backend not in _BACKENDS:
-            raise ValueError(
-                f"backend must be one of {_BACKENDS}, got {self.backend!r}"
-            )
         if self.micro_batch is not None and self.micro_batch < 1:
             raise ValueError(
                 f"micro_batch must be >= 1, got {self.micro_batch}"
@@ -188,7 +177,7 @@ class ParallelReport:
 
     Attributes:
         workers: Configured worker count.
-        backend: Pool backend actually used.
+        backend: ``"thread"``, or ``"serial"`` for a one-worker run.
         task_seconds: Measured wall seconds per task (task order).
         wall_seconds: Measured wall seconds for the whole map call on
             *this* machine (subject to its physical core count).
@@ -217,129 +206,29 @@ class ParallelReport:
 
 
 def _timed_call(fn, task):
-    """Run ``fn(task)`` returning ``(result, wall_seconds)`` (picklable)."""
+    """Run ``fn(task)`` returning ``(result, wall_seconds)``."""
     start = time.perf_counter()
     result = fn(task)
     return result, time.perf_counter() - start
 
 
-class SharedArray:
-    """A read-only numpy array in shared memory, picklable by name.
-
-    Process-backed :class:`WorkerPool` tasks that carry the same large
-    array (e.g. the bagging training set, shipped to every sub-model
-    task) pay a pickle/unpickle of the full buffer *per task*.  Wrapping
-    the array in a :class:`SharedArray` ships only ``(name, shape,
-    dtype)``; workers attach to the one shared segment and view it
-    zero-copy.
-
-    Lifecycle: the creating process calls :meth:`create`, passes the
-    handle into its tasks, and calls :meth:`unlink` once the pool has
-    drained — the segment is then reclaimed as soon as the last
-    attached process drops its mapping.  Workers only ever attach.
-    CPython (until 3.13's ``track=False``) registers attachments and
-    creations alike with the ``resource_tracker``; spawned workers
-    share the parent's tracker, whose name cache is a set, so the
-    worker's duplicate registration is a no-op and the creator's
-    :meth:`unlink` settles the single entry.
-
-    Treat the contents as immutable: every attacher sees the same
-    memory.
-    """
-
-    __slots__ = ("name", "shape", "dtype", "_shm", "_view")
-
-    def __init__(self, name: str, shape: tuple, dtype: str):
-        self.name = name
-        self.shape = tuple(shape)
-        self.dtype = dtype
-        self._shm = None
-        self._view = None
-
-    @classmethod
-    def create(cls, array: np.ndarray) -> "SharedArray":
-        """Copy ``array`` into a fresh shared segment; returns the handle.
-
-        Raises:
-            OSError: When shared memory is unavailable (callers should
-                fall back to plain in-task arrays).
-        """
-        from multiprocessing import shared_memory
-        array = np.ascontiguousarray(array)
-        shm = shared_memory.SharedMemory(create=True,
-                                         size=max(1, array.nbytes))
-        handle = cls(shm.name, array.shape, str(array.dtype))
-        handle._shm = shm
-        handle._view = np.ndarray(array.shape, dtype=array.dtype,
-                                  buffer=shm.buf)
-        handle._view[...] = array
-        return handle
-
-    def array(self) -> np.ndarray:
-        """The shared buffer as an ndarray (attaching on first call)."""
-        if self._view is None:
-            from multiprocessing import shared_memory
-            # Attaching re-registers the name with the (shared, inherited)
-            # resource tracker; the cache is a set, so this dedupes and the
-            # creator's unlink() settles the one entry.  Explicitly
-            # unregistering here would strip the creator's registration.
-            shm = shared_memory.SharedMemory(name=self.name)
-            self._shm = shm
-            self._view = np.ndarray(self.shape, dtype=self.dtype,
-                                    buffer=shm.buf)
-        return self._view
-
-    def unlink(self) -> None:
-        """Destroy the segment (creator side); safe to call twice."""
-        if self._shm is not None:
-            view, self._view = self._view, None
-            del view
-            try:
-                self._shm.close()
-                self._shm.unlink()
-            except FileNotFoundError:
-                pass
-            self._shm = None
-
-    def __reduce__(self):
-        # Workers rebuild a detached handle and re-attach lazily.
-        return (SharedArray, (self.name, self.shape, self.dtype))
-
-    def __repr__(self) -> str:
-        return (f"SharedArray(name={self.name!r}, shape={self.shape}, "
-                f"dtype={self.dtype})")
-
-
-def resolve_shared(value):
-    """``SharedArray`` -> attached ndarray; anything else passes through."""
-    if isinstance(value, SharedArray):
-        return value.array()
-    return value
-
-
 class WorkerPool:
-    """Ordered map over tasks on a thread/process pool.
+    """Ordered map over tasks on a thread pool.
 
     Results come back in task order regardless of completion order, and
     each task's wall time is measured for the :class:`ParallelReport`
-    (the modeled-makespan side of the accounting).
+    (the modeled-makespan side of the accounting).  Tasks may close
+    over shared state (a :class:`~repro.runtime.pipeline.CompileCache`,
+    the training arrays): threads share memory, nothing is pickled.
 
     Args:
         workers: Concurrent tasks; ``1`` executes a plain loop.
-        backend: ``"thread"`` or ``"process"``.  The process backend
-            requires the mapped function and its tasks to be picklable
-            (module-level functions, array/dataclass payloads).
     """
 
-    def __init__(self, workers: int = 1, backend: str = "thread"):
+    def __init__(self, workers: int = 1):
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
-        if backend not in _BACKENDS:
-            raise ValueError(
-                f"backend must be one of {_BACKENDS}, got {backend!r}"
-            )
         self.workers = workers
-        self.backend = backend
         self.last_report: ParallelReport | None = None
 
     def map(self, fn, tasks) -> list:
@@ -350,17 +239,13 @@ class WorkerPool:
             timed = [_timed_call(fn, task) for task in tasks]
         else:
             call = partial(_timed_call, fn)
-            pool_cls = (
-                concurrent.futures.ThreadPoolExecutor
-                if self.backend == "thread"
-                else concurrent.futures.ProcessPoolExecutor
-            )
-            with pool_cls(max_workers=min(self.workers, len(tasks))) as pool:
+            with concurrent.futures.ThreadPoolExecutor(
+                    max_workers=min(self.workers, len(tasks))) as pool:
                 timed = list(pool.map(call, tasks))
         wall = time.perf_counter() - start
         self.last_report = ParallelReport(
             workers=self.workers,
-            backend=self.backend if self.workers > 1 else "serial",
+            backend="thread" if self.workers > 1 else "serial",
             task_seconds=tuple(seconds for _, seconds in timed),
             wall_seconds=wall,
         )

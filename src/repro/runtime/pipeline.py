@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import hashlib
 import threading
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -234,20 +233,17 @@ class InferenceResult:
 class TrainingPipeline:
     """Trains an HDC model with Edge TPU encoding and host updates.
 
-    The supported constructor takes one validated
-    :class:`~repro.config.PipelineConfig`::
+    Built from one validated :class:`~repro.config.PipelineConfig`::
 
         TrainingPipeline(PipelineConfig(dimension=4096, seed=7))
 
-    or, equivalently, ``TrainingPipeline(config=...)``.  The historical
-    keyword sprawl (``dimension=``, ``iterations=``, ...) still works
-    through a shim that builds the config for you and emits a
-    :class:`DeprecationWarning`.
+    (:func:`repro.api.train` is the same call behind the facade).
 
     Args:
         config: The full training configuration (see
             :class:`~repro.config.PipelineConfig` for every knob,
-            including ``executor`` parallelism and ``tracing``).
+            including ``executor`` parallelism and ``tracing``);
+            defaults to ``PipelineConfig()``, the paper baseline.
         compile_cache: A :class:`CompileCache` to reuse compiled models
             across runs (pass one instance to several pipelines to share
             it); each pipeline gets its own private cache by default.
@@ -255,42 +251,10 @@ class TrainingPipeline:
             of the config object.
     """
 
-    def __init__(self, dimension=None, iterations=None, bagging=None,
-                 host=None, arch=None, learning_rate=None, train_batch=None,
-                 seed=None, compile_cache: CompileCache | None = None,
-                 executor=None, *, config: PipelineConfig | None = None):
-        if isinstance(dimension, PipelineConfig):
-            if config is not None:
-                raise TypeError("pass the config positionally or as "
-                                "config=, not both")
-            config = dimension
-            dimension = None
-        legacy = {
-            key: value for key, value in {
-                "dimension": dimension,
-                "iterations": iterations,
-                "bagging": bagging,
-                "host": host,
-                "arch": arch,
-                "learning_rate": learning_rate,
-                "train_batch": train_batch,
-                "seed": seed,
-                "executor": executor,
-            }.items() if value is not None
-        }
+    def __init__(self, config: PipelineConfig | None = None, *,
+                 compile_cache: CompileCache | None = None):
         if config is None:
-            if legacy:
-                warnings.warn(
-                    "keyword construction of TrainingPipeline is "
-                    "deprecated; pass a repro.config.PipelineConfig "
-                    "(or use repro.api.train)",
-                    DeprecationWarning, stacklevel=2,
-                )
-            config = PipelineConfig(**legacy)
-        elif legacy:
-            raise TypeError(
-                "pass either a PipelineConfig or legacy keywords, not both"
-            )
+            config = PipelineConfig()
         self.config = config
         self.dimension = config.dimension
         self.iterations = config.iterations
@@ -380,7 +344,7 @@ class TrainingPipeline:
         run profiler in task order afterwards.  Both choices make the
         result — weights *and* phase totals — bit-identical for any
         worker count.  Tasks close over shared pipeline state (compile
-        cache, cost model), so the pool is always thread-backed here.
+        cache, cost model); the pool's threads share it.
         """
         config = self.bagging
         subset_size = max(1, int(round(config.dataset_ratio * len(train_x))))
@@ -417,7 +381,7 @@ class TrainingPipeline:
             )
             return classifier, history, local
 
-        pool = WorkerPool(self.executor.workers, backend="thread")
+        pool = WorkerPool(self.executor.workers)
         results = pool.map(train_one, spawn_rngs(self._rng, config.num_models))
         for index, (_, _, local) in enumerate(results):
             profiler.absorb(local, f"submodel[{index}]",

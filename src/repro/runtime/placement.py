@@ -1,24 +1,21 @@
 """Placement: which hardware should a workload run on? (extension)
 
 The paper's Sec. IV-E observation — few-feature datasets gain nothing
-from the accelerator — is actionable: given a workload shape, the cost
-models can *decide* where each phase should run and at what batch size,
-instead of leaving the user to rediscover PAMAP2's lesson.
+from the accelerator (Fig. 10: the Edge TPU pays off only once the
+feature count covers its fixed per-invoke cost) — is actionable:
+given a workload shape, the cost models can *decide* where it should
+run instead of leaving the user to rediscover PAMAP2's lesson.
 
-Two layers:
-
-- :class:`PlacementAdvisor` / :func:`tpu_feature_crossover` — the
-  original binary CPU-vs-TPU advisor built on the calibrated
-  :class:`~repro.runtime.costs.CostModel` (the Fig. 10 crossover as an
-  API).
-- :class:`PlacementOptimizer` — the fleet generalization: given a
-  heterogeneous :class:`~repro.config.FleetSpec` (big TPU / small TPU /
-  Pi CPU / neuromorphic) and a per-tenant SLA mix, choose each tenant's
-  backend, batch bucket and device share minimizing the modeled
-  cost-rate (provisioning + energy) subject to the deadline.  The
-  result (:class:`FleetPlacement`) feeds
-  :class:`~repro.cluster.cluster.Cluster` (one replica per decision,
-  routed by the ``"placed"`` policy) and ``repro.api.deploy``.
+:class:`PlacementOptimizer` answers that question for a whole fleet:
+given a heterogeneous :class:`~repro.config.FleetSpec` (big TPU /
+small TPU / Pi CPU / neuromorphic) and a per-tenant SLA mix, it
+chooses each tenant's backend, batch bucket and device share
+minimizing the modeled cost-rate (provisioning + energy) subject to
+the deadline.  On an equal-price {pi-cpu, edgetpu} fleet that is the
+Fig. 10 verdict: PAMAP2 stays on the CPU, the wide datasets go to the
+TPU.  The result (:class:`FleetPlacement`) feeds
+:class:`~repro.cluster.cluster.Cluster` (one replica per decision,
+routed by the ``"placed"`` policy) and ``repro.api.deploy``.
 
 The optimizer is RNG-free and iterates fleets and tenants in canonical
 order, so its picks are invariant to seeds and to the listing order of
@@ -32,155 +29,12 @@ from dataclasses import dataclass, field
 from repro.config import BackendSpec, FleetSpec
 from repro.edgetpu.backend import AcceleratorArch
 from repro.edgetpu.compiler import CompiledModel, compile_model
-from repro.runtime.costs import CostModel, HdcTrainingConfig, Workload
 
 __all__ = [
     "FleetPlacement",
     "ModelPlacement",
-    "PlacementAdvisor",
-    "PlacementDecision",
     "PlacementOptimizer",
-    "tpu_feature_crossover",
 ]
-
-
-@dataclass(frozen=True)
-class PlacementDecision:
-    """Where each phase of a workload should run.
-
-    Attributes:
-        workload: The workload name.
-        encode_device: ``"tpu"`` or ``"cpu"`` for training-set encoding.
-        inference_device: ``"tpu"`` or ``"cpu"`` for deployment.
-        encode_speedup: CPU/TPU encoding-time ratio (> 1 favours TPU).
-        inference_speedup: CPU/TPU inference-time ratio.
-    """
-
-    workload: str
-    encode_device: str
-    inference_device: str
-    encode_speedup: float
-    inference_speedup: float
-
-    def summary(self) -> str:
-        """One-line human-readable recommendation."""
-        return (
-            f"{self.workload}: encode on {self.encode_device.upper()} "
-            f"({self.encode_speedup:.2f}x), inference on "
-            f"{self.inference_device.upper()} ({self.inference_speedup:.2f}x)"
-        )
-
-
-class PlacementAdvisor:
-    """Chooses CPU vs Edge TPU per phase from the calibrated cost models.
-
-    Args:
-        cost_model: The :class:`CostModel` to consult; a default-
-            calibrated one is built when omitted.
-        margin: Required advantage before moving work to the TPU — a
-            ratio of 1.0 moves work for any win; the default 1.1 keeps
-            marginal workloads on the CPU (attaching an accelerator has
-            costs the latency model does not see, e.g. enclosure, power
-            budget).
-    """
-
-    def __init__(self, cost_model: CostModel | None = None,
-                 margin: float = 1.1):
-        if margin < 1.0:
-            raise ValueError(f"margin must be >= 1.0, got {margin}")
-        self.cost_model = cost_model if cost_model is not None else CostModel()
-        self.margin = margin
-
-    def advise(self, workload: Workload,
-               config: HdcTrainingConfig | None = None) -> PlacementDecision:
-        """Produce per-phase placement for ``workload``."""
-        config = config if config is not None else HdcTrainingConfig()
-        cm = self.cost_model
-        encode_speedup = (
-            cm.cpu_encode_seconds(workload.num_train, workload.num_features,
-                                  config.dimension)
-            / cm.tpu_encode_seconds(workload.num_train, workload.num_features,
-                                    config.dimension)
-        )
-        inference_speedup = (
-            cm.cpu_inference(workload, config)
-            / cm.tpu_inference(workload, config)
-        )
-        return PlacementDecision(
-            workload=workload.name,
-            encode_device="tpu" if encode_speedup >= self.margin else "cpu",
-            inference_device=(
-                "tpu" if inference_speedup >= self.margin else "cpu"
-            ),
-            encode_speedup=encode_speedup,
-            inference_speedup=inference_speedup,
-        )
-
-    def best_inference_batch(self, workload: Workload,
-                             config: HdcTrainingConfig | None = None,
-                             latency_budget_s: float | None = None,
-                             candidates: tuple = (1, 2, 4, 8, 16, 32, 64)
-                             ) -> int:
-        """Largest candidate batch whose per-*batch* latency fits budget.
-
-        Batching amortizes the dispatch overhead (throughput goes up)
-        but delays results (latency goes up); given a per-decision
-        latency budget, pick the largest batch that still meets it.
-        ``None`` budget returns the throughput-optimal (largest) batch.
-        """
-        config = config if config is not None else HdcTrainingConfig()
-        if not candidates:
-            raise ValueError("candidates must not be empty")
-        tpu = self.cost_model.tpu
-        layers = [
-            (workload.num_features, config.dimension),
-            (config.dimension, workload.num_classes),
-        ]
-        best = None
-        for batch in sorted(candidates):
-            batch_latency = tpu.invoke_seconds(layers, batch,
-                                               tanh_after_first=True)
-            if latency_budget_s is None or batch_latency <= latency_budget_s:
-                best = batch
-        if best is None:
-            # Nothing fits: the smallest batch is the least-bad option.
-            best = min(candidates)
-        return best
-
-
-def tpu_feature_crossover(dimension: int = 10_000,
-                          num_samples: int = 10_000,
-                          cost_model: CostModel | None = None,
-                          low: int = 1, high: int = 2048) -> int:
-    """Smallest feature count at which TPU encoding beats the CPU.
-
-    Binary-searches the Fig. 10 curve (which is monotone in the feature
-    count).  The paper's measured crossover is around 20 features; the
-    answer tells a user whether their sensor payload is "a PAMAP2" or
-    "an MNIST".
-
-    Returns:
-        The crossover feature count, or ``high`` if the TPU never wins
-        below it.
-    """
-    cm = cost_model if cost_model is not None else CostModel()
-    if low < 1 or high <= low:
-        raise ValueError(f"need 1 <= low < high, got ({low}, {high})")
-    if cm.encoding_speedup(num_samples, low, dimension) >= 1.0:
-        return low
-    lo, hi = low, high
-    while lo + 1 < hi:
-        mid = (lo + hi) // 2
-        if cm.encoding_speedup(num_samples, mid, dimension) >= 1.0:
-            hi = mid
-        else:
-            lo = mid
-    return hi
-
-
-# ---------------------------------------------------------------------
-# Fleet placement
-# ---------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -331,8 +185,9 @@ class PlacementOptimizer:
 
     Args:
         fleet: The heterogeneous fleet.
-        buckets: Candidate batch buckets (power-of-two ladder by
-            default, matching the serving plan's bucketing).
+        buckets: Candidate batch sizes; each is the ``max_batch`` a
+            replica dispatches at (power-of-two ladder by default;
+            ``(1,)`` is the paper's real-time, one-sample mode).
     """
 
     def __init__(self, fleet: FleetSpec,

@@ -7,7 +7,7 @@ of a production serving stack:
 - **Admission control** — a bounded request queue; arrivals past the
   bound are dropped and accounted (the graceful-degradation alternative
   to unbounded latency collapse).
-- **Batching** — a pluggable policy (:mod:`repro.serving.batcher`)
+- **Batching** — the config's policy (:mod:`repro.serving.batcher`)
   decides when the queue closes into a micro-batch; the batch then runs
   on the earliest-free device of a replicated
   :class:`~repro.edgetpu.multidevice.DevicePool` with the host
@@ -42,7 +42,6 @@ against an SLA is a first-class, machine-independent output.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -57,7 +56,6 @@ from repro.runtime.cache import LruCache
 from repro.runtime.executor import cpu_op_seconds
 from repro.runtime.plan import ModelPlan, fit_plan
 from repro.runtime.profiler import LatencyTracker
-from repro.serving.batcher import DynamicBatcher
 from repro.serving.swap import ModelSwapper, SwapRecord
 
 __all__ = ["InferenceServer", "ServeReport"]
@@ -304,29 +302,24 @@ class ServeReport:
 class InferenceServer:
     """Event-loop server over a replicated device pool.
 
-    The preferred construction is ``InferenceServer(pool, config)`` with
-    a :class:`~repro.config.ServeConfig` (or :func:`repro.api.serve`,
-    which builds everything).  The original keyword form
-    (``batcher=...``, ``max_queue=...``) still works through a
-    deprecation shim.
+    Built from a :class:`~repro.config.ServeConfig`
+    (``InferenceServer(pool, config)``, or :func:`repro.api.serve`,
+    which builds everything); the config's
+    :meth:`~repro.config.ServeConfig.make_batcher` supplies the
+    batch-closing policy.
 
     Args:
         pool: A :class:`DevicePool` loaded via
             :meth:`~repro.edgetpu.multidevice.DevicePool.load_replicated`.
-        batcher: A :class:`~repro.config.ServeConfig` (preferred), or a
-            batch-closing policy instance (deprecated); defaults to a
-            :class:`~repro.serving.batcher.DynamicBatcher` of 32.
+        config: Batching, admission and tracing knobs; defaults to
+            ``ServeConfig()``.  ``config.tracing=True`` records
+            per-request spans onto :attr:`ServeReport.trace`.
         host: Host platform charged for tails and CPU fallback;
             defaults to :class:`~repro.platforms.cpu.MobileCpu`.
-        max_queue: Admission bound — arrivals beyond this queue depth
-            are dropped (deprecated; set it on the config).
         swapper: Optional :class:`~repro.serving.swap.ModelSwapper`
             whose scheduled swaps commit at batch boundaries.
         profiler: Optional :class:`~repro.runtime.profiler.PhaseProfiler`;
             the serve makespan is charged under ``inference``.
-        config: The :class:`~repro.config.ServeConfig`, when not passed
-            positionally.  ``config.tracing=True`` records per-request
-            spans onto :attr:`ServeReport.trace`.
         tiers: Optional compression tier ladder
             (:class:`~repro.compression.tiers.TierSet` or a list of
             tiers).  Tier 0's compiled model must be the one the pool
@@ -343,41 +336,16 @@ class InferenceServer:
             depth gauge and latency/batch-size histograms in it.
     """
 
-    def __init__(self, pool: DevicePool, batcher=None,
-                 host: Platform | None = None, max_queue: int | None = None,
-                 swapper: ModelSwapper | None = None, profiler=None, *,
-                 config: ServeConfig | None = None,
+    def __init__(self, pool: DevicePool, config: ServeConfig | None = None,
+                 *, host: Platform | None = None,
+                 swapper: ModelSwapper | None = None, profiler=None,
                  tiers=None,
                  tracer: Tracer | None = None,
                  metrics: MetricsRegistry | None = None):
-        if isinstance(batcher, ServeConfig):
-            if config is not None:
-                raise TypeError(
-                    "pass the ServeConfig positionally or as config=, "
-                    "not both"
-                )
-            config = batcher
-            batcher = None
-        if config is not None:
-            if batcher is not None or max_queue is not None:
-                raise TypeError(
-                    "config= cannot be combined with the deprecated "
-                    "batcher=/max_queue= keywords"
-                )
-            batcher = config.make_batcher()
-            max_queue = config.max_queue
-            if tracer is None and config.tracing:
-                tracer = Tracer(enabled=True)
-        elif batcher is not None or max_queue is not None:
-            warnings.warn(
-                "keyword construction of InferenceServer is deprecated; "
-                "pass a repro.config.ServeConfig (or use repro.api.serve)",
-                DeprecationWarning, stacklevel=2,
-            )
-        if max_queue is None:
-            max_queue = 256
-        if max_queue < 0:
-            raise ValueError(f"max_queue must be >= 0, got {max_queue}")
+        if config is None:
+            config = ServeConfig()
+        if tracer is None and config.tracing:
+            tracer = Tracer(enabled=True)
         if host is None:
             from repro.platforms.cpu import MobileCpu
             host = MobileCpu()
@@ -397,9 +365,9 @@ class InferenceServer:
             raise ValueError("swapper is bound to a different pool")
         self.pool = pool
         self.config = config
-        self.batcher = batcher if batcher is not None else DynamicBatcher()
+        self.batcher = config.make_batcher()
         self.host = host
-        self.max_queue = max_queue
+        self.max_queue = config.max_queue
         self.swapper = swapper
         self.profiler = profiler
         self.tracer = tracer
@@ -441,8 +409,7 @@ class InferenceServer:
                     "load_replicated(tiers[0].compiled) first"
                 )
             self._tier_policy = (config.tiers
-                                 if config is not None
-                                 and config.tiers is not None
+                                 if config.tiers is not None
                                  else TierPolicy())
             # Deployment-time load: the ladder rides along with the
             # primary before serving starts, so it is not charged to
@@ -452,7 +419,7 @@ class InferenceServer:
                     self.tier_load_s, pool.load_resident(tier.compiled)
                 )
             self._tiers = tier_list
-        elif config is not None and config.tiers is not None:
+        elif config.tiers is not None:
             raise ValueError(
                 "config.tiers sets a shedding policy but no tier "
                 "ladder was provided; pass tiers="

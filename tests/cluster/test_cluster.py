@@ -2,6 +2,7 @@
 
 import json
 
+import numpy as np
 import pytest
 
 import repro
@@ -139,6 +140,32 @@ def test_autoscaled_run_is_deterministic(compiled_model, tenant_mix):
     second = _summary(compiled_model, **config)
     assert json.dumps(first, sort_keys=True) == \
         json.dumps(second, sort_keys=True)
+
+
+@pytest.mark.parametrize("policy", ["round_robin", "tenant_affinity",
+                                    "least_queue"])
+def test_traced_serve_config_matches_untraced(compiled_model, policy):
+    """A traced ``ServeConfig`` runs the scalar pump (the fast path
+    records no request spans) instead of crashing, and tracing changes
+    no modeled output."""
+
+    def run(tracing):
+        config = ClusterConfig(
+            tenants=(TenantSpec("a", rate_hz=1000.0, deadline_s=0.01),),
+            total_requests=200, policy=policy,
+            serve=ServeConfig(tracing=tracing),
+        )
+        return repro.serve_cluster(compiled_model, config=config)
+
+    off, on = run(False), run(True)
+    assert on.summary() == off.summary()
+    assert len(on.replica_reports) == len(off.replica_reports)
+    for traced, untraced in zip(on.replica_reports, off.replica_reports):
+        assert traced.trace is not None and untraced.trace is None
+        np.testing.assert_array_equal(traced.predictions,
+                                      untraced.predictions)
+        np.testing.assert_array_equal(traced.latencies,
+                                      untraced.latencies)
 
 
 def test_max_events_budget_guards_runaway_runs(compiled_model,

@@ -234,16 +234,6 @@ class TestParallelTraining:
         np.testing.assert_array_equal(serial.class_matrix,
                                       parallel.class_matrix)
 
-    def test_process_backend_bit_identical(self):
-        _, serial = self._fused(None)
-        _, parallel = self._fused(
-            ExecutorConfig(workers=4, backend="process")
-        )
-        np.testing.assert_array_equal(serial.base_matrix,
-                                      parallel.base_matrix)
-        np.testing.assert_array_equal(serial.class_matrix,
-                                      parallel.class_matrix)
-
     def test_bookkeeping_identical(self):
         serial_trainer, _ = self._fused(None)
         parallel_trainer, _ = self._fused(ExecutorConfig(workers=2))

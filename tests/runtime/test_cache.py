@@ -1,12 +1,8 @@
-"""LruCache semantics and SharedArray shared-memory handles."""
+"""LruCache semantics."""
 
-import pickle
-
-import numpy as np
 import pytest
 
 from repro.runtime.cache import LruCache
-from repro.runtime.executor import SharedArray, resolve_shared
 
 
 class TestLruCache:
@@ -70,68 +66,3 @@ class TestLruCache:
     def test_validates_maxsize(self):
         with pytest.raises(ValueError, match="maxsize"):
             LruCache(0)
-
-
-class TestSharedArray:
-    def test_roundtrip_same_process(self):
-        data = np.arange(24, dtype=np.float32).reshape(4, 6)
-        handle = SharedArray.create(data)
-        try:
-            np.testing.assert_array_equal(handle.array(), data)
-            assert handle.array() is handle.array()
-        finally:
-            handle.unlink()
-
-    def test_pickles_by_name_not_by_buffer(self):
-        data = np.zeros((256, 256), dtype=np.float64)
-        handle = SharedArray.create(data)
-        try:
-            payload = pickle.dumps(handle)
-            # The payload carries (name, shape, dtype), not the 512 KiB
-            # buffer — that is the whole point of the handle.
-            assert len(payload) < 1024
-            attached = pickle.loads(payload)
-            np.testing.assert_array_equal(attached.array(), data)
-        finally:
-            handle.unlink()
-
-    def test_empty_array(self):
-        handle = SharedArray.create(np.empty((0, 3), dtype=np.int8))
-        try:
-            assert handle.array().shape == (0, 3)
-        finally:
-            handle.unlink()
-
-    def test_unlink_idempotent(self):
-        handle = SharedArray.create(np.ones(3))
-        handle.unlink()
-        handle.unlink()  # second call is a no-op, not an error
-
-    def test_resolve_shared(self):
-        plain = np.arange(4)
-        assert resolve_shared(plain) is plain
-        handle = SharedArray.create(plain)
-        try:
-            np.testing.assert_array_equal(resolve_shared(handle), plain)
-        finally:
-            handle.unlink()
-
-
-class TestSharedBagging:
-    def test_process_backend_bit_identical(self):
-        from repro.hdc.bagging import BaggingConfig, BaggingHDCTrainer
-        from repro.runtime.executor import ExecutorConfig
-
-        rng = np.random.default_rng(3)
-        x = rng.normal(size=(80, 10)).astype(np.float32)
-        y = rng.integers(0, 3, size=80)
-        config = BaggingConfig(num_models=2, sub_dimension=64,
-                               iterations=2)
-        seq = BaggingHDCTrainer(config, seed=11).fit(x, y)
-        par = BaggingHDCTrainer(
-            config, seed=11,
-            executor=ExecutorConfig(workers=2, backend="process"),
-        ).fit(x, y)
-        for a, b in zip(seq.sub_models, par.sub_models):
-            np.testing.assert_array_equal(a.class_hypervectors,
-                                          b.class_hypervectors)

@@ -10,6 +10,7 @@ these tests pin their agreement at a reduced (fast) shape.
 import numpy as np
 import pytest
 
+from repro.config import PipelineConfig
 from repro.data import isolet
 from repro.runtime import (
     CostModel,
@@ -24,7 +25,9 @@ from repro.runtime import (
 def setup():
     ds = isolet(max_samples=1200, seed=13).normalized()
     dimension = 1024
-    pipeline = TrainingPipeline(dimension=dimension, iterations=5, seed=13)
+    pipeline = TrainingPipeline(
+        PipelineConfig(dimension=dimension, iterations=5, seed=13),
+    )
     result = pipeline.run(ds.train_x, ds.train_y,
                           num_classes=ds.num_classes)
     workload = Workload("isolet-small", ds.num_train, ds.num_test,

@@ -28,14 +28,12 @@ class TestExecutorConfig:
     def test_defaults_are_sequential_single_device(self):
         config = ExecutorConfig()
         assert config.workers == 1
-        assert config.backend == "thread"
         assert config.micro_batch is None
         assert config.num_devices == 1
         assert config.placement == "replicate"
 
     @pytest.mark.parametrize("kwargs", [
         dict(workers=0),
-        dict(backend="fiber"),
         dict(micro_batch=0),
         dict(num_devices=0),
         dict(placement="mirror"),
@@ -106,14 +104,17 @@ class TestSimulateMakespan:
 
 class TestWorkerPool:
     @pytest.mark.parametrize("workers,backend", [
-        (1, "thread"), (3, "thread"), (3, "process"),
+        (1, "thread"), (3, "thread"),
     ])
     def test_ordered_results(self, workers, backend):
-        pool = WorkerPool(workers, backend)
+        pool = WorkerPool(workers)
         assert pool.map(_square, range(10)) == [v * v for v in range(10)]
+        # One worker runs a plain loop; more run on threads.
+        assert pool.last_report.backend == \
+            ("serial" if workers == 1 else backend)
 
     def test_report_accounting(self):
-        pool = WorkerPool(2, "thread")
+        pool = WorkerPool(2)
         pool.map(_square, range(4))
         report = pool.last_report
         assert isinstance(report, ParallelReport)
@@ -123,15 +124,15 @@ class TestWorkerPool:
         assert report.wall_seconds > 0
 
     def test_serial_backend_label(self):
-        pool = WorkerPool(1, "process")
+        pool = WorkerPool(1)
         pool.map(_square, [2])
         assert pool.last_report.backend == "serial"
 
     def test_rejects_bad_args(self):
         with pytest.raises(ValueError):
             WorkerPool(0)
-        with pytest.raises(ValueError):
-            WorkerPool(2, "greenlet")
+        with pytest.raises(TypeError):
+            WorkerPool(2, "process")  # threads only: no backend argument
 
 
 @pytest.fixture(scope="module")

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.config import PipelineConfig
 from repro.hdc import BaggingConfig, HDCClassifier
 from repro.runtime import InferencePipeline, TrainingPipeline
 from repro.runtime.executor import ExecutorConfig
@@ -17,7 +18,9 @@ def ds(request):
 
 class TestTrainingPipeline:
     def test_single_model_flow(self, ds):
-        pipeline = TrainingPipeline(dimension=1024, iterations=4, seed=0)
+        pipeline = TrainingPipeline(
+            PipelineConfig(dimension=1024, iterations=4, seed=0),
+        )
         result = pipeline.run(ds.train_x, ds.train_y)
         assert len(result.classifiers) == 1
         assert result.fused.dimension == 1024
@@ -25,7 +28,9 @@ class TestTrainingPipeline:
         assert result.compiled.fully_mapped is False  # argmax on CPU
 
     def test_phase_accounting(self, ds):
-        pipeline = TrainingPipeline(dimension=1024, iterations=3, seed=0)
+        pipeline = TrainingPipeline(
+            PipelineConfig(dimension=1024, iterations=3, seed=0),
+        )
         result = pipeline.run(ds.train_x, ds.train_y)
         profiler = result.profiler
         assert profiler.seconds("encode") > 0
@@ -37,24 +42,32 @@ class TestTrainingPipeline:
 
     def test_bagged_flow(self, ds):
         config = BaggingConfig(num_models=4, dimension=1024, iterations=2)
-        pipeline = TrainingPipeline(dimension=1024, bagging=config, seed=0)
+        pipeline = TrainingPipeline(
+            PipelineConfig(dimension=1024, bagging=config, seed=0),
+        )
         result = pipeline.run(ds.train_x, ds.train_y)
         assert len(result.classifiers) == 4
         assert all(c.dimension == 256 for c in result.classifiers)
         assert result.fused.dimension == 1024
 
     def test_bagged_update_cheaper_than_full(self, ds):
-        full = TrainingPipeline(dimension=1024, iterations=10, seed=0)
+        full = TrainingPipeline(
+            PipelineConfig(dimension=1024, iterations=10, seed=0),
+        )
         full_result = full.run(ds.train_x, ds.train_y)
         config = BaggingConfig(num_models=4, dimension=1024, iterations=3,
                                dataset_ratio=0.6)
-        bagged = TrainingPipeline(dimension=1024, bagging=config, seed=0)
+        bagged = TrainingPipeline(
+            PipelineConfig(dimension=1024, bagging=config, seed=0),
+        )
         bagged_result = bagged.run(ds.train_x, ds.train_y)
         assert bagged_result.profiler.seconds("update") < \
             full_result.profiler.seconds("update")
 
     def test_trained_model_accuracy(self, ds):
-        pipeline = TrainingPipeline(dimension=2048, iterations=6, seed=0)
+        pipeline = TrainingPipeline(
+            PipelineConfig(dimension=2048, iterations=6, seed=0),
+        )
         result = pipeline.run(ds.train_x, ds.train_y)
         accuracy = result.fused.score(ds.test_x, ds.test_y)
         assert accuracy > 0.75
@@ -64,11 +77,11 @@ class TestTrainingPipeline:
         # same fused weights AND same phase accounting for any workers.
         config = BaggingConfig(num_models=4, dimension=512, iterations=2)
         serial = TrainingPipeline(
-            dimension=512, bagging=config, seed=0,
+            PipelineConfig(dimension=512, bagging=config, seed=0),
         ).run(ds.train_x, ds.train_y)
         parallel = TrainingPipeline(
-            dimension=512, bagging=config, seed=0,
-            executor=ExecutorConfig(workers=4),
+            PipelineConfig(dimension=512, bagging=config, seed=0,
+                           executor=ExecutorConfig(workers=4)),
         ).run(ds.train_x, ds.train_y)
         np.testing.assert_array_equal(serial.fused.base_matrix,
                                       parallel.fused.base_matrix)
@@ -81,28 +94,38 @@ class TestTrainingPipeline:
         assert serial.parallel.workers == 1
 
     def test_single_model_run_has_no_parallel_report(self, ds):
-        result = TrainingPipeline(dimension=256, iterations=1, seed=0).run(
+        result = TrainingPipeline(
+            PipelineConfig(dimension=256, iterations=1, seed=0),
+        ).run(
             ds.train_x[:100], ds.train_y[:100], num_classes=ds.num_classes,
         )
         assert result.parallel is None
 
     def test_histories_returned(self, ds):
-        pipeline = TrainingPipeline(dimension=512, iterations=3, seed=0)
+        pipeline = TrainingPipeline(
+            PipelineConfig(dimension=512, iterations=3, seed=0),
+        )
         result = pipeline.run(ds.train_x, ds.train_y)
         assert result.histories[0].iterations == 3
 
     def test_validation(self, ds):
         with pytest.raises(ValueError):
-            TrainingPipeline(dimension=0)
-        pipeline = TrainingPipeline(dimension=256, iterations=1, seed=0)
+            TrainingPipeline(PipelineConfig(dimension=0))
+        pipeline = TrainingPipeline(
+            PipelineConfig(dimension=256, iterations=1, seed=0),
+        )
         with pytest.raises(ValueError, match="2-D"):
             pipeline.run(ds.train_x[0], ds.train_y[:1])
         with pytest.raises(ValueError, match="labels"):
             pipeline.run(ds.train_x, ds.train_y[:-1])
 
     def test_deterministic_given_seed(self, ds):
-        a = TrainingPipeline(dimension=512, iterations=2, seed=42)
-        b = TrainingPipeline(dimension=512, iterations=2, seed=42)
+        a = TrainingPipeline(
+            PipelineConfig(dimension=512, iterations=2, seed=42),
+        )
+        b = TrainingPipeline(
+            PipelineConfig(dimension=512, iterations=2, seed=42),
+        )
         ra = a.run(ds.train_x, ds.train_y)
         rb = b.run(ds.train_x, ds.train_y)
         np.testing.assert_array_equal(
@@ -116,7 +139,9 @@ class TestTrainingPipeline:
 class TestInferencePipeline:
     @pytest.fixture(scope="class")
     def trained(self, ds):
-        pipeline = TrainingPipeline(dimension=2048, iterations=6, seed=0)
+        pipeline = TrainingPipeline(
+            PipelineConfig(dimension=2048, iterations=6, seed=0),
+        )
         return pipeline.run(ds.train_x, ds.train_y)
 
     def test_accuracy_close_to_float(self, ds, trained):
@@ -163,13 +188,18 @@ class TestInferencePipeline:
     def test_bagged_inference_same_cost_model(self, ds):
         # Paper claim: the fused bagged model adds no inference overhead
         # versus a non-bagged model of the same width.
-        full = TrainingPipeline(dimension=1024, iterations=3, seed=0).run(
+        full = TrainingPipeline(
+            PipelineConfig(dimension=1024, iterations=3, seed=0),
+        ).run(
             ds.train_x, ds.train_y
         )
         bagged = TrainingPipeline(
-            dimension=1024,
-            bagging=BaggingConfig(num_models=4, dimension=1024, iterations=2),
-            seed=0,
+            PipelineConfig(
+                dimension=1024,
+                bagging=BaggingConfig(num_models=4, dimension=1024,
+                                      iterations=2),
+                seed=0,
+            ),
         ).run(ds.train_x, ds.train_y)
         t_full = InferencePipeline(full.compiled, batch=1).run(
             ds.test_x[:32]
@@ -187,7 +217,9 @@ class TestAgainstCpuBaseline:
         cpu_model = HDCClassifier(dimension=1024, seed=5)
         cpu_model.fit(ds.train_x, ds.train_y, iterations=6)
         cpu_acc = cpu_model.score(ds.test_x, ds.test_y)
-        result = TrainingPipeline(dimension=1024, iterations=6, seed=5).run(
+        result = TrainingPipeline(
+            PipelineConfig(dimension=1024, iterations=6, seed=5),
+        ).run(
             ds.train_x, ds.train_y
         )
         tpu_acc = InferencePipeline(result.compiled, batch=32).run(
@@ -200,7 +232,9 @@ class TestBaggedFeatureSampling:
     def test_feature_sampling_path(self, ds):
         config = BaggingConfig(num_models=2, dimension=512, iterations=2,
                                feature_ratio=0.5)
-        pipeline = TrainingPipeline(dimension=512, bagging=config, seed=3)
+        pipeline = TrainingPipeline(
+            PipelineConfig(dimension=512, bagging=config, seed=3),
+        )
         result = pipeline.run(ds.train_x, ds.train_y)
         # Each sub-encoder must have zeroed rows for unsampled features.
         for classifier in result.classifiers:
@@ -214,8 +248,10 @@ class TestBaggedFeatureSampling:
 class TestCompileCache:
     def test_second_run_with_identical_weights_hits_cache(self, ds):
         cache = CompileCache()
-        first = TrainingPipeline(dimension=512, iterations=2, seed=42,
-                                 compile_cache=cache)
+        first = TrainingPipeline(
+            PipelineConfig(dimension=512, iterations=2, seed=42),
+            compile_cache=cache,
+        )
         result_a = first.run(ds.train_x, ds.train_y)
         # One encoder + one inference compilation, nothing to reuse yet.
         assert cache.hits == 0
@@ -223,8 +259,10 @@ class TestCompileCache:
         # A fresh same-seed pipeline produces identical encoder weights
         # and (deterministically) identical inference weights -- both
         # compilations must be served from the cache.
-        second = TrainingPipeline(dimension=512, iterations=2, seed=42,
-                                  compile_cache=cache)
+        second = TrainingPipeline(
+            PipelineConfig(dimension=512, iterations=2, seed=42),
+            compile_cache=cache,
+        )
         result_b = second.run(ds.train_x, ds.train_y)
         assert cache.hits == 2
         assert cache.misses == 2
@@ -238,10 +276,14 @@ class TestCompileCache:
 
     def test_different_weights_miss(self, ds):
         cache = CompileCache()
-        TrainingPipeline(dimension=512, iterations=1, seed=1,
-                         compile_cache=cache).run(ds.train_x, ds.train_y)
-        TrainingPipeline(dimension=512, iterations=1, seed=2,
-                         compile_cache=cache).run(ds.train_x, ds.train_y)
+        TrainingPipeline(
+            PipelineConfig(dimension=512, iterations=1, seed=1),
+            compile_cache=cache,
+        ).run(ds.train_x, ds.train_y)
+        TrainingPipeline(
+            PipelineConfig(dimension=512, iterations=1, seed=2),
+            compile_cache=cache,
+        ).run(ds.train_x, ds.train_y)
         assert cache.hits == 0
         assert cache.misses == 4
 
@@ -279,7 +321,7 @@ class TestCostAccountingFixes:
         # full generation estimate must charge 0.0, never go negative
         # (VirtualClock.charge rejects negative seconds).
         import types
-        pipeline = TrainingPipeline(dimension=64, seed=0)
+        pipeline = TrainingPipeline(PipelineConfig(dimension=64, seed=0))
         pipeline._costs = types.SimpleNamespace(
             modelgen_seconds=lambda weight_bytes: 0.01,
             tpu=types.SimpleNamespace(
@@ -334,7 +376,9 @@ class TestCostAccountingFixes:
 
 @pytest.fixture(scope="module")
 def trained_small(ds):
-    pipeline = TrainingPipeline(dimension=512, iterations=2, seed=9)
+    pipeline = TrainingPipeline(
+        PipelineConfig(dimension=512, iterations=2, seed=9),
+    )
     return pipeline.run(ds.train_x, ds.train_y)
 
 

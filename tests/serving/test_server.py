@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.config import ServeConfig
 from repro.edgetpu import (
     DevicePool,
     EdgeTpuDevice,
@@ -10,12 +11,9 @@ from repro.edgetpu import (
     compile_model,
 )
 from repro.runtime import PhaseProfiler
-from repro.serving import (
-    DynamicBatcher,
-    FixedSizeBatcher,
-    InferenceServer,
-    ModelSwapper,
-)
+from repro.serving import InferenceServer, ModelSwapper
+
+DYNAMIC_16 = ServeConfig(max_batch=16, slack_s=0.001)
 
 
 def _offline_predictions(compiled, trace):
@@ -30,14 +28,10 @@ def _offline_predictions(compiled, trace):
         else np.argmax(out, axis=-1)
 
 
-def _serve(compiled, trace, num_devices=2, batcher=None, **kwargs):
+def _serve(compiled, trace, num_devices=2, config=DYNAMIC_16, **kwargs):
     pool = DevicePool(num_devices)
     pool.load_replicated(compiled)
-    server = InferenceServer(
-        pool,
-        batcher=batcher or DynamicBatcher(16, slack_s=0.001),
-        **kwargs,
-    )
+    server = InferenceServer(pool, config, **kwargs)
     return server.serve(trace), pool
 
 
@@ -77,8 +71,8 @@ class TestServe:
         # A tiny queue with a policy that never dispatches until full
         # load forces drops under this arrival rate.
         report, _ = _serve(compiled, trace, num_devices=1,
-                           batcher=FixedSizeBatcher(max_batch=16),
-                           max_queue=8)
+                           config=ServeConfig(batcher="fixed",
+                                              max_batch=16, max_queue=8))
         assert report.dropped > 0
         assert report.served + report.dropped == len(trace)
         dropped_mask = report.predictions == -1
@@ -88,9 +82,9 @@ class TestServe:
     def test_deadline_aware_beats_fixed_p99(self, serving_setup):
         _, compiled, trace = serving_setup
         dynamic, _ = _serve(compiled, trace,
-                            batcher=DynamicBatcher(32, slack_s=0.001))
+                            config=ServeConfig(max_batch=32, slack_s=0.001))
         fixed, _ = _serve(compiled, trace,
-                          batcher=FixedSizeBatcher(32))
+                          config=ServeConfig(batcher="fixed", max_batch=32))
         assert dynamic.latency.p99 < fixed.latency.p99
         assert dynamic.deadline_miss_rate < fixed.deadline_miss_rate
 
@@ -118,7 +112,7 @@ class TestServe:
         pool = DevicePool(1)
         pool.load_replicated(compiled)
         server = InferenceServer(
-            pool, batcher=DynamicBatcher(16, slack_s=0.001), max_queue=0
+            pool, ServeConfig(max_batch=16, slack_s=0.001, max_queue=0)
         )
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -145,8 +139,7 @@ class TestFaultTolerance:
         pool = DevicePool(2)
         pool.load_replicated(compiled)
         pool.schedule_failure(FailurePlan(0, at_s=0.2, mode="usb_stall"))
-        server = InferenceServer(pool,
-                                 batcher=DynamicBatcher(16, slack_s=0.001))
+        server = InferenceServer(pool, DYNAMIC_16)
         report = server.serve(trace)
         healthy, _ = _serve(compiled, trace)
         assert report.served == len(trace)
@@ -162,8 +155,7 @@ class TestFaultTolerance:
         pool.load_replicated(compiled)
         pool.schedule_failure(FailurePlan(0, at_s=0.2,
                                           mode="device_loss"))
-        server = InferenceServer(pool,
-                                 batcher=DynamicBatcher(16, slack_s=0.001))
+        server = InferenceServer(pool, DYNAMIC_16)
         report = server.serve(trace)
         healthy, _ = _serve(compiled, trace)
         assert report.served == len(trace)
@@ -182,9 +174,7 @@ class TestFaultTolerance:
             pool.schedule_failure(
                 FailurePlan(0, at_s=0.2, mode=mode)
             )
-            server = InferenceServer(
-                pool, batcher=DynamicBatcher(16, slack_s=0.001)
-            )
+            server = InferenceServer(pool, DYNAMIC_16)
             return server.serve(trace).latency.max
 
         # A USB stall pays a detection timeout that device loss skips.
@@ -212,7 +202,7 @@ class TestValidation:
         pool = DevicePool(1)
         pool.load_replicated(compiled)
         with pytest.raises(ValueError, match="max_queue"):
-            InferenceServer(pool, max_queue=-1)
+            InferenceServer(pool, ServeConfig(max_queue=-1))
 
     def test_foreign_swapper_rejected(self, serving_setup):
         _, compiled, _ = serving_setup

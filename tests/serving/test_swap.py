@@ -3,11 +3,11 @@
 import numpy as np
 import pytest
 
+from repro.config import ServeConfig
 from repro.data.streams import DriftingStream, StreamConfig
 from repro.edgetpu import DevicePool, FailurePlan
 from repro.serving import (
     ArrivalProcess,
-    DynamicBatcher,
     InferenceServer,
     ModelSwapper,
     RequestStream,
@@ -187,7 +187,7 @@ class TestServedSwap:
         pool.load_replicated(compiled)
         swapper = ModelSwapper(pool) if swap else None
         server = InferenceServer(
-            pool, batcher=DynamicBatcher(16, slack_s=0.001),
+            pool, ServeConfig(max_batch=16, slack_s=0.001),
             swapper=swapper,
         )
         if swap:

@@ -1,4 +1,4 @@
-"""The repro.api facade, config objects and deprecation shims."""
+"""The repro.api facade and its config objects."""
 
 import dataclasses
 
@@ -62,6 +62,17 @@ class TestPipelineConfig:
         config = PipelineConfig(executor=4)
         assert isinstance(config.executor, ExecutorConfig)
         assert config.executor.workers == 4
+
+    @pytest.mark.parametrize("field,value", [
+        ("num_devices", 2), ("micro_batch", 16), ("placement", "shard"),
+    ])
+    def test_rejects_inference_executor_fields(self, field, value):
+        # Training reads only executor.workers; an inference knob set
+        # here would be dropped without a word.
+        with pytest.raises(ValueError, match=f"executor.{field}"):
+            PipelineConfig(executor=ExecutorConfig(**{field: value}))
+        # InferencePipeline keeps accepting them.
+        assert getattr(ExecutorConfig(**{field: value}), field) == value
 
 
 class TestServeConfig:
@@ -143,30 +154,22 @@ class TestFacade:
         assert callable(repro.serve)
         assert "Tracer" in dir(repro)
 
+    def test_every_export_resolves(self):
+        # Both packages resolve exports lazily (PEP 562), so a stale
+        # entry for a deleted name would otherwise fail only at first
+        # use.
+        import repro.runtime
+        for package in (repro, repro.runtime):
+            for name in package.__all__:
+                assert getattr(package, name) is not None, name
+
 
 class TestDeprecationShims:
-    def test_training_pipeline_legacy_kwargs_warn(self, data):
-        x, y = data
-        with pytest.deprecated_call(match="PipelineConfig"):
-            pipeline = TrainingPipeline(dimension=128, iterations=2, seed=3)
-        legacy = pipeline.run(x, y)
-        modern = TrainingPipeline(
-            PipelineConfig(dimension=128, iterations=2, seed=3)
-        ).run(x, y)
-        np.testing.assert_array_equal(
-            legacy.fused.class_matrix, modern.fused.class_matrix
-        )
+    """The keyword shims are gone: constructors take only their config."""
 
     def test_training_pipeline_config_plus_legacy_is_error(self):
         with pytest.raises(TypeError):
             TrainingPipeline(PipelineConfig(), dimension=128)
-
-    def test_inference_server_legacy_batcher_warns(self, trained):
-        from repro.serving.batcher import DynamicBatcher
-        pool = DevicePool(1, trained.compiled.arch)
-        pool.load_replicated(trained.compiled)
-        with pytest.deprecated_call(match="ServeConfig"):
-            InferenceServer(pool, batcher=DynamicBatcher(max_batch=8))
 
     def test_inference_server_config_plus_legacy_is_error(self, trained):
         from repro.serving.batcher import DynamicBatcher
@@ -198,14 +201,6 @@ class TestDeployment:
         assert all(d["backend"] == "edgetpu" for d in summary["devices"])
         assert summary["placement"] is None
         assert deployment.trace is None
-
-    def test_num_devices_shim_warns_and_matches(self, trained):
-        with pytest.deprecated_call(match="FleetSpec"):
-            legacy = repro.deploy(trained, num_devices=2)
-        modern = repro.deploy(trained,
-                              fleet=repro.FleetSpec.single(count=2))
-        assert legacy.pool.num_devices == modern.pool.num_devices
-        assert legacy.load_s == modern.load_s
 
     def test_heterogeneous_fleet_deploys_variants(self, trained):
         fleet = repro.FleetSpec(backends=(

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.config import PipelineConfig
 from repro.data import isolet, load
 from repro.edgetpu import DelegatedExecutor, compile_model, lower
 from repro.hdc import BaggingConfig, HDCClassifier
@@ -20,10 +21,12 @@ class TestFullStack:
     def artifacts(self, tmp_path_factory):
         ds = isolet(max_samples=1200, seed=21).normalized()
         pipeline = TrainingPipeline(
-            dimension=1024,
-            bagging=BaggingConfig(num_models=4, dimension=1024,
-                                  iterations=3, dataset_ratio=0.6),
-            seed=21,
+            PipelineConfig(
+                dimension=1024,
+                bagging=BaggingConfig(num_models=4, dimension=1024,
+                                      iterations=3, dataset_ratio=0.6),
+                seed=21,
+            ),
         )
         result = pipeline.run(ds.train_x, ds.train_y,
                               num_classes=ds.num_classes)
@@ -92,7 +95,9 @@ class TestDeterminismAcrossTheStack:
         ds = isolet(max_samples=600, seed=2).normalized()
 
         def build():
-            pipeline = TrainingPipeline(dimension=512, iterations=2, seed=99)
+            pipeline = TrainingPipeline(
+                PipelineConfig(dimension=512, iterations=2, seed=99),
+            )
             result = pipeline.run(ds.train_x, ds.train_y,
                                   num_classes=ds.num_classes)
             return result.inference_model.to_bytes()
@@ -104,7 +109,9 @@ class TestDeterminismAcrossTheStack:
         ds = isolet(max_samples=600, seed=2).normalized()
 
         def run_seconds():
-            pipeline = TrainingPipeline(dimension=512, iterations=2, seed=7)
+            pipeline = TrainingPipeline(
+                PipelineConfig(dimension=512, iterations=2, seed=7),
+            )
             result = pipeline.run(ds.train_x, ds.train_y,
                                   num_classes=ds.num_classes)
             return result.profiler.total
