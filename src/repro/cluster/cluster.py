@@ -78,14 +78,6 @@ class ClusterConfig:
             pinning every tenant to its decided replica.  Requires
             ``policy="placed"`` (and vice versa); ``num_replicas`` /
             ``devices_per_replica`` are derived from the decisions.
-        fast: Use the vectorized simulation fast path
-            (:mod:`repro.cluster.fastpath`) when the run is eligible —
-            chunked traffic, batched routing, columnar bookkeeping and
-            deferred predictions, bit-identical to the scalar path.
-            Runs the fast path cannot express (``least_queue`` routing,
-            mixed tenant feature widths) fall back to the scalar pump
-            automatically; ``False`` forces the scalar pump (the
-            equivalence oracle).
     """
 
     tenants: tuple[TenantSpec, ...]
@@ -98,7 +90,6 @@ class ClusterConfig:
     autoscaler: AutoscalerConfig | None = None
     tracing: bool = False
     max_events: int | None = None
-    fast: bool = True
     placement: FleetPlacement | None = None
 
     def __post_init__(self) -> None:
@@ -190,6 +181,7 @@ class Cluster:
                  tiers=None, metrics: MetricsRegistry | None = None,
                  tracer: Tracer | None = None):
         self.config = config
+        self._check_widths(compiled)
         self.metrics = metrics
         if tracer is None and config.tracing:
             tracer = Tracer(enabled=True)
@@ -239,19 +231,22 @@ class Cluster:
         )
         self._traffic = None
         self._pump = None
-        if config.fast and self._fast_eligible(traffic):
+        if self._takes_pump():
             from repro.cluster.fastpath import (
                 DeferredPredictions,
                 FastArrivalPump,
             )
             # Latency bookkeeping can defer too when nothing reads
             # per-request report state mid-run: the autoscaler polls
-            # miss rates, a metrics registry records per batch, and
-            # tier ladders keep per-tier columns.
+            # miss rates, a metrics registry records per batch, tier
+            # ladders keep per-tier columns and a tracer records each
+            # request's span at its batch.
             full = (config.autoscaler is None and metrics is None
                     and tier_list is None)
             for replica in self.replicas:
-                replica.enable_fast(DeferredPredictions(full=full))
+                replica.enable_fast(DeferredPredictions(
+                    full=full and replica.server.tracer is None
+                ))
             self._pump = FastArrivalPump(self, traffic)
         else:
             self._traffic = traffic.requests()
@@ -259,20 +254,41 @@ class Cluster:
         self._ran = False
         self._root = None
 
-    def _fast_eligible(self, traffic: MultiTenantTraffic) -> bool:
-        """Whether this run can take the vectorized fast path.
+    def _takes_pump(self) -> bool:
+        """Whether this run takes the vectorized
+        :class:`~repro.cluster.fastpath.FastArrivalPump`.
 
-        ``least_queue`` routes on queue depths that every pick mutates
-        (no chunk form), mixed feature widths have no columnar chunks,
-        and the fast path records no request spans, so a replica
-        server with a tracer runs the scalar pump.
+        Every policy does except ``least_queue``, which routes on queue
+        depths that every pick mutates (no chunk form) and so runs the
+        scalar event-per-arrival pump.
         """
-        if self.config.policy == "least_queue":
-            return False
-        if not traffic._uniform_width:
-            return False
-        return all(replica.server.tracer is None
-                   for replica in self.replicas)
+        return self.config.policy != "least_queue"
+
+    def _check_widths(self, compiled: CompiledModel) -> None:
+        """Reject tenant feature widths the fleet cannot serve.
+
+        A traffic chunk carries one feature matrix, so every tenant
+        must send the same width, and it must be the input width of the
+        model serving the tenant (its placed decision's, if any).
+        """
+        config = self.config
+        first = config.tenants[0]
+        placed = ({d.tenant: d.compiled for d in config.placement.decisions}
+                  if config.placement is not None else {})
+        for spec in config.tenants:
+            if spec.num_features != first.num_features:
+                raise ValueError(
+                    f"tenant {spec.name!r} sends {spec.num_features} "
+                    f"features but tenant {first.name!r} sends "
+                    f"{first.num_features}; every tenant of a cluster "
+                    f"must share one feature width"
+                )
+            width = placed.get(spec.name, compiled).model.input_spec.size
+            if spec.num_features != width:
+                raise ValueError(
+                    f"tenant {spec.name!r} sends {spec.num_features} "
+                    f"features but its model takes {width}"
+                )
 
     def _replica_config(self, index: int) -> ServeConfig:
         """The serve config replica ``index`` runs under.

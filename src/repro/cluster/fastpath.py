@@ -19,21 +19,15 @@ contract ``tests/cluster/test_equivalence.py`` pins):
   after arrival with the batch dispatch elided) costs no heap traffic
   at all.  The hand-off rules below make the fired-event order
   provably identical to the scalar one-event-per-arrival pump.
-- :class:`DeferredPredictions` collects ``(compiled model, row ids)``
-  per dispatched batch and computes *all* predictions after the
-  simulation in one vectorized pass.  This is sound because modeled
-  latency depends only on the charged row count, never on predicted
-  values, and the int8 op chain is exactly integer per row (float64 /
-  int64 accumulation), so batch composition cannot change any output
-  bit.  When nothing observes per-request state mid-run (no
-  autoscaler, no metrics registry, no tiers) the sink also defers the
-  per-batch latency bookkeeping (:attr:`DeferredPredictions.full`):
-  the dispatch path records only ``(ids, completion)`` and the
-  latency scatter, histogram ingest and deadline-miss count all
-  happen in one pass at resolve time — bit-identical because
-  ``completion - arrival`` is elementwise and
-  :meth:`~repro.observability.metrics.LatencyTracker.record_many` is
-  a pure order-preserving extend.
+- The pump predicts each routed block on arrival at its replica, once
+  per tier model (:meth:`FastArrivalPump._predict`), and the replica
+  keeps those int64 predictions instead of the feature rows — sound
+  because modeled latency depends only on row counts and the int8
+  chain is exact per row.  :class:`DeferredPredictions` gathers each
+  served row's prediction by its serving tier after the simulation
+  and, when nothing observes per-request state mid-run
+  (:attr:`~DeferredPredictions.full`), replays the per-batch latency
+  bookkeeping there too.
 
 Macro-stepping equivalence.  The scalar pump schedules exactly one
 arrival event ahead; at arrival *k* it (1) schedules arrival *k+1*
@@ -49,11 +43,8 @@ instant it is cancel-and-reinserted after the arrival, restoring the
 exact ``older-events < arrival < dispatch`` tie order the scalar pump
 produces.
 
-Eligibility is decided by :class:`~repro.cluster.cluster.Cluster`
-(``ClusterConfig.fast``): the ``least_queue`` policy routes on queue
-depths each pick mutates, mixed tenant feature widths have no columnar
-chunk form, and a traced replica records per-request spans the fast
-path never builds — those runs fall back to the scalar pump unchanged.
+Every router policy but ``least_queue`` (whose picks mutate the queue
+depths it routes on) runs this pump, traced replicas included.
 """
 
 from __future__ import annotations
@@ -63,55 +54,37 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.runtime.plan import ModelPlan
+from repro.runtime.plan import ModelPlan, fit_plan
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.cluster.cluster import Cluster
-    from repro.cluster.replica import _Rows
+    from repro.cluster.replica import Replica, _Rows
     from repro.cluster.traffic import MultiTenantTraffic
-    from repro.edgetpu.compiler import CompiledModel
     from repro.serving.server import ServeReport
 
 __all__ = ["DeferredPredictions", "FastArrivalPump"]
 
-# Rows per vectorized prediction slice: large enough to amortize the
-# per-call dispatch, small enough to bound the resolver's arenas.
-_RESOLVE_SLICE = 8192
+# Rows per prediction slice: every plan's arena is built at this size
+# once and reused for every routed block (larger blocks run in slices).
+_PREDICT_ROWS = 4096
 
 
 class DeferredPredictions:
-    """Per-replica sink for post-simulation prediction batches.
-
-    :meth:`~repro.serving.server.InferenceServer._dispatch_columns`
-    hands over ``(compiled, ids)`` for every batch it serves on the
-    deferred path; :meth:`resolve` then runs each model's whole chain
-    through a :class:`~repro.runtime.plan.ModelPlan` of its own — the
-    executor the CPU-fallback path uses, bit-identical to the device
-    simulator — over all of its rows, one slice at a time.
+    """Per-replica sink for the fast path's post-simulation epilogue.
 
     Args:
         full: Also defer the per-batch latency bookkeeping (scatter,
             histogram ingest, deadline misses).  Only sound when
             nothing reads per-request report state mid-run — the
             cluster enables it exactly when there is no autoscaler, no
-            metrics registry and no tier ladder.
+            metrics registry, no tier ladder and no replica tracer.
     """
 
     def __init__(self, full: bool = False):
         self.full = full
-        # id(compiled) -> (compiled, [id arrays in dispatch order])
-        self._groups: dict[int, tuple["CompiledModel", list]] = {}
         # Dispatch-order (ids, completion) pairs, full mode only.
         self._book_ids: list[np.ndarray] = []
         self._book_completions: list[float] = []
-
-    def add(self, compiled: "CompiledModel", ids: np.ndarray) -> None:
-        """Record that ``ids`` were served by ``compiled``."""
-        group = self._groups.get(id(compiled))
-        if group is None:
-            self._groups[id(compiled)] = (compiled, [ids])
-        else:
-            group[1].append(ids)
 
     def book(self, ids: np.ndarray, completion: float) -> None:
         """Full mode: record one batch's completion for the deferred
@@ -123,25 +96,12 @@ class DeferredPredictions:
     def resolve(self, rows: "_Rows", report: "ServeReport") -> None:
         """Run every deferred computation against the report.
 
-        Predictions scatter into ``report.predictions`` (rows never
-        dispatched — drops — keep their ``-1``).  Row order within a
-        slice is dispatch order, but every op is per-row exact, so
-        grouping is free to differ from the serving batches.  In full
-        mode the latency bookkeeping replays in dispatch order too:
-        one subtract, one scatter, one histogram extend and one miss
-        count, elementwise-identical to the per-batch epilogue.
+        In full mode the latency bookkeeping replays first, in dispatch
+        order: one subtract, one scatter, one histogram extend and one
+        miss count, elementwise-identical to the per-batch epilogue.
+        Then every served row (finite latency) takes its serving tier's
+        prediction in one gather; drops keep their ``-1``.
         """
-        features = rows.features
-        predictions = report.predictions
-        for compiled, blocks in self._groups.values():
-            ids = (blocks[0] if len(blocks) == 1
-                   else np.concatenate(blocks))
-            # The arena is this call's, sized to its largest slice.
-            plan = ModelPlan(compiled, min(len(ids), _RESOLVE_SLICE))
-            for start in range(0, len(ids), _RESOLVE_SLICE):
-                part = ids[start:start + _RESOLVE_SLICE]
-                predictions[part] = plan.predict(features[part])
-        self._groups.clear()
         if self._book_ids:
             ids = (self._book_ids[0] if len(self._book_ids) == 1
                    else np.concatenate(self._book_ids))
@@ -160,18 +120,24 @@ class DeferredPredictions:
             )
             self._book_ids.clear()
             self._book_completions.clear()
+        if rows.predicted is None:  # no row was ever routed here
+            return
+        served = np.flatnonzero(~np.isnan(report.latencies[:rows.count]))
+        tiers = (report.request_tiers[served]
+                 if report.request_tiers is not None else 0)
+        report.predictions[served] = rows.predicted[served, tiers]
 
 
 class FastArrivalPump:
     """Chunked traffic → batched routing → macro-stepped arrivals.
 
-    One chunk at a time: route the whole chunk, bulk-append each
-    replica's rows, precompute per-row scalars (arrival time, replica,
-    local id, next-arrival-to-the-same-replica lookahead), then drive
-    the clock through :meth:`_on_run` — inline while nothing else is
-    due, one scheduled event whenever a dispatch or autoscaler tick
-    must interleave (see the module docstring for the exact hand-off
-    rules).
+    One chunk at a time: route the whole chunk, predict and
+    bulk-append each replica's rows, precompute per-row scalars
+    (arrival time, replica, local id, next-arrival-to-the-same-replica
+    lookahead), then drive the clock through :meth:`_on_run` — inline
+    while nothing else is due, one scheduled event whenever a dispatch
+    or autoscaler tick must interleave (see the module docstring for
+    the exact hand-off rules).
     """
 
     def __init__(self, cluster: "Cluster",
@@ -180,6 +146,9 @@ class FastArrivalPump:
         self.engine = cluster.engine
         self.router = cluster.router
         self.replicas = cluster.replicas
+        # One arena per distinct model, shared by the replicas serving
+        # it (keyed by identity; the plan pins the model).
+        self._plans: dict[int, ModelPlan] = {}
         self._chunks = traffic.chunks()
         self._times: list[float] = []
         self._replica_of: list[int] = []
@@ -202,8 +171,27 @@ class FastArrivalPump:
         engine.at(time_s if time_s > engine.now else engine.now,
                   self._on_run)
 
+    def _predict(self, replica: "Replica",
+                 features: np.ndarray) -> np.ndarray:
+        """``(rows, tiers)`` predictions of one routed block: column
+        *k* is tier *k*'s model (the primary, then each shed-to tier)
+        on every row, so whichever tier serves a row later, its
+        prediction is already here."""
+        server = replica.server
+        models = [server._compiled]
+        if server._tiers is not None:
+            models += [tier.compiled for tier in server._tiers[1:]]
+        predicted = np.empty((len(features), len(models)), dtype=np.int64)
+        for column, compiled in enumerate(models):
+            plan = fit_plan(self._plans, compiled, _PREDICT_ROWS)
+            for start in range(0, len(features), _PREDICT_ROWS):
+                part = slice(start, start + _PREDICT_ROWS)
+                predicted[part, column] = plan.predict(features[part])
+        return predicted
+
     def _prepare(self, chunk) -> None:
-        """Route one chunk and land its rows on the replicas."""
+        """Route one chunk and land its predicted rows on the
+        replicas."""
         times = chunk.times
         count = len(times)
         indices = self.router.route_chunk(chunk.tenants)
@@ -220,7 +208,7 @@ class FastArrivalPump:
             base = replica._rows.bulk_append(
                 times[positions], chunk.deadlines[positions],
                 chunk.tenants[positions], chunk.labels[positions],
-                chunk.features[positions],
+                self._predict(replica, chunk.features[positions]),
             )
             local[positions] = base + np.arange(routed)
             if routed > 1:

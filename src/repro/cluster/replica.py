@@ -75,7 +75,7 @@ class _Rows:
     """
 
     __slots__ = ("count", "capacity", "report", "tiered", "has_labels",
-                 "arrivals", "deadlines", "tenants", "labels", "features")
+                 "arrivals", "deadlines", "tenants", "labels", "predicted")
 
     _INITIAL = 1024
 
@@ -90,9 +90,10 @@ class _Rows:
         self.deadlines = np.zeros(capacity)
         self.tenants = np.full(capacity, -1, dtype=np.int64)
         self.labels: np.ndarray | None = None
-        # Fast-path only: the raw payload rows, kept so predictions can
-        # be computed in one vectorized pass after the simulation.
-        self.features: np.ndarray | None = None
+        # Fast-path only: each row's prediction under every tier its
+        # replica serves (one column per tier), made when the row was
+        # routed; resolve picks the serving tier's.
+        self.predicted: np.ndarray | None = None
         report.predictions = np.full(capacity, -1, dtype=np.int64)
         report.latencies = np.full(capacity, np.nan)
         if tiered:
@@ -112,11 +113,11 @@ class _Rows:
         self.tenants = self._extend(self.tenants, capacity, -1)
         if self.labels is not None:
             self.labels = self._extend(self.labels, capacity, -1)
-        if self.features is not None:
-            grown = np.empty((capacity, self.features.shape[1]),
-                             dtype=self.features.dtype)
-            grown[:len(self.features)] = self.features
-            self.features = grown
+        if self.predicted is not None:
+            grown = np.empty((capacity, self.predicted.shape[1]),
+                             dtype=np.int64)
+            grown[:len(self.predicted)] = self.predicted
+            self.predicted = grown
         report.predictions = self._extend(report.predictions, capacity, -1)
         report.latencies = self._extend(report.latencies, capacity, np.nan)
         if self.tiered:
@@ -148,7 +149,7 @@ class _Rows:
 
     def bulk_append(self, arrivals: np.ndarray, deadlines: np.ndarray,
                     tenants: np.ndarray, labels: np.ndarray,
-                    features: np.ndarray) -> int:
+                    predicted: np.ndarray) -> int:
         """Append one routed block of rows in one slice write per
         column; returns the base replica-local id of the block.
 
@@ -165,14 +166,14 @@ class _Rows:
         if self.has_labels is None:
             self.has_labels = True
             self.labels = np.full(self.capacity, -1, dtype=np.int64)
-        if self.features is None:
-            self.features = np.empty((self.capacity, features.shape[1]),
-                                     dtype=features.dtype)
+        if self.predicted is None:
+            self.predicted = np.empty((self.capacity, predicted.shape[1]),
+                                      dtype=np.int64)
         self.arrivals[count:total] = arrivals
         self.deadlines[count:total] = deadlines
         self.tenants[count:total] = tenants
         self.labels[count:total] = labels
-        self.features[count:total] = features
+        self.predicted[count:total] = predicted
         self.count = total
         return count
 
@@ -189,8 +190,6 @@ class _Rows:
         self.arrivals = self.arrivals[:count]
         self.deadlines = self.deadlines[:count]
         self.tenants = self.tenants[:count]
-        if self.features is not None:
-            self.features = self.features[:count]
 
 
 class Replica:
@@ -239,7 +238,6 @@ class Replica:
         self._fast_slack = 0.0
         self._fast_timeout = math.inf
         self._fast_est: list[float | None] = []
-        self._defer_full = False
 
     # ------------------------------------------------------------------
     # Trace binding
@@ -442,23 +440,20 @@ class Replica:
         of :class:`Request` objects, arrivals land as per-chunk column
         blocks (:meth:`_Rows.bulk_append` from the pump), the batch
         trigger is evaluated inline from the columns, and predictions
-        are deferred to ``defer`` (a
+        resolve through ``defer`` (a
         :class:`~repro.cluster.fastpath.DeferredPredictions` sink) —
-        every modeled time and report column stays bit-identical to the
-        scalar path (``tests/cluster/test_equivalence.py``).
+        every modeled time, report column and span stays bit-identical
+        to the scalar path (``tests/cluster/test_equivalence.py``).
 
-        Requires a routed replica (:meth:`open`) and an untraced
-        server; the server's batcher is always one of the two stock
-        policies (:meth:`~repro.config.ServeConfig.make_batcher`),
-        whose trigger math is reproduced inline.
+        Requires a routed replica (:meth:`open`); the server's batcher
+        is always one of the two stock policies
+        (:meth:`~repro.config.ServeConfig.make_batcher`), whose trigger
+        math is reproduced inline.
         """
         from repro.serving.batcher import DynamicBatcher
         if self._rows is None or self._source is not None:
             raise RuntimeError("fast mode requires an open() replica")
         server = self.server
-        if server.tracer is not None:
-            raise ValueError("fast mode does not record request spans; "
-                             "use the scalar path when tracing a replica")
         if server.swapper is not None:
             # A hot swap would invalidate the inline estimate cache.
             raise ValueError("fast mode does not support a swapper")
@@ -472,7 +467,6 @@ class Replica:
         self._fast_max_batch = batcher.max_batch
         self._fast_est = [None] * batcher.max_batch
         self._defer = defer
-        self._defer_full = bool(getattr(defer, "full", False))
         self._fast = True
 
     def _submit_fast(self, local_id: int, lookahead: float) -> None:
@@ -491,6 +485,11 @@ class Replica:
             metrics.counter("serve.requests").inc()
         if len(queue) >= server.max_queue:
             self.report.dropped += 1
+            if server.tracer is not None:
+                arrival = float(self._rows.arrivals[local_id])
+                server.tracer.add("request", arrival, arrival,
+                                  parent_id=self._root, tags=("dropped",),
+                                  request_id=local_id)
             if metrics is not None:
                 metrics.counter("serve.dropped").inc()
         else:
@@ -555,7 +554,7 @@ class Replica:
 
     def _on_dispatch_fast(self) -> None:
         """Close and serve one batch of queued row ids — the fast twin
-        of :meth:`_on_dispatch` (columns in, deferred predictions out).
+        of :meth:`_on_dispatch` (columns in, no predictions out).
         """
         self._dispatch_event = None
         server = self.server
@@ -568,7 +567,7 @@ class Replica:
         if server.metrics is not None:
             server.metrics.gauge("serve.queue_depth").set(depth)
         rows = self._rows
-        if self._defer_full:
+        if self._defer.full:
             # Fully deferred bookkeeping: the dispatch core never
             # touches per-request columns, so skip the gathers too.
             arrivals = deadlines = None
@@ -579,15 +578,17 @@ class Replica:
             ids, arrivals, deadlines, None,
             self.engine.now, self.device_free, self.device_busy,
             self.device_swap, self.host_free, self.report,
-            queue_depth=depth, defer=self._defer,
+            server.tracer, self._root, queue_depth=depth,
+            defer=self._defer,
         )
         self._reschedule_fast(self._lookahead)
 
     def resolve_deferred(self) -> None:
-        """Replay every deferred computation — predictions and (in full
-        mode) the latency bookkeeping — in one vectorized pass.  Call
-        after the engine drains, before :meth:`finalize` (the makespan
-        reads the latency column); a no-op in scalar mode."""
+        """Replay every deferred computation — the prediction gather
+        and (in full mode) the latency bookkeeping — in one vectorized
+        pass.  Call after the engine drains, before :meth:`finalize`
+        (the makespan reads the latency column); a no-op in scalar
+        mode."""
         if self._defer is not None:
             self._defer.resolve(self._rows, self.report)
 

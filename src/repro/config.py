@@ -37,7 +37,7 @@ __all__ = [
 
 _BATCHERS = ("dynamic", "fixed")
 # ExecutorConfig fields only InferencePipeline reads.
-_INFERENCE_EXECUTOR_FIELDS = ("micro_batch", "num_devices", "placement")
+_INFERENCE_EXECUTOR_FIELDS = ("micro_batch", "num_devices")
 
 
 @dataclass(frozen=True)
@@ -220,8 +220,8 @@ class PipelineConfig:
             workers.  Normalized to an
             :class:`~repro.runtime.executor.ExecutorConfig` at
             construction.  Training reads only ``workers``; the
-            inference-side fields (``micro_batch``, ``num_devices``,
-            ``placement``) must stay at their defaults.
+            inference-side fields (``micro_batch``, ``num_devices``)
+            must stay at their defaults.
         tracing: Record a span-level trace of the run (zero modeled
             cost either way; the trace rides on
             :attr:`PipelineResult.trace <repro.runtime.pipeline.PipelineResult>`).

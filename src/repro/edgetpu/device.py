@@ -215,9 +215,9 @@ class EdgeTpuDevice:
                     compiled: CompiledModel | None = None) -> InvokeResult:
         """Charge one invoke without computing outputs.
 
-        The timing-only twin of :meth:`invoke` for callers that defer
-        the arithmetic (the cluster fast path batches all predictions
-        after the simulation): the modeled latency depends only on the
+        The timing-only twin of :meth:`invoke` for callers that do the
+        arithmetic elsewhere (the cluster fast path predicts each row
+        when it is routed): the modeled latency depends only on the
         batch size — ``invoke_breakdown`` is memoized per compiled
         model — so the elapsed time, byte counts and device stats here
         are bit-identical to running :meth:`invoke` on a real ``(batch,

@@ -313,8 +313,8 @@ class DevicePool:
         """Timing-only :meth:`try_invoke`: identical health checks,
         failure trips and device accounting, but no output arithmetic
         (``InvokeResult.outputs`` is ``None``).  The cluster fast path
-        uses this to dispatch on modeled cost alone and compute every
-        prediction in one vectorized pass afterwards.
+        uses this to dispatch on modeled cost alone; it predicted every
+        row when the row was routed.
         """
         if not 0 <= index < self.num_devices:
             raise ValueError(f"device index {index} out of range")

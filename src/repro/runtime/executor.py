@@ -72,16 +72,13 @@ class ExecutorConfig:
             trains sequentially in-process (no pool is created).
         micro_batch: Samples per inference micro-batch handed to one
             device; ``None`` lets the caller's batch size stand.
-        num_devices: Inference device-pool size.
-        placement: ``"replicate"`` (the fused model on every device,
-            data parallel) or ``"shard"`` (one sub-model per device,
-            model parallel).
+        num_devices: Inference device-pool size (the fused model
+            replicated on every device).
     """
 
     workers: int = 1
     micro_batch: int | None = None
     num_devices: int = 1
-    placement: str = "replicate"
 
     def __post_init__(self) -> None:
         if self.workers < 1:
@@ -93,11 +90,6 @@ class ExecutorConfig:
         if self.num_devices < 1:
             raise ValueError(
                 f"num_devices must be >= 1, got {self.num_devices}"
-            )
-        if self.placement not in _PLACEMENTS:
-            raise ValueError(
-                f"placement must be one of {_PLACEMENTS}, "
-                f"got {self.placement!r}"
             )
 
     @classmethod

@@ -3,7 +3,7 @@
 Every int8 inference in the stack runs through a :class:`ModelPlan`:
 the server's dispatch, CPU fallback and tier sheds, the device
 simulator's :meth:`~repro.edgetpu.device.EdgeTpuDevice.invoke`, the
-cluster's deferred epilogue, the reference
+cluster pump's routed blocks, the reference
 :class:`~repro.tflite.interpreter.Interpreter` and the build-time
 accuracy of compression tiers.  A plan resolves one compiled model's
 op chain once into stages with preallocated scratch buffers:
@@ -18,7 +18,7 @@ op chain once into stages with preallocated scratch buffers:
 - **Real batch sizes** — an ``n``-row batch runs on ``[:n]`` views of
   the arenas, bound on first use of that size.  Nothing is padded, so
   devices and host tails are charged exactly the rows they run.
-- **Ownership** — a plan belongs to the server, device, resolver or
+- **Ownership** — a plan belongs to the server, device, cluster pump or
   interpreter that runs it, never to the shared
   :class:`~repro.edgetpu.compiler.CompiledModel` (a compile cache can
   hand one model to concurrent worker threads).  Only the read-only

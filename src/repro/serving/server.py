@@ -578,7 +578,7 @@ class InferenceServer:
 
         The columnar core of the dispatch path: ``ids``/``arrivals``/
         ``deadlines`` are aligned int64/float64 arrays, ``features`` a
-        row list or 2-D array (ignored when deferring).  The per-request
+        row list or 2-D array (unused when deferring).  The per-request
         report bookkeeping — prediction/latency scatter, latency
         histograms, deadline misses, tier columns — is one vectorized
         slice write per batch instead of a Python loop per request,
@@ -588,10 +588,10 @@ class InferenceServer:
         When ``defer`` is a :class:`~repro.cluster.fastpath`
         deferred-prediction sink, the device invoke is charged by
         :meth:`~repro.edgetpu.multidevice.DevicePool.invoke_cost`
-        (timing only) and ``(compiled, ids)`` is handed to ``defer`` —
-        the fast path computes all predictions in one pass after the
-        simulation, byte-identically (modeled times never depend on
-        predicted values).
+        (timing only) and no prediction is computed — the fast path
+        predicted every row when it was routed and resolves the served
+        tier's after the simulation, byte-identically (modeled times
+        never depend on predicted values).
         """
         if self.swapper is not None:
             swapped = self.swapper.poll(dispatch_t)
@@ -658,8 +658,8 @@ class InferenceServer:
             self._active_tier = tier_index
         if defer is not None:
             # Deferred path: no staging at all — modeled cost is a
-            # function of the row count alone, and the arithmetic
-            # happens after the simulation.
+            # function of the row count alone, and the pump predicted
+            # every row when it was routed.
             plan = quantized = executor = None
         else:
             # Features land in the plan's arena and quantize in place;
@@ -673,7 +673,6 @@ class InferenceServer:
                                  tier=tier_index)
                       if tracer is not None else None)
         predictions = None
-        deferred_served = False
         completion = None
         detect_t = dispatch_t
         attempts = 0
@@ -709,8 +708,6 @@ class InferenceServer:
             if defer is not None:
                 # The host tail is charged by the same per-op sum the
                 # plan's tail would have run.
-                defer.add(compiled, ids)
-                deferred_served = True
                 key = (id(compiled), rows)
                 tail_cost = self._tail_cache.get(key)
                 if tail_cost is None:
@@ -742,7 +739,7 @@ class InferenceServer:
                            batch=rows)
             break
 
-        if predictions is None and not deferred_served:
+        if completion is None:
             # Retry exhausted or no healthy device: the CPU-fallback
             # path — the same plan runs the whole chain on the host,
             # bit-identical.  Modeled cost stays per-op (fusion is
@@ -754,10 +751,7 @@ class InferenceServer:
                 width = op.output_dim(width)
             if not compiled.model.output_is_index:
                 cost += self.host.argmax_seconds(rows, width)
-            if defer is not None:
-                defer.add(compiled, ids)
-                deferred_served = True
-            else:
+            if defer is None:
                 predictions = plan.run_host(quantized)
             fallback_start = max(host_free, detect_t)
             host_free = fallback_start + cost
@@ -774,11 +768,10 @@ class InferenceServer:
         if defer is not None and defer.full:
             # Fully deferred bookkeeping: nothing observes per-request
             # report state mid-run (the cluster only grants ``full``
-            # with no autoscaler, no metrics and no tiers, and the fast
-            # path already excludes tracers), so one (ids, completion)
-            # note replaces the whole per-batch epilogue — the scatter,
-            # histogram ingest and miss count replay bit-identically at
-            # resolve time.
+            # with no autoscaler, metrics, tiers or tracer), so one
+            # (ids, completion) note replaces the whole per-batch
+            # epilogue — the scatter, histogram ingest and miss count
+            # replay bit-identically at resolve time.
             defer.book(ids, completion)
             return host_free
         if tracer is not None:

@@ -11,11 +11,11 @@ Examples::
 
     python -m repro.tools profile-cluster
     python -m repro.tools profile-cluster --requests 200000 --replicas 8
-    python -m repro.tools profile-cluster --scalar --sort tottime
+    python -m repro.tools profile-cluster --policy least_queue --sort tottime
     python -m repro.tools profile-cluster --output /tmp/cluster.pstats
 
-``--scalar`` forces the scalar (per-request) pump, so the two paths
-can be profiled against each other; ``--output`` dumps raw pstats for
+``--policy least_queue`` profiles the scalar (per-request) pump, the
+one policy that still runs it; ``--output`` dumps raw pstats for
 ``snakeviz``/``pstats`` offline digging.
 """
 
@@ -44,13 +44,10 @@ def build_parser() -> argparse.ArgumentParser:
                              "(default 4)")
     parser.add_argument("--policy", default="round_robin",
                         help="router policy (default round_robin; "
-                             "least_queue exercises the scalar "
-                             "fallback)")
+                             "least_queue profiles the scalar "
+                             "per-request pump)")
     parser.add_argument("--seed", type=int, default=7,
                         help="traffic seed (default 7, the benchmark's)")
-    parser.add_argument("--scalar", action="store_true",
-                        help="force the scalar per-request pump "
-                             "instead of the vectorized fast path")
     parser.add_argument("--top", type=int, default=25,
                         help="rows of the profile table to print "
                              "(default 25)")
@@ -98,7 +95,7 @@ def _build_cluster(args):
         num_replicas=args.replicas, devices_per_replica=1,
         policy=args.policy,
         serve=repro.ServeConfig(max_batch=8, max_queue=50_000),
-        seed=args.seed, fast=not args.scalar,
+        seed=args.seed,
     )
     return Cluster(compiled, config)
 
@@ -106,8 +103,7 @@ def _build_cluster(args):
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     cluster = _build_cluster(args)
-    path = ("scalar" if args.scalar or cluster._pump is None
-            else "fast")
+    path = "scalar" if cluster._pump is None else "fast"
     print(f"profiling {args.requests} requests x {args.replicas} "
           f"replicas ({args.policy}, {path} path)...", flush=True)
 

@@ -1,15 +1,18 @@
-"""Shared fixtures: a tiny compiled model and a standard tenant mix."""
+"""Shared fixtures: a tiny compiled model, a standard tenant mix, and
+the invariant check every cluster run in this package ends with."""
 
 import numpy as np
 import pytest
 
-from repro.cluster import TenantSpec
+from repro.cluster import Cluster, TenantSpec
 from repro.data.streams import DriftingStream, StreamConfig
 from repro.edgetpu import compile_model
 from repro.hdc.encoder import NonlinearEncoder
 from repro.hdc.model import HDCClassifier
 from repro.nn import from_classifier
 from repro.tflite import convert
+
+from tests.cluster.invariants import check_cluster_report
 
 NUM_FEATURES = 16
 NUM_CLASSES = 3
@@ -44,3 +47,17 @@ def tenant_mix():
                    kind="bursty"),
         TenantSpec("background", rate_hz=100.0, deadline_s=1.0),
     )
+
+
+@pytest.fixture(autouse=True)
+def _checked_cluster_runs(monkeypatch):
+    """Check the conservation invariants on every report a
+    ``Cluster.run`` in this package returns."""
+    run = Cluster.run
+
+    def checked(self):
+        report = run(self)
+        check_cluster_report(self, report)
+        return report
+
+    monkeypatch.setattr(Cluster, "run", checked)

@@ -8,6 +8,7 @@ import pytest
 import repro
 from repro.cluster import (
     AutoscalerConfig,
+    Cluster,
     ClusterConfig,
     DiurnalCurve,
     POLICIES,
@@ -16,6 +17,8 @@ from repro.cluster import (
 from repro.config import FleetSpec, ServeConfig
 from repro.observability.metrics import MetricsRegistry
 from repro.runtime.placement import PlacementOptimizer
+
+from tests.cluster.conftest import NUM_FEATURES
 
 
 def _summary(compiled, **overrides):
@@ -145,9 +148,9 @@ def test_autoscaled_run_is_deterministic(compiled_model, tenant_mix):
 @pytest.mark.parametrize("policy", ["round_robin", "tenant_affinity",
                                     "least_queue"])
 def test_traced_serve_config_matches_untraced(compiled_model, policy):
-    """A traced ``ServeConfig`` runs the scalar pump (the fast path
-    records no request spans) instead of crashing, and tracing changes
-    no modeled output."""
+    """A traced ``ServeConfig`` records spans on whichever pump the
+    policy takes (the fast pump for all but ``least_queue``), and
+    tracing changes no modeled output."""
 
     def run(tracing):
         config = ClusterConfig(
@@ -166,6 +169,33 @@ def test_traced_serve_config_matches_untraced(compiled_model, policy):
                                       untraced.predictions)
         np.testing.assert_array_equal(traced.latencies,
                                       untraced.latencies)
+
+
+@pytest.mark.parametrize("policy", ["round_robin", "least_queue"])
+def test_tenant_width_must_match_the_model(compiled_model, policy):
+    """A width mismatch is a build-time error on either pump, not a
+    numpy broadcast failure at the first dispatch or in the resolve."""
+    tenants = (TenantSpec("wide", rate_hz=100.0, deadline_s=0.1,
+                          num_features=NUM_FEATURES + 4),)
+    config = ClusterConfig(tenants=tenants, total_requests=100,
+                           policy=policy)
+    with pytest.raises(ValueError,
+                       match="tenant 'wide' sends 20 features but its "
+                             "model takes 16"):
+        Cluster(compiled_model, config)
+
+
+def test_mixed_tenant_widths_are_rejected(compiled_model):
+    tenants = (
+        TenantSpec("full", rate_hz=100.0, deadline_s=0.1),
+        TenantSpec("narrow", rate_hz=100.0, deadline_s=0.1,
+                   num_features=8),
+    )
+    config = ClusterConfig(tenants=tenants, total_requests=100)
+    with pytest.raises(ValueError,
+                       match="tenant 'narrow' sends 8 features but "
+                             "tenant 'full' sends 16"):
+        Cluster(compiled_model, config)
 
 
 def test_max_events_budget_guards_runaway_runs(compiled_model,
@@ -189,8 +219,6 @@ def test_serve_cluster_accepts_pipeline_results_and_rejects_junk(
 
 
 def test_cluster_runs_once(compiled_model, tenant_mix):
-    from repro.cluster import Cluster
-
     cluster = Cluster(compiled_model,
                       ClusterConfig(tenants=tenant_mix,
                                     total_requests=200))

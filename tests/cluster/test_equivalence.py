@@ -6,11 +6,13 @@ byte-for-byte against :func:`repro.serving._reference.serve_reference`
 — the pre-refactor loop kept verbatim as an oracle — across batcher
 policies, admission pressure, streamed input and tracing.
 
-The second half pins the *cluster* vectorized fast path (chunked
+The second half pins the *cluster* vectorized fast pump (chunked
 traffic + batched routing + columnar bookkeeping + macro-stepped
-arrival pump, ``ClusterConfig(fast=True)``) byte-for-byte against the
-scalar event-per-arrival pump (``fast=False``) across router policies,
-tiered shedding, autoscaling, failure injection and cluster tracing.
+arrivals, which every policy but ``least_queue`` runs) byte-for-byte
+against the scalar event-per-arrival pump, forced by patching
+``Cluster._takes_pump``, across router policies, placed fleets, tiered
+shedding, autoscaling, failure injection and cluster and replica
+tracing.
 """
 
 import json
@@ -25,11 +27,12 @@ from repro.cluster import (
     TenantSpec,
 )
 from repro.compression.tiers import TierSpec, build_tiers
-from repro.config import ServeConfig
+from repro.config import BackendSpec, FleetSpec, ServeConfig
 from repro.data.streams import DriftingStream, StreamConfig
 from repro.edgetpu.multidevice import DevicePool, FailurePlan
 from repro.hdc.bagging import BaggingConfig, BaggingHDCTrainer
 from repro.observability.trace import Tracer
+from repro.runtime.placement import PlacementOptimizer
 from repro.serving import ArrivalProcess, RequestStream
 from repro.serving._reference import serve_reference
 from repro.serving.server import InferenceServer
@@ -122,29 +125,41 @@ def test_single_device_and_empty_trace(compiled_model):
 
 
 # ----------------------------------------------------------------------
-# Cluster fast path ≡ scalar pump
+# Cluster fast pump ≡ scalar pump
 #
-# Every comparison below runs the same ClusterConfig twice — once with
-# the vectorized fast path (fast=True, the default) and once with the
-# scalar event-per-arrival pump (fast=False) — and demands identity
-# down to the last float: predictions, modeled latencies, batch
-# splits, device busy time, the merged latency tracker's *value
-# order*, and the full summary JSON (which folds in per-tenant SLA
-# rows and scaling events).
+# Every comparison below runs the same ClusterConfig twice — once as
+# built (every policy but least_queue takes the vectorized
+# FastArrivalPump) and once forced onto the scalar event-per-arrival
+# pump, the oracle — and demands identity down to the last float:
+# predictions, modeled latencies, batch splits, device busy time, the
+# merged latency tracker's *value order*, the full summary JSON (which
+# folds in per-tenant SLA rows and scaling events) and every replica
+# tracer's spans.
 
 
-def _cluster(compiled_model, tenant_mix, fast, *, tiers=None,
-             tracer=None, failures=(), **overrides):
+def _cluster(compiled_model, tenant_mix, *, tiers=None, tracer=None,
+             failures=(), **overrides):
     kwargs = dict(tenants=tenant_mix, total_requests=3000,
                   num_replicas=2, seed=7)
     kwargs.update(overrides)
-    cluster = Cluster(compiled_model, ClusterConfig(fast=fast, **kwargs),
+    cluster = Cluster(compiled_model, ClusterConfig(**kwargs),
                       tiers=tiers, tracer=tracer)
     for replica_index, plan in failures:
         cluster.replicas[replica_index].server.pool.schedule_failure(
             plan
         )
     return cluster
+
+
+def _scalar_cluster(compiled_model, tenant_mix, **kwargs):
+    """The same cluster, forced onto the scalar pump (the oracle)."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(Cluster, "_takes_pump", lambda self: False)
+        return _cluster(compiled_model, tenant_mix, **kwargs)
+
+
+def _spans(tracer):
+    return None if tracer is None else [s.to_dict() for s in tracer.spans]
 
 
 def _assert_cluster_reports_identical(fast, scalar):
@@ -171,12 +186,13 @@ def _assert_cluster_reports_identical(fast, scalar):
         else:
             np.testing.assert_array_equal(new.request_tiers,
                                           old.request_tiers)
+        assert _spans(new.trace) == _spans(old.trace)
 
 
 def _compare(compiled_model, tenant_mix, **kwargs):
-    fast = _cluster(compiled_model, tenant_mix, True, **kwargs)
-    scalar = _cluster(compiled_model, tenant_mix, False, **kwargs)
-    assert fast._pump is not None, "fast run fell back to scalar"
+    fast = _cluster(compiled_model, tenant_mix, **kwargs)
+    scalar = _scalar_cluster(compiled_model, tenant_mix, **kwargs)
+    assert fast._pump is not None, "run did not take the fast pump"
     assert scalar._pump is None
     fast_report, scalar_report = fast.run(), scalar.run()
     _assert_cluster_reports_identical(fast_report, scalar_report)
@@ -203,6 +219,41 @@ def test_cluster_fast_path_matches_scalar_per_policy(
 def test_cluster_fast_path_matches_scalar_under_pressure(
         compiled_model, tenant_mix, serve):
     _compare(compiled_model, tenant_mix, serve=serve)
+
+
+@pytest.mark.parametrize("policy,num_replicas", [
+    ("round_robin", 2),
+    ("tenant_affinity", 2),
+    ("consistent_hash", 3),
+])
+def test_traced_replicas_take_the_pump_and_match_scalar_spans(
+        compiled_model, tenant_mix, policy, num_replicas):
+    """A traced replica server runs on the fast pump (full deferral
+    off) and records the scalar pump's request, queue-wait and
+    dropped-request spans, span for span."""
+    fast, _ = _compare(compiled_model, tenant_mix, policy=policy,
+                       num_replicas=num_replicas,
+                       serve=ServeConfig(tracing=True, max_queue=4))
+    spans = [span for report in fast.replica_reports
+             for span in report.trace.spans]
+    names = {span.name for span in spans}
+    assert {"serve", "serve.batch", "request", "queue.wait"} <= names
+    assert any("dropped" in span.tags for span in spans), \
+        "no request dropped; weak test"
+
+
+def test_placed_fleet_matches_scalar(compiled_model, tenant_mix):
+    """A placed heterogeneous fleet: per-decision compiled variants,
+    buckets and pinned tenants, traced."""
+    fleet = FleetSpec((BackendSpec("edgetpu", count=4),
+                       BackendSpec("pi-cpu", count=4)))
+    placement = PlacementOptimizer(fleet).place(compiled_model,
+                                                tenant_mix)
+    fast, _ = _compare(compiled_model, tenant_mix, policy="placed",
+                       placement=placement,
+                       serve=ServeConfig(tracing=True))
+    assert all(report.trace is not None
+               for report in fast.replica_reports)
 
 
 def test_cluster_fast_path_matches_scalar_with_autoscaler(
@@ -269,21 +320,20 @@ def test_cluster_traced_run_matches_untraced_and_scalar_spans(
         compiled_model, tenant_mix):
     fast_tracer = Tracer(enabled=True)
     scalar_tracer = Tracer(enabled=True)
-    traced_fast = _cluster(compiled_model, tenant_mix, True,
+    traced_fast = _cluster(compiled_model, tenant_mix,
                            tracer=fast_tracer).run()
-    traced_scalar = _cluster(compiled_model, tenant_mix, False,
-                             tracer=scalar_tracer).run()
+    traced_scalar = _scalar_cluster(compiled_model, tenant_mix,
+                                    tracer=scalar_tracer).run()
     _assert_cluster_reports_identical(traced_fast, traced_scalar)
-    fast_spans = [span.to_dict() for span in fast_tracer.spans]
-    scalar_spans = [span.to_dict() for span in scalar_tracer.spans]
-    assert fast_spans == scalar_spans
-    untraced = _cluster(compiled_model, tenant_mix, True).run()
+    assert _spans(fast_tracer) == _spans(scalar_tracer)
+    untraced = _cluster(compiled_model, tenant_mix).run()
     _assert_cluster_reports_identical(traced_fast, untraced)
 
 
-def test_least_queue_and_fast_off_fall_back_to_scalar_pump(
-        compiled_model, tenant_mix):
-    assert _cluster(compiled_model, tenant_mix, True,
+def test_only_least_queue_runs_the_scalar_pump(compiled_model,
+                                               tenant_mix):
+    assert _cluster(compiled_model, tenant_mix,
                     policy="least_queue")._pump is None
-    assert _cluster(compiled_model, tenant_mix, False)._pump is None
-    assert _cluster(compiled_model, tenant_mix, True)._pump is not None
+    for policy in ("round_robin", "tenant_affinity", "consistent_hash"):
+        assert _cluster(compiled_model, tenant_mix,
+                        policy=policy)._pump is not None

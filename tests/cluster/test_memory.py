@@ -1,16 +1,18 @@
-"""Streamed serving memory: O(1) Python objects per in-flight request.
+"""Serving memory: O(1) Python objects per in-flight request.
 
 The streamed path keeps report rows in growable numpy columns and
 pulls arrivals one at a time, so the marginal memory per request is a
-few array slots — never a materialized ``Request``.  The test measures
-the tracemalloc peak at two trace lengths and bounds the marginal
-bytes/request far below what a request list would cost (one frozen
+few array slots — never a materialized ``Request``.  The tests measure
+the tracemalloc peak at two trace lengths and bound the marginal
+bytes/request: far below what a request list would cost (one frozen
 ``Request`` with a 16-float payload is ~400 bytes before the trace is
-even sorted).
+even sorted) for a single server, and below what keeping every routed
+payload row costs for the cluster fast path.
 """
 
 import tracemalloc
 
+from repro.cluster import Cluster, ClusterConfig
 from repro.config import ServeConfig
 from repro.data.streams import DriftingStream, StreamConfig
 from repro.edgetpu.multidevice import DevicePool
@@ -66,3 +68,31 @@ def test_streamed_serve_memory_is_columnar_not_per_object(
     # doubling slack; a materialized Request alone is an order of
     # magnitude more.
     assert marginal < 400.0, f"marginal {marginal:.0f} bytes/request"
+
+
+def _cluster_peak(compiled_model, tenant_mix, total_requests):
+    config = ClusterConfig(tenants=tenant_mix,
+                           total_requests=total_requests,
+                           num_replicas=2, policy="round_robin", seed=7)
+    tracemalloc.start()
+    try:
+        cluster = Cluster(compiled_model, config)
+        assert cluster._pump is not None
+        report = cluster.run()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.num_requests == total_requests
+    return peak
+
+
+def test_cluster_fast_path_keeps_predictions_not_payloads(
+        compiled_model, tenant_mix):
+    small = _cluster_peak(compiled_model, tenant_mix, 30_000)
+    large = _cluster_peak(compiled_model, tenant_mix, 90_000)
+    marginal = (large - small) / 60_000.0
+    # Each routed row keeps one int64 prediction per tier, not its
+    # 16-float payload row: ~145 bytes/request of report and row
+    # columns with doubling slack.  Keeping the payloads and per-model
+    # id groups costs ~240, so the bound sits between the two.
+    assert marginal < 190.0, f"marginal {marginal:.0f} bytes/request"

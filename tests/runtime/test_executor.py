@@ -30,17 +30,21 @@ class TestExecutorConfig:
         assert config.workers == 1
         assert config.micro_batch is None
         assert config.num_devices == 1
-        assert config.placement == "replicate"
 
     @pytest.mark.parametrize("kwargs", [
         dict(workers=0),
         dict(micro_batch=0),
         dict(num_devices=0),
-        dict(placement="mirror"),
     ])
     def test_invalid_configs(self, kwargs):
         with pytest.raises(ValueError):
             ExecutorConfig(**kwargs)
+
+    def test_has_no_placement_knob(self):
+        # InferencePipeline always replicates; a placement field would
+        # be read by nothing.  MicroBatchDispatcher keeps its own.
+        with pytest.raises(TypeError):
+            ExecutorConfig(placement="shard")
 
     def test_coerce(self):
         assert ExecutorConfig.coerce(None) == ExecutorConfig()

@@ -64,7 +64,7 @@ class TestPipelineConfig:
         assert config.executor.workers == 4
 
     @pytest.mark.parametrize("field,value", [
-        ("num_devices", 2), ("micro_batch", 16), ("placement", "shard"),
+        ("num_devices", 2), ("micro_batch", 16),
     ])
     def test_rejects_inference_executor_fields(self, field, value):
         # Training reads only executor.workers; an inference knob set
