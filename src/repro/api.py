@@ -84,17 +84,24 @@ def train(train_x: np.ndarray, train_y: np.ndarray, *,
 
     Args:
         train_x: Float samples ``(num_samples, num_features)``.
-        train_y: Integer labels ``(num_samples,)``.
+        train_y: Integer labels ``(num_samples,)`` in
+            ``[0, num_classes)``.
         config: The full run configuration; defaults to the paper
             baseline (``d=10000``, 20 iterations, no bagging).
         num_classes: Class count when the training set may not contain
             every class.
         compile_cache: Share one :class:`CompileCache` across calls to
-            skip recompiling identical models.
+            skip recompiling identical models.  Only a shared cache is
+            hashed; without one every model is converted and compiled
+            directly (fresh weights never repeat within one call).
 
     Returns:
         The :class:`~repro.runtime.pipeline.PipelineResult` (a
         :class:`Result`: ``.summary()`` / ``.trace``).
+
+    Raises:
+        ValueError: For a label outside ``[0, num_classes)``, before
+            any model is compiled.
     """
     if config is None:
         config = PipelineConfig()

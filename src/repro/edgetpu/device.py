@@ -147,14 +147,14 @@ class EdgeTpuDevice:
                 omitted, else a model made co-resident with
                 :meth:`load_resident`.
             executor: Optional callable ``executor(x) -> int8 outputs``
-                — the caller's own arena (a server passes its
-                :meth:`ModelPlan.run_device
+                — the caller's own arena (a server or the training
+                encode passes its :meth:`ModelPlan.run_device
                 <repro.runtime.plan.ModelPlan.run_device>`), whose
                 output view it reads before its next batch.  Without
                 one the device runs its own plan, sized to the largest
-                batch it has run, and returns a copy: callers such as
-                the training encode keep outputs across invokes.
-                Latency charging is the same either way.
+                batch it has run, and returns a copy, which the caller
+                may keep across invokes.  Latency charging is the same
+                either way.
 
         Returns:
             The :class:`InvokeResult` with outputs of the last TPU op.

@@ -30,16 +30,17 @@ class AdaptiveHDCClassifier(HDCClassifier):
     Only the per-pass update rule differs; inference is identical.
     """
 
-    def _train_pass(self, hypervectors: np.ndarray,
-                    y: np.ndarray) -> tuple[int, int]:
+    def _train_pass(self, hypervectors: np.ndarray, y: np.ndarray,
+                    order: np.ndarray) -> tuple[int, int]:
         classes = self.class_hypervectors
         lr = self.learning_rate
         correct = 0
         updates = 0
         eps = 1e-12
         for start in range(0, len(y), self.chunk_size):
-            chunk = hypervectors[start:start + self.chunk_size]
-            labels = y[start:start + self.chunk_size]
+            rows = order[start:start + self.chunk_size]
+            chunk = hypervectors[rows]
+            labels = y[rows]
             # Cosine similarities for the adaptive weights.
             class_norms = np.linalg.norm(classes, axis=1)
             chunk_norms = np.linalg.norm(chunk, axis=1)

@@ -22,7 +22,29 @@ from repro.hdc import kernels
 from repro.hdc.encoder import Encoder, NonlinearEncoder
 from repro.hdc.hypervector import cosine_similarity, dot_similarity
 
-__all__ = ["HDCClassifier", "TrainingHistory"]
+__all__ = ["HDCClassifier", "TrainingHistory", "check_labels"]
+
+
+def check_labels(y: np.ndarray, num_classes: int) -> None:
+    """Reject any label outside ``[0, num_classes)``.
+
+    Numpy indexing would otherwise let a label of ``-1`` train the last
+    class and a label ``>= num_classes`` fail deep inside the update
+    kernels.
+
+    Raises:
+        ValueError: Naming an out-of-range label (the smallest if one
+            is negative, else the largest) and the class count.
+    """
+    if len(y) == 0:
+        return
+    low, high = int(y.min()), int(y.max())
+    if low < 0 or high >= num_classes:
+        bad = low if low < 0 else high
+        raise ValueError(
+            f"label {bad} is out of range for {num_classes} classes "
+            f"(labels must lie in [0, {num_classes}))"
+        )
 
 
 @dataclass
@@ -156,7 +178,7 @@ class HDCClassifier:
 
         for _ in range(iterations):
             order = self._rng.permutation(len(y)) if shuffle else np.arange(len(y))
-            correct, updates = self._train_pass(hypervectors[order], y[order])
+            correct, updates = self._train_pass(hypervectors, y, order)
             self.history.train_accuracy.append(correct / max(1, len(y)))
             self.history.updates.append(updates)
             self.history.samples_seen.append(len(y))
@@ -174,7 +196,8 @@ class HDCClassifier:
         hypervectors = self._ensure_encoded(x, encoded)
         y = np.asarray(y, dtype=np.int64)
         self._init_classes(y, num_classes)
-        correct, updates = self._train_pass(hypervectors, y)
+        correct, updates = self._train_pass(hypervectors, y,
+                                            np.arange(len(y)))
         self.history.train_accuracy.append(correct / max(1, len(y)))
         self.history.updates.append(updates)
         self.history.samples_seen.append(len(y))
@@ -185,6 +208,7 @@ class HDCClassifier:
             num_classes = int(y.max()) + 1 if len(y) else 0
         if num_classes < 2:
             raise ValueError(f"need at least 2 classes, got {num_classes}")
+        check_labels(y, num_classes)
         if self.class_hypervectors is None:
             self.num_classes = num_classes
             self.class_hypervectors = np.zeros(
@@ -196,16 +220,21 @@ class HDCClassifier:
                 f"cannot grow to {num_classes}"
             )
 
-    def _train_pass(self, hypervectors: np.ndarray,
-                    y: np.ndarray) -> tuple[int, int]:
-        """One pass of mistake-driven updates.  Returns (correct, updates)."""
+    def _train_pass(self, hypervectors: np.ndarray, y: np.ndarray,
+                    order: np.ndarray) -> tuple[int, int]:
+        """One pass of mistake-driven updates.  Returns (correct, updates).
+
+        Samples are visited in ``order``, gathered one chunk at a time
+        rather than as a permuted copy of the whole set.
+        """
         classes = self.class_hypervectors
         lr = self.learning_rate
         correct = 0
         updates = 0
         for start in range(0, len(y), self.chunk_size):
-            chunk = hypervectors[start:start + self.chunk_size]
-            labels = y[start:start + self.chunk_size]
+            rows = order[start:start + self.chunk_size]
+            chunk = hypervectors[rows]
+            labels = y[rows]
             predictions = self._classify(chunk)
             wrong = np.nonzero(predictions != labels)[0]
             correct += int(len(labels) - len(wrong))

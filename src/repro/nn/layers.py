@@ -17,7 +17,7 @@ __all__ = ["Activation", "Argmax", "Dense", "Layer"]
 _ACTIVATIONS = {
     "tanh": np.tanh,
     "relu": lambda x: np.maximum(x, 0.0),
-    "identity": lambda x: x,
+    "identity": np.copy,
 }
 
 
@@ -85,7 +85,7 @@ class Dense(Layer):
         out = x @ self.weights
         if self.bias is not None:
             out = out + self.bias
-        return out.astype(np.float32)
+        return out.astype(np.float32, copy=False)
 
     def flops(self, input_dim: int) -> int:
         # One multiply + one add per weight, plus the bias adds.
@@ -120,7 +120,9 @@ class Activation(Layer):
         return input_dim
 
     def apply(self, x: np.ndarray) -> np.ndarray:
-        return _ACTIVATIONS[self.kind](x).astype(np.float32)
+        # Every activation returns a fresh array, so skipping the
+        # float32 copy never aliases the caller's input.
+        return _ACTIVATIONS[self.kind](x).astype(np.float32, copy=False)
 
     def flops(self, input_dim: int) -> int:
         # Count one op per element; tanh is costlier in practice, which

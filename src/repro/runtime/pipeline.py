@@ -39,7 +39,7 @@ from repro.hdc.bagging import (
     draw_feature_mask,
 )
 from repro.hdc.encoder import NonlinearEncoder
-from repro.hdc.model import HDCClassifier, TrainingHistory
+from repro.hdc.model import HDCClassifier, TrainingHistory, check_labels
 from repro.nn.builder import encoder_network, inference_network
 from repro.platforms.base import Platform
 from repro.platforms.cpu import MobileCpu
@@ -53,6 +53,7 @@ from repro.runtime.executor import (
     spawn_rngs,
 )
 from repro.observability.trace import Tracer
+from repro.runtime.plan import ModelPlan
 from repro.runtime.profiler import PhaseProfiler
 from repro.tflite.converter import convert
 from repro.tflite.flatmodel import FlatModel
@@ -246,9 +247,11 @@ class TrainingPipeline:
             defaults to ``PipelineConfig()``, the paper baseline.
         compile_cache: A :class:`CompileCache` to reuse compiled models
             across runs (pass one instance to several pipelines to share
-            it); each pipeline gets its own private cache by default.
-            An operational resource, not configuration — hence not part
-            of the config object.
+            it).  Without one the pipeline converts and compiles
+            directly and never hashes a model: every run, and every
+            bagged sub-model, draws fresh weights, so a cache private to
+            the pipeline could never hit.  An operational resource, not
+            configuration — hence not part of the config object.
     """
 
     def __init__(self, config: PipelineConfig | None = None, *,
@@ -266,9 +269,7 @@ class TrainingPipeline:
         self._rng = np.random.default_rng(config.seed)
         self._costs = CostModel(host=self.host,
                                 train_batch=config.train_batch)
-        self.compile_cache = (
-            compile_cache if compile_cache is not None else CompileCache()
-        )
+        self.compile_cache = compile_cache
         self.executor = config.executor
         self.tracing = config.tracing
 
@@ -285,6 +286,7 @@ class TrainingPipeline:
             raise ValueError(f"{len(train_x)} samples but {len(train_y)} labels")
         if num_classes is None:
             num_classes = int(train_y.max()) + 1
+        check_labels(train_y, num_classes)
 
         profiler = PhaseProfiler(Tracer(enabled=self.tracing))
         parallel = None
@@ -332,7 +334,7 @@ class TrainingPipeline:
             encoded, train_y, iterations=self.iterations,
             num_classes=num_classes, encoded=True,
         )
-        self._charge_update(history, self.dimension, num_classes, profiler)
+        self._charge_update(classifier, num_classes, profiler)
         return [classifier], [history]
 
     def _train_bagged(self, train_x, train_y, num_classes, profiler):
@@ -376,9 +378,7 @@ class TrainingPipeline:
                 encoded, train_y[indices], iterations=config.iterations,
                 num_classes=num_classes, encoded=True,
             )
-            self._charge_update(
-                history, config.effective_sub_dimension, num_classes, local,
-            )
+            self._charge_update(classifier, num_classes, local)
             return classifier, history, local
 
         pool = WorkerPool(self.executor.workers)
@@ -394,12 +394,15 @@ class TrainingPipeline:
         """Compile the encoder model, stream ``samples`` through the device.
 
         Returns float32 encoded hypervectors (dequantized on the host,
-        charged under ``encode``).
+        charged under ``encode``).  The device runs each batch on this
+        call's own :class:`~repro.runtime.plan.ModelPlan`, and the batch
+        is dequantized from the plan's output arena straight into its
+        rows of the result, so no int8 copy of the whole encoded set
+        is ever made.
         """
         network = encoder_network(encoder)
-        flat, compiled, cached = self.compile_cache.get_or_compile(
-            network, calibration[:_CALIBRATION_SAMPLES], self.arch, "encoder",
-        )
+        flat, compiled, cached = self._compile(network, calibration,
+                                               "encoder")
         device = EdgeTpuDevice(self.arch)
         cache_tag = ("cache_hit",) if cached else ()
         # A cache hit skips the host-side generation cost but the device
@@ -412,37 +415,61 @@ class TrainingPipeline:
                         bytes_in=compiled.model.size_bytes())
 
         quantized_in = flat.input_spec.qparams.quantize(samples)
-        pieces = []
+        plan = ModelPlan(compiled, min(self.train_batch, len(samples)))
+        out_qparams = compiled.tpu_ops[-1].output_qparams
+        encoded = np.empty((len(samples), encoder.dimension),
+                           dtype=np.float32)
         with profiler.tracer.span("encode", phase="encode",
                                   samples=len(samples)):
             for start in range(0, len(samples), self.train_batch):
                 result = device.invoke(
-                    quantized_in[start:start + self.train_batch]
+                    quantized_in[start:start + self.train_batch],
+                    executor=plan.run_device,
                 )
                 profiler.charge("encode", result.elapsed_s,
                                 name="device.invoke", device=0,
                                 batch=len(result.outputs),
                                 bytes_in=result.bytes_in,
                                 bytes_out=result.bytes_out)
-                pieces.append(result.outputs)
-            encoded_q = np.vstack(pieces)
-            # Host-side dequantization of the returned hypervectors.
-            out_qparams = compiled.tpu_ops[-1].output_qparams
+                # Host-side dequantization of the returned hypervectors.
+                out_qparams.dequantize(
+                    result.outputs,
+                    out=encoded[start:start + len(result.outputs)],
+                )
             profiler.charge(
-                "encode", self.host.elementwise_seconds(encoded_q.size),
-                name="host.dequantize", elements=encoded_q.size,
+                "encode", self.host.elementwise_seconds(encoded.size),
+                name="host.dequantize", elements=encoded.size,
             )
-        return out_qparams.dequantize(encoded_q)
+        return encoded
 
-    def _charge_update(self, history, dimension, num_classes, profiler):
-        """Charge the host update phase from measured per-pass statistics."""
+    def _compile(self, network, calibration, name):
+        """Convert + compile ``network``; ``(flat, compiled, was_cached)``.
+
+        Only a caller's shared :class:`CompileCache` is consulted (and
+        only it pays the content hash).
+        """
+        calibration = calibration[:_CALIBRATION_SAMPLES]
+        if self.compile_cache is not None:
+            return self.compile_cache.get_or_compile(
+                network, calibration, self.arch, name,
+            )
+        flat = convert(network, calibration, name=name)
+        return flat, compile_model(flat, self.arch), False
+
+    def _charge_update(self, classifier, num_classes, profiler):
+        """Charge the host update phase from measured per-pass statistics.
+
+        Each pass is charged at the classifier's own width and update
+        chunk size, the granularity its kernels actually dispatched at.
+        """
+        history = classifier.history
         for iteration, (samples, updates) in enumerate(
                 zip(history.samples_seen, history.updates)):
             mistake_fraction = updates / max(1, samples)
             profiler.charge("update", self._costs.update_seconds(
-                samples, dimension, num_classes, iterations=1,
+                samples, classifier.dimension, num_classes, iterations=1,
                 mistake_fraction=mistake_fraction,
-                chunk_size=64, platform=self.host,
+                chunk_size=classifier.chunk_size, platform=self.host,
             ), name="host.update", iteration=iteration, samples=samples,
                 updates=updates)
 
@@ -461,10 +488,8 @@ class TrainingPipeline:
             fused.base_matrix, fused.class_matrix, include_argmax=True,
             name="hdc-inference",
         )
-        flat, compiled, cached = self.compile_cache.get_or_compile(
-            network, calibration[:_CALIBRATION_SAMPLES], self.arch,
-            "hdc-inference",
-        )
+        flat, compiled, cached = self._compile(network, calibration,
+                                               "hdc-inference")
         if not cached:
             profiler.charge("modelgen", self._modelgen_seconds(flat, compiled),
                             name="modelgen.compile", model="hdc-inference")

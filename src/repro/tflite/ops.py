@@ -260,7 +260,10 @@ class FullyConnectedOp(Op):
         if per_channel:
             weight_qparams = qparams_per_channel(weights)
         else:
-            weight_qparams = qparams_symmetric(float(np.abs(weights).max()))
+            # max|w| without a full-size np.abs temporary (NaN still
+            # propagates, so qparams_symmetric still rejects it).
+            weight_qparams = qparams_symmetric(
+                max(float(weights.max()), -float(weights.min())))
         weights_q = weight_qparams.quantize(weights)
         bias_q = None
         if bias is not None:

@@ -15,6 +15,7 @@ dataset generator.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,6 +34,29 @@ _DTYPE_RANGES = {
     "int16": (-32768, 32767),
     "int32": (-(2**31), 2**31 - 1),
 }
+
+# Elements per block of the blocked (de)quantize: its float64 working
+# buffer (512 KiB) stays cache-resident, where a whole-tensor temporary
+# costs fresh pages and a second pass through memory.
+_BLOCK_ELEMENTS = 1 << 16
+
+
+def _row_blocks(values: np.ndarray, out: np.ndarray):
+    """Yield ``(block, out_block, work)`` over leading-axis row blocks.
+
+    Each block holds about ``_BLOCK_ELEMENTS`` elements and at least one
+    row, so a 0-d or smaller tensor is a single block.  ``work`` is a
+    float64 view, of the block's shape, into one buffer that every
+    block reuses.
+    """
+    values = np.atleast_1d(values)
+    out = np.atleast_1d(out)
+    rows = len(values)
+    step = max(1, _BLOCK_ELEMENTS // max(1, math.prod(values.shape[1:])))
+    work = np.empty((min(step, rows),) + values.shape[1:], dtype=np.float64)
+    for start in range(0, rows, step):
+        stop = min(start + step, rows)
+        yield values[start:stop], out[start:stop], work[:stop - start]
 
 
 @dataclass(frozen=True)
@@ -82,16 +106,16 @@ class QuantParams:
     def quantize(self, real: np.ndarray) -> np.ndarray:
         """Quantize float values (round-to-nearest-even, then clamp).
 
-        One float64 temporary: the divide allocates it (never aliasing
-        ``real``) and round, shift and clamp run in place — the same
+        Runs :meth:`quantize_into` over leading-axis blocks of about
+        64k elements with one reused float64 working buffer — the same
         float64 operations in the same order as the textbook
-        ``clip(round(real / scale) + zp)``, so bit-identical to it.
+        ``clip(round(real / scale) + zp)``, so bit-identical to it,
+        without a float64 temporary the size of the whole tensor.
         """
-        q = np.asarray(np.divide(real, self.scale, dtype=np.float64))
-        np.round(q, out=q)
-        q += self.zero_point
-        np.clip(q, self.qmin, self.qmax, out=q)
-        out = q.astype(self.numpy_dtype)
+        real = np.asarray(real)
+        out = np.empty(real.shape, dtype=self.numpy_dtype)
+        for block, out_block, work in _row_blocks(real, out):
+            self.quantize_into(block, out_block, work)
         return out if out.ndim else out[()]
 
     def quantize_into(self, real: np.ndarray, out: np.ndarray,
@@ -118,12 +142,32 @@ class QuantParams:
         np.copyto(out, scratch, casting="unsafe")
         return out
 
-    def dequantize(self, quantized: np.ndarray) -> np.ndarray:
-        """Recover float values from quantized storage."""
-        return (
-            (np.asarray(quantized, dtype=np.float64) - self.zero_point)
-            * self.scale
-        ).astype(np.float32)
+    def dequantize(self, quantized: np.ndarray,
+                   out: np.ndarray | None = None) -> np.ndarray:
+        """Recover float32 values from quantized storage.
+
+        Bit-identical to ``((float64(q) - zp) * scale).astype(float32)``,
+        computed over the same leading-axis blocks as :meth:`quantize`.
+
+        Args:
+            quantized: Quantized codes.
+            out: Optional float32 destination of the same shape (a
+                slice of a preallocated matrix); returned when given.
+        """
+        quantized = np.asarray(quantized)
+        if out is None:
+            out = np.empty(quantized.shape, dtype=np.float32)
+        elif out.shape != quantized.shape or out.dtype != np.float32:
+            raise ValueError(
+                f"out must be float32 of shape {quantized.shape}, got "
+                f"{out.dtype} of shape {out.shape}"
+            )
+        for block, out_block, work in _row_blocks(quantized, out):
+            np.copyto(work, block, casting="unsafe")
+            work -= self.zero_point
+            work *= self.scale
+            np.copyto(out_block, work, casting="unsafe")
+        return out if out.ndim else out[()]
 
     def range(self) -> tuple[float, float]:
         """The representable real-value interval ``[rmin, rmax]``."""

@@ -1,5 +1,7 @@
 """Tests for the HDC classifier and its training dynamics."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -41,6 +43,21 @@ class TestConstruction:
 
 
 class TestTraining:
+    def test_fit_gathers_chunks_instead_of_copying_the_set(self):
+        # Each pass visits a fresh permutation; gathering it chunk by
+        # chunk keeps a permuted copy of every hypervector out of memory.
+        rng = np.random.default_rng(0)
+        hypervectors = rng.standard_normal((4000, 1024)).astype(np.float32)
+        labels = rng.integers(0, 4, len(hypervectors))
+        model = HDCClassifier(dimension=1024, seed=0)
+        tracemalloc.start()
+        try:
+            model.fit(hypervectors, labels, iterations=2, encoded=True)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - held < hypervectors.nbytes / 8
+
     def test_learns_blobs(self):
         x, y = _blobs()
         model = HDCClassifier(dimension=1024, seed=0)
@@ -149,6 +166,32 @@ class TestPartialFit:
         model.partial_fit(x[:100], y[:100])
         model.partial_fit(x[100:], y[100:])
         assert model.history.iterations == 2
+
+
+class TestLabelRange:
+    """Out-of-range labels fail up front with a ValueError, not through
+    numpy indexing (a -1 trains the last class; a label past the class
+    count fails deep in the update kernels)."""
+
+    @pytest.mark.parametrize("bad, num_classes", [(-1, None), (-1, 3),
+                                                  (3, 3), (7, 3)])
+    def test_fit_rejects(self, bad, num_classes):
+        x, y = _blobs(num_samples=60)
+        y[5] = bad
+        model = HDCClassifier(dimension=256, seed=0)
+        with pytest.raises(ValueError, match=rf"label {bad} .* classes"):
+            model.fit(x, y, iterations=1, num_classes=num_classes)
+        assert model.class_hypervectors is None
+
+    def test_partial_fit_rejects_a_label_past_the_model(self):
+        x, y = _blobs(num_samples=60)
+        model = HDCClassifier(dimension=256, seed=0)
+        model.partial_fit(x, y, num_classes=3)
+        before = model.class_hypervectors.copy()
+        y[0] = 3
+        with pytest.raises(ValueError, match=r"label 3 .* 3 classes"):
+            model.partial_fit(x, y, num_classes=3)
+        np.testing.assert_array_equal(model.class_hypervectors, before)
 
 
 class TestInference:

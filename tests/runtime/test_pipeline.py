@@ -1,11 +1,15 @@
 """Tests for the functional co-design pipelines (Fig. 1 / Fig. 3 flows)."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+import repro
 from repro.config import PipelineConfig
 from repro.hdc import BaggingConfig, HDCClassifier
 from repro.runtime import InferencePipeline, TrainingPipeline
+from repro.runtime.costs import CostModel
 from repro.runtime.executor import ExecutorConfig
 from repro.runtime.pipeline import CompileCache
 
@@ -119,6 +123,26 @@ class TestTrainingPipeline:
         with pytest.raises(ValueError, match="labels"):
             pipeline.run(ds.train_x, ds.train_y[:-1])
 
+    def test_negative_label_rejected_before_any_work(self, ds,
+                                                     monkeypatch):
+        # Numpy indexing would train a -1 label into the last class.
+        monkeypatch.setattr("repro.runtime.pipeline.convert", _no_compile)
+        labels = ds.train_y.copy()
+        labels[7] = -1
+        with pytest.raises(ValueError, match=r"label -1 .* 26 classes"):
+            repro.train(ds.train_x, labels,
+                        config=PipelineConfig(dimension=256, iterations=1),
+                        num_classes=ds.num_classes)
+
+    def test_label_past_num_classes_rejected_before_any_work(
+            self, ds, monkeypatch):
+        monkeypatch.setattr("repro.runtime.pipeline.convert", _no_compile)
+        labels = ds.train_y % 3
+        with pytest.raises(ValueError, match=r"label 2 .* 2 classes"):
+            repro.train(ds.train_x, labels,
+                        config=PipelineConfig(dimension=256, iterations=1),
+                        num_classes=2)
+
     def test_deterministic_given_seed(self, ds):
         a = TrainingPipeline(
             PipelineConfig(dimension=512, iterations=2, seed=42),
@@ -134,6 +158,80 @@ class TestTrainingPipeline:
         np.testing.assert_array_equal(
             ra.fused.class_matrix, rb.fused.class_matrix
         )
+
+
+def _no_compile(*args, **kwargs):
+    raise AssertionError("a model was compiled before the labels were checked")
+
+
+class TestTrainingGlue:
+    """Training pays for its paper work, not for the glue around it."""
+
+    def test_bagged_pipeline_without_a_cache_never_hashes(self, ds,
+                                                          monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("CompileCache.key called without a cache")
+
+        monkeypatch.setattr(CompileCache, "key", staticmethod(refuse))
+        config = BaggingConfig(num_models=3, dimension=768, iterations=1)
+        result = TrainingPipeline(
+            PipelineConfig(dimension=768, bagging=config, seed=0),
+        ).run(ds.train_x, ds.train_y)
+        assert len(result.classifiers) == 3
+
+    def test_encode_matches_stacked_per_batch_invokes(self, ds):
+        from repro.edgetpu import EdgeTpuDevice, compile_model
+        from repro.hdc import NonlinearEncoder
+        from repro.nn.builder import encoder_network
+        from repro.runtime.profiler import PhaseProfiler
+        from repro.tflite import convert
+
+        pipeline = TrainingPipeline(
+            PipelineConfig(dimension=640, train_batch=64, seed=3),
+        )
+        encoder = NonlinearEncoder(ds.num_features, 640, seed=3)
+        samples = ds.train_x[:150]  # batches of 64, 64 and a ragged 22
+        got = pipeline._encode_on_device(encoder, samples, ds.train_x,
+                                         PhaseProfiler())
+        # Oracle: the device's own per-batch output copies, stacked, then
+        # one whole-matrix float64 dequantize.
+        flat = convert(encoder_network(encoder), ds.train_x[:256],
+                       name="encoder")
+        compiled = compile_model(flat, pipeline.arch)
+        device = EdgeTpuDevice(pipeline.arch)
+        device.load_model(compiled)
+        quantized = flat.input_spec.qparams.quantize(samples)
+        stacked = np.vstack([
+            device.invoke(quantized[start:start + 64]).outputs
+            for start in range(0, len(samples), 64)
+        ])
+        qparams = compiled.tpu_ops[-1].output_qparams
+        want = ((stacked.astype(np.float64) - qparams.zero_point)
+                * qparams.scale).astype(np.float32)
+        assert got.dtype == np.float32 and got.shape == (150, 640)
+        assert got.tobytes() == want.tobytes()
+
+    def test_training_transient_memory_is_bounded(self):
+        from repro.data import isolet
+
+        data = isolet(max_samples=600, seed=1).normalized()
+        config = PipelineConfig(
+            dimension=4096, seed=1,
+            bagging=BaggingConfig(num_models=4, dimension=4096),
+        )
+        tracemalloc.start()
+        try:
+            result = repro.train(data.train_x, data.train_y, config=config,
+                                 num_classes=data.num_classes)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(result.classifiers) == 4
+        # Whole-tensor float64 (de)quantize temporaries, the stacked
+        # int8 encodings and a full-size |W| put ~25 MB on top of the
+        # ~24 MB the result holds; the blocked, in-place flow ~2.6 MB.
+        transient = peak - held
+        assert transient < 12e6, f"transient peak {transient / 1e6:.1f} MB"
 
 
 class TestInferencePipeline:
@@ -330,6 +428,30 @@ class TestCostAccountingFixes:
         )
         compiled = types.SimpleNamespace(weight_bytes=128)
         assert pipeline._modelgen_seconds(None, compiled) == 0.0
+
+    def test_bagged_update_charged_at_the_submodel_chunk_size(self, ds):
+        # chunk_size=1 is the paper's strictly online rule: one kernel
+        # dispatch per sample, which the update phase must be charged.
+        config = BaggingConfig(num_models=2, dimension=512, iterations=2,
+                               chunk_size=1)
+        pipeline = TrainingPipeline(
+            PipelineConfig(dimension=512, bagging=config, seed=0),
+        )
+        result = pipeline.run(ds.train_x[:300], ds.train_y[:300],
+                              num_classes=ds.num_classes)
+        costs = CostModel(host=pipeline.host,
+                          train_batch=pipeline.train_batch)
+        expected = 0.0
+        for history in result.histories:
+            for samples, updates in zip(history.samples_seen,
+                                        history.updates):
+                expected += costs.update_seconds(
+                    samples, config.effective_sub_dimension,
+                    ds.num_classes, iterations=1,
+                    mistake_fraction=updates / samples, chunk_size=1,
+                    platform=pipeline.host,
+                )
+        assert result.profiler.seconds("update") == pytest.approx(expected)
 
     def test_cpu_ops_charged_by_kind(self, ds, trained_small):
         from repro.tflite.ops import ArgmaxOp, FullyConnectedOp, TanhOp

@@ -12,6 +12,7 @@ from repro.tflite import (
     qparams_asymmetric,
     qparams_symmetric,
 )
+from repro.tflite.quantization import _BLOCK_ELEMENTS
 
 
 class TestQuantParams:
@@ -63,8 +64,8 @@ def _textbook_quantize(qp, real):
 
 
 class TestQuantizeInPlace:
-    """``quantize`` runs one temporary in place, bit-identical to the
-    textbook expression, and never writes into the caller's array."""
+    """``quantize`` is bit-identical to the textbook expression and
+    never writes into the caller's array."""
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -117,6 +118,79 @@ class TestQuantizeInPlace:
         got = qp.quantize(1.25)
         assert np.ndim(got) == 0 and got.dtype == np.int8
         assert got == _textbook_quantize(qp, 1.25)
+
+
+def _textbook_dequantize(qp, quantized):
+    """The whole-tensor float64 expression, kept as the oracle."""
+    return ((np.asarray(quantized, dtype=np.float64) - qp.zero_point)
+            * qp.scale).astype(np.float32)
+
+
+def _blocked_shapes():
+    """Shapes one row below, at, one above, and several blocks plus a
+    ragged tail past the (de)quantize block, for 1-D, 2-D and 3-D."""
+    shapes = [()]
+    for row_shape in [(), (100,), (8, 16)]:
+        step = _BLOCK_ELEMENTS // max(1, int(np.prod(row_shape)))
+        for rows in (step - 1, step, step + 1, 3 * step + 7):
+            shapes.append((rows,) + row_shape)
+    return shapes
+
+
+class TestBlockedQuantize:
+    """``quantize`` and ``dequantize`` walk leading-axis blocks with one
+    reused float64 buffer; every block boundary must be invisible."""
+
+    @pytest.mark.parametrize("zero_point", [0, -7])
+    @pytest.mark.parametrize("shape", _blocked_shapes(), ids=str)
+    def test_quantize_matches_whole_tensor_formula(self, shape, zero_point):
+        qp = QuantParams(scale=0.037, zero_point=zero_point)
+        rng = np.random.default_rng(len(shape) + sum(shape))
+        real = (rng.standard_normal(shape) * 3.0).astype(np.float32)
+        # Exact ties on the grid and clamped values in every block.
+        flat = real.reshape(-1)
+        flat[::5] = (rng.integers(-200, 200, flat[::5].shape) + 0.5) \
+            * qp.scale
+        got = qp.quantize(real)
+        want = _textbook_quantize(qp, real)
+        assert type(got) is type(want)
+        assert np.shape(got) == shape
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+    @pytest.mark.parametrize("zero_point", [0, 11])
+    @pytest.mark.parametrize("shape", _blocked_shapes(), ids=str)
+    def test_dequantize_matches_whole_tensor_formula(self, shape,
+                                                     zero_point):
+        qp = QuantParams(scale=0.0123, zero_point=zero_point)
+        rng = np.random.default_rng(len(shape) + sum(shape))
+        quantized = rng.integers(-128, 128, shape).astype(np.int8)
+        got = qp.dequantize(quantized)
+        want = _textbook_dequantize(qp, quantized)
+        assert type(got) is type(want)
+        assert np.shape(got) == shape
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+    def test_dequantize_into_a_slice_of_a_preallocated_matrix(self):
+        qp = QuantParams(scale=0.25, zero_point=-3)
+        quantized = np.random.default_rng(2).integers(
+            -128, 128, (700, 300)).astype(np.int8)
+        matrix = np.full((1000, 300), np.nan, dtype=np.float32)
+        got = qp.dequantize(quantized, out=matrix[100:800])
+        assert got.base is matrix
+        assert matrix[100:800].tobytes() == \
+            _textbook_dequantize(qp, quantized).tobytes()
+        assert np.isnan(matrix[:100]).all() and np.isnan(matrix[800:]).all()
+
+    @pytest.mark.parametrize("out", [
+        np.empty((4, 5), dtype=np.float32),
+        np.empty((4, 6), dtype=np.float32),
+        np.empty((4, 1), dtype=np.float32),
+        np.empty((4, 6), dtype=np.float64),
+    ], ids=["rows", "cols", "broadcast", "dtype"])
+    def test_dequantize_rejects_a_mismatched_out(self, out):
+        qp = QuantParams(scale=0.5, zero_point=0)
+        with pytest.raises(ValueError, match="out must be float32"):
+            qp.dequantize(np.zeros((3, 6), dtype=np.int8), out=out)
 
 
 class TestAsymmetric:
