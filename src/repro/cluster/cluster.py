@@ -4,11 +4,13 @@
 :class:`~repro.cluster.engine.EventEngine`:
 
 - a :class:`~repro.cluster.traffic.MultiTenantTraffic` superposition
-  streams requests lazily (one arrival = one engine event, never a
-  materialized trace);
+  streams the trace lazily in columnar chunks (never a materialized
+  trace), which the :class:`~repro.cluster.fastpath.FastArrivalPump`
+  drives through the engine;
 - a :class:`~repro.cluster.router.Router` picks the replica for each
-  arrival, and the :class:`~repro.cluster.replica.Replica` admits it
-  under its own server's admission control;
+  arrival (a whole chunk at once, or one arrival at a time under
+  ``least_queue``), and the :class:`~repro.cluster.replica.Replica`
+  admits it under its own server's admission control;
 - an optional :class:`~repro.cluster.autoscaler.Autoscaler` ticks on
   the same engine, adding and retiring devices as load moves;
 - when the trace ends every replica flushes, the engine drains, and
@@ -258,11 +260,12 @@ class Cluster:
         """Whether this run takes the vectorized
         :class:`~repro.cluster.fastpath.FastArrivalPump`.
 
-        Every policy does except ``least_queue``, which routes on queue
-        depths that every pick mutates (no chunk form) and so runs the
-        scalar event-per-arrival pump.
+        Every policy does (``least_queue`` routes inside the pump, one
+        arrival at a time).  This stays only as the seam
+        ``tests/cluster/test_equivalence.py`` patches to build the
+        scalar event-per-arrival intake, the pump's oracle.
         """
-        return self.config.policy != "least_queue"
+        return True
 
     def _check_widths(self, compiled: CompiledModel) -> None:
         """Reject tenant feature widths the fleet cannot serve.

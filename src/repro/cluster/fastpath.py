@@ -19,6 +19,16 @@ contract ``tests/cluster/test_equivalence.py`` pins):
   after arrival with the batch dispatch elided) costs no heap traffic
   at all.  The hand-off rules below make the fired-event order
   provably identical to the scalar one-event-per-arrival pump.
+- ``least_queue`` routes on queue depths that every pick changes, so
+  it has no chunk form: the pump predicts its chunk without routing
+  it, and :meth:`FastArrivalPump._on_run` picks each row's replica
+  (:meth:`~repro.cluster.router.Router.route_least_queue`) when the
+  row's arrival is processed — after every earlier event, where the
+  scalar intake routes — then appends the row
+  (:meth:`~repro.cluster.replica._Rows.append_row`) and submits it
+  with a ``nan`` lookahead.  The next arrival to that replica is not
+  known yet, so its dispatch is never elided: every submit cancels and
+  reinserts it, as the scalar intake does.
 - The pump predicts each routed block on arrival at its replica, once
   per tier model (:meth:`FastArrivalPump._predict`), and the replica
   keeps those int64 predictions instead of the feature rows — sound
@@ -43,8 +53,9 @@ instant it is cancel-and-reinserted after the arrival, restoring the
 exact ``older-events < arrival < dispatch`` tie order the scalar pump
 produces.
 
-Every router policy but ``least_queue`` (whose picks mutate the queue
-depths it routes on) runs this pump, traced replicas included.
+Every router policy runs this pump, traced replicas included; the
+scalar pump survives only as the oracle tests force through
+:meth:`Cluster._takes_pump <repro.cluster.cluster.Cluster._takes_pump>`.
 """
 
 from __future__ import annotations
@@ -150,10 +161,22 @@ class FastArrivalPump:
         # it (keyed by identity; the plan pins the model).
         self._plans: dict[int, ModelPlan] = {}
         self._chunks = traffic.chunks()
+        # least_queue routes on live queue depths, so each row picks
+        # its replica when its arrival is processed, not when its chunk
+        # lands.
+        self._route_one = (self.router.route_least_queue
+                           if self.router.policy == "least_queue" else None)
         self._times: list[float] = []
+        # Routed at chunk time: each row's replica, local id and the
+        # next arrival to the same replica.
         self._replica_of: list[int] = []
         self._local: list[int] = []
         self._next_same: list[float] = []
+        # Routed per arrival: the chunk's own columns.
+        self._deadlines: list[float] = []
+        self._tenants: list[int] = []
+        self._labels: list[int] = []
+        self._predicted: np.ndarray | None = None
         self._row = 0
         self._size = 0
 
@@ -191,9 +214,23 @@ class FastArrivalPump:
 
     def _prepare(self, chunk) -> None:
         """Route one chunk and land its predicted rows on the
-        replicas."""
+        replicas — or, under ``least_queue``, predict the chunk and
+        keep its columns for :meth:`_on_run` to route row by row."""
         times = chunk.times
         count = len(times)
+        self._times = times.tolist()
+        self._row = 0
+        self._size = count
+        if self._route_one is not None:
+            # A least_queue cluster is never placed: every replica
+            # serves the same model and tier ladder, so one prediction
+            # pass covers the chunk wherever its rows land.
+            self._deadlines = chunk.deadlines.tolist()
+            self._tenants = chunk.tenants.tolist()
+            self._labels = chunk.labels.tolist()
+            self._predicted = self._predict(self.replicas[0],
+                                            chunk.features)
+            return
         indices = self.router.route_chunk(chunk.tenants)
         local = np.empty(count, dtype=np.int64)
         # nan = "no known next arrival to this replica in the chunk":
@@ -213,12 +250,9 @@ class FastArrivalPump:
             local[positions] = base + np.arange(routed)
             if routed > 1:
                 next_same[positions[:-1]] = times[positions[1:]]
-        self._times = times.tolist()
         self._replica_of = indices.tolist()
         self._local = local.tolist()
         self._next_same = next_same.tolist()
-        self._row = 0
-        self._size = count
 
     def _on_run(self) -> None:
         """Process arrivals from ``self._row`` on, inline while safe.
@@ -233,16 +267,32 @@ class FastArrivalPump:
         replicas = self.replicas
         metrics = cluster.metrics
         peek = engine.peek
+        route_one = self._route_one
         times = self._times
         replica_of = self._replica_of
         local = self._local
         next_same = self._next_same
+        deadlines = self._deadlines
+        tenants = self._tenants
+        labels = self._labels
+        predicted = self._predicted
         size = self._size
         while True:
             row = self._row
-            index = replica_of[row]
-            local_id = local[row]
-            lookahead = next_same[row]
+            if route_one is None:
+                index = replica_of[row]
+                local_id = local[row]
+                lookahead = next_same[row]
+            else:
+                # Every earlier event has fired, as at the scalar
+                # intake's route call; the replica's next arrival is
+                # unknown, so its dispatch is never elided.
+                index = route_one()
+                local_id = replicas[index]._rows.append_row(
+                    times[row], deadlines[row], tenants[row],
+                    labels[row], predicted[row],
+                )
+                lookahead = math.nan
             # --- the scalar pump's _advance: establish the next
             # arrival (pulling a chunk as needed) or end the trace,
             # *before* submitting the current one ---
@@ -262,6 +312,10 @@ class FastArrivalPump:
                 replica_of = self._replica_of
                 local = self._local
                 next_same = self._next_same
+                deadlines = self._deadlines
+                tenants = self._tenants
+                labels = self._labels
+                predicted = self._predicted
                 size = self._size
                 nrow = 0
             t_next = times[nrow]

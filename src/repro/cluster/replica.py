@@ -28,11 +28,15 @@ The actor serves either mode the cluster needs:
   (the exact, byte-identical path) or any iterator (the streamed path:
   requests are pulled lazily, report rows live in growable arrays, and
   a 10⁶-request trace never exists in memory).
-- **Routed** (:meth:`open` / :meth:`submit` / :meth:`end_of_trace`):
-  a :class:`~repro.cluster.router.Router` pushes requests in; the
-  replica renumbers them to replica-local ids and keeps per-row
+- **Routed** (:meth:`open` / :meth:`end_of_trace`): the cluster pump
+  lands routed rows as columns with replica-local ids (a block per
+  chunk, or one row per arrival under ``least_queue``) and admits each
+  with :meth:`_submit_fast`; the replica keeps per-row
   arrival/deadline/tenant columns for the cluster report's per-tenant
-  SLA accounting.
+  SLA accounting.  :meth:`submit` admits one
+  :class:`~repro.serving.arrivals.Request` instead: standalone
+  arrivals call it, and so does the scalar cluster intake that tests
+  keep as the pump's oracle.
 
 Elastic capacity (:meth:`add_device` / :meth:`retire_device`) extends
 the per-device accounting arrays in step with the pool and keeps
@@ -163,12 +167,8 @@ class _Rows:
         total = count + len(arrivals)
         while total > self.capacity:
             self._grow()
-        if self.has_labels is None:
-            self.has_labels = True
-            self.labels = np.full(self.capacity, -1, dtype=np.int64)
         if self.predicted is None:
-            self.predicted = np.empty((self.capacity, predicted.shape[1]),
-                                      dtype=np.int64)
+            self._open_pump_columns(predicted.shape[1])
         self.arrivals[count:total] = arrivals
         self.deadlines[count:total] = deadlines
         self.tenants[count:total] = tenants
@@ -176,6 +176,34 @@ class _Rows:
         self.predicted[count:total] = predicted
         self.count = total
         return count
+
+    def append_row(self, arrival: float, deadline: float, tenant: int,
+                   label: int, predicted: np.ndarray) -> int:
+        """Append one routed row; returns its replica-local id.
+
+        The cluster pump's ``least_queue`` intake: the row's replica is
+        picked at its arrival, so it lands here one row at a time,
+        with its ``(tiers,)`` predictions already made.
+        """
+        count = self.count
+        if count == self.capacity:
+            self._grow()
+        if self.predicted is None:
+            self._open_pump_columns(len(predicted))
+        self.arrivals[count] = arrival
+        self.deadlines[count] = deadline
+        self.tenants[count] = tenant
+        self.labels[count] = label
+        self.predicted[count] = predicted
+        self.count = count + 1
+        return count
+
+    def _open_pump_columns(self, tiers: int) -> None:
+        """First pump row: every traffic row carries a label, and keeps
+        one prediction per tier."""
+        self.has_labels = True
+        self.labels = np.full(self.capacity, -1, dtype=np.int64)
+        self.predicted = np.empty((self.capacity, tiers), dtype=np.int64)
 
     def trim(self) -> None:
         count = self.count
@@ -438,9 +466,10 @@ class Replica:
 
         In fast mode the queue holds replica-local integer ids instead
         of :class:`Request` objects, arrivals land as per-chunk column
-        blocks (:meth:`_Rows.bulk_append` from the pump), the batch
-        trigger is evaluated inline from the columns, and predictions
-        resolve through ``defer`` (a
+        blocks (:meth:`_Rows.bulk_append` from the pump; one
+        :meth:`_Rows.append_row` per arrival under ``least_queue``),
+        the batch trigger is evaluated inline from the columns, and
+        predictions resolve through ``defer`` (a
         :class:`~repro.cluster.fastpath.DeferredPredictions` sink) —
         every modeled time, report column and span stays bit-identical
         to the scalar path (``tests/cluster/test_equivalence.py``).
@@ -474,8 +503,9 @@ class Replica:
         :meth:`submit`.
 
         ``lookahead`` is the arrival time of the *next* request routed
-        to this replica (``nan`` when unknown, e.g. across a chunk
-        boundary); it drives the dispatch-elision rule in
+        to this replica (``nan`` when unknown: across a chunk boundary,
+        and always under ``least_queue``); it drives the
+        dispatch-elision rule in
         :meth:`_reschedule_fast`.
         """
         server = self.server

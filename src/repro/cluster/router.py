@@ -2,9 +2,11 @@
 
 A :class:`Router` is a pure routing policy — it answers "which replica
 takes this request" and keeps per-replica routed counts.  The cluster
-orchestrator owns the arrival events and calls :meth:`route` once per
-request; the chosen :class:`~repro.cluster.replica.Replica` then admits
-or drops it under its own server's admission control.
+pump routes each traffic chunk in one :meth:`route_chunk` call, or,
+under ``least_queue``, each arrival through :meth:`route_least_queue`;
+:meth:`route` answers for one request object.  The chosen
+:class:`~repro.cluster.replica.Replica` then admits or drops it under
+its own server's admission control.
 
 Policies:
 
@@ -130,15 +132,28 @@ class Router:
         self._tenant_cache[tenant] = index
         return index
 
+    def route_least_queue(self) -> int:
+        """The ``least_queue`` pick: the replica with the shortest
+        admission queue right now, ties to the lowest index (and count
+        it).
+
+        Each pick depends on queue depths the previous pick changed, so
+        the cluster pump calls this once per arrival, at the arrival's
+        instant; :meth:`route` calls it for the scalar intake.
+        """
+        depths = [len(replica.queue) for replica in self.replicas]
+        index = depths.index(min(depths))
+        self.routed_counts[index] += 1
+        return index
+
     def route(self, request: Request) -> int:
         """Pick the replica index for one request (and count it)."""
         policy = self.policy
+        if policy == "least_queue":
+            return self.route_least_queue()
         if policy == "round_robin":
             index = self._next
             self._next = (index + 1) % len(self.replicas)
-        elif policy == "least_queue":
-            depths = [len(replica.queue) for replica in self.replicas]
-            index = depths.index(min(depths))
         elif policy == "tenant_affinity":
             key = (request.tenant if request.tenant is not None
                    else request.request_id)
@@ -178,7 +193,8 @@ class Router:
 
         ``least_queue`` is inherently sequential — each pick depends on
         queue depths the previous pick changed — so it has no chunk
-        form and raises.
+        form and raises; the cluster pump routes it one arrival at a
+        time through :meth:`route_least_queue` instead.
         """
         policy = self.policy
         count = len(tenants)

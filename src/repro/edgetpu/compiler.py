@@ -160,11 +160,13 @@ class CompiledModel:
 
         The sum of :meth:`invoke_breakdown`'s terms (fixed dispatch
         overhead, input transfer, parameter streaming for oversized
-        models, compute, output transfer).  Memoized per batch size in
-        a bounded LRU — the plan is immutable — so per-batch callers
-        (the device simulator, the serving event loop's
-        ``service_estimate``) stop re-deriving the latency plan on
-        every call.
+        models, compute, output transfer), added left to right: CPython
+        3.12's :func:`sum` compensates rounding, which would make the
+        modeled charge depend on the interpreter.  Every device charge
+        reads this value.  Memoized per batch size in a bounded LRU —
+        the plan is immutable — so per-batch callers (the device
+        simulator, the serving event loop's ``service_estimate``) stop
+        re-deriving the latency plan on every call.
         """
         if batch < 1:
             raise ValueError(f"batch must be >= 1, got {batch}")
@@ -174,7 +176,9 @@ class CompiledModel:
             self.__dict__["_invoke_seconds_cache"] = cache
         seconds = cache.get(batch)
         if seconds is None:
-            seconds = sum(self.invoke_breakdown(batch).values())
+            seconds = 0.0
+            for term in self.invoke_breakdown(batch).values():
+                seconds += term
             cache.put(batch, seconds)
         return seconds
 

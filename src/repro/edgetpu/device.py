@@ -197,7 +197,7 @@ class EdgeTpuDevice:
         # the latency plan itself is memoized on the compiled model and
         # shared by every device running it.
         breakdown = dict(compiled.invoke_breakdown(batch))
-        elapsed = sum(breakdown.values())
+        elapsed = compiled.invoke_seconds(batch)
 
         bytes_in = batch * compiled.tpu_input_bytes
         bytes_out = batch * compiled.tpu_output_bytes
@@ -240,7 +240,7 @@ class EdgeTpuDevice:
         cached = self._cost_cache.get((id(compiled), batch))
         if cached is None:
             breakdown = dict(compiled.invoke_breakdown(batch))
-            elapsed = sum(breakdown.values())
+            elapsed = compiled.invoke_seconds(batch)
             result = InvokeResult(
                 outputs=None, elapsed_s=elapsed, breakdown=breakdown,
                 bytes_in=batch * compiled.tpu_input_bytes,

@@ -30,48 +30,74 @@ class LatencyTracker:
     value with at least ``p`` percent of the mass at or below it), so a
     reported p99 is always an actually-observed latency and the result
     is exactly reproducible — no interpolation between samples.
+
+    Observations live in one float64 buffer, in insertion order, that
+    doubles when full: 8 bytes per value (plus doubling slack) instead
+    of a boxed Python float's ~33, which is what lets a fleet-scale run
+    keep every latency of every replica, tenant and histogram exactly.
+    Percentiles read a cached stable sort of it, so equal values (``0.0``
+    and ``-0.0`` among them) keep insertion order, exactly as
+    :func:`sorted` over a list of floats does.
     """
 
+    _INITIAL = 16
+
     def __init__(self):
-        self._values: list[float] = []
+        self._buffer = np.empty(0)
+        self._count = 0
         # The cache protocol is "None means invalid"; an empty tracker
         # has nothing cached yet, so it starts invalid too.
-        self._sorted: list[float] | None = None
+        self._sorted: np.ndarray | None = None
+
+    @property
+    def _values(self) -> np.ndarray:
+        """The observations in insertion order (a view of the buffer)."""
+        return self._buffer[:self._count]
+
+    def _append(self, values) -> None:
+        """Append already-validated ``values`` (an array or a sequence
+        of floats), doubling the buffer as needed."""
+        count = self._count
+        total = count + len(values)
+        buffer = self._buffer
+        if total > len(buffer):
+            grown = np.empty(max(len(buffer) * 2, total, self._INITIAL))
+            grown[:count] = buffer[:count]
+            buffer = self._buffer = grown
+        buffer[count:total] = values
+        self._count = total
+        self._sorted = None
 
     def record(self, seconds: float) -> None:
         """Add one observation (seconds, must be >= 0)."""
         seconds = float(seconds)
         if not seconds >= 0.0:
             raise ValueError(f"latency must be >= 0, got {seconds}")
-        self._values.append(seconds)
-        self._sorted = None
+        self._append((seconds,))
 
     def record_many(self, values) -> None:
         """Bulk-ingest an iterable/array of observations (all >= 0).
 
-        One validation pass, one extend — the vectorized path the
+        One validation pass, one slice write — the vectorized path the
         cluster report uses to build per-tenant distributions out of a
         million-row latency array without a Python-level loop per
-        sample.  A numpy array validates in one ``min`` reduction and
-        converts with ``tolist`` (bit-identical to per-element
-        ``float``); any other iterable takes the element-wise path.
+        sample.  A numpy array validates in one ``min`` reduction; any
+        other iterable takes the element-wise path.
         """
         if isinstance(values, np.ndarray):
             if len(values) == 0:
                 return
-            low = np.min(values)
+            low = values.min()
             if not low >= 0.0:  # also catches NaN
                 raise ValueError(f"latency must be >= 0, got {low}")
-            self._values.extend(values.tolist())
-            self._sorted = None
+            self._append(values)
             return
         values = [float(v) for v in values]
         for value in values:
             if not value >= 0.0:
                 raise ValueError(f"latency must be >= 0, got {value}")
         if values:
-            self._values.extend(values)
-            self._sorted = None
+            self._append(values)
 
     def merge(self, other: "LatencyTracker") -> None:
         """Fold another tracker's observations into this one.
@@ -84,9 +110,8 @@ class LatencyTracker:
         """
         if other is self:
             raise ValueError("cannot merge a tracker into itself")
-        if other._values:
-            self._values.extend(other._values)
-            self._sorted = None
+        if other._count:
+            self._append(other._values)
 
     @classmethod
     def merge_all(cls, trackers) -> "LatencyTracker":
@@ -95,28 +120,31 @@ class LatencyTracker:
         Equivalent to recording every underlying observation into one
         tracker, in tracker order; the inputs are unchanged.
         """
+        trackers = list(trackers)
         merged = cls()
+        # One exact-size buffer: no doubling slack on the union.
+        merged._buffer = np.empty(sum(len(t) for t in trackers))
         for tracker in trackers:
             merged.merge(tracker)
         return merged
 
     def __len__(self) -> int:
-        return len(self._values)
+        return self._count
 
-    def _ordered(self) -> list[float]:
+    def _ordered(self) -> np.ndarray:
         if self._sorted is None:
-            self._sorted = sorted(self._values)
+            self._sorted = np.sort(self._values, kind="stable")
         return self._sorted
 
     def percentile(self, p: float) -> float:
         """Nearest-rank percentile ``p`` in [0, 100]."""
         if not 0.0 <= p <= 100.0:
             raise ValueError(f"percentile must be in [0, 100], got {p}")
-        if not self._values:
+        if not self._count:
             raise ValueError("no latencies recorded")
         ordered = self._ordered()
         rank = max(1, math.ceil(p / 100.0 * len(ordered)))
-        return ordered[rank - 1]
+        return float(ordered[rank - 1])
 
     @property
     def p50(self) -> float:
@@ -135,24 +163,34 @@ class LatencyTracker:
 
     @property
     def mean(self) -> float:
-        """Arithmetic mean latency."""
-        if not self._values:
+        """Arithmetic mean latency.
+
+        The sum adds left to right from ``0.0`` (a cumulative sum; the
+        trailing ``+ 0.0`` turns an all-``-0.0`` total into ``0.0``, as
+        ``0 + -0.0`` does), bit for bit what :func:`sum` gives on
+        CPython 3.10/3.11.  CPython 3.12's :func:`sum` compensates
+        rounding instead, so calling it here would make every modeled
+        ``mean_s`` depend on the interpreter.
+        """
+        if not self._count:
             raise ValueError("no latencies recorded")
-        return sum(self._values) / len(self._values)
+        with np.errstate(over="ignore"):  # sum() overflows silently
+            total = float(np.cumsum(self._values)[-1]) + 0.0
+        return total / self._count
 
     @property
     def max(self) -> float:
         """Worst observed latency."""
-        if not self._values:
+        if not self._count:
             raise ValueError("no latencies recorded")
-        return self._ordered()[-1]
+        return float(self._ordered()[-1])
 
     def summary(self) -> dict:
         """Machine-readable percentile summary."""
-        if not self._values:
+        if not self._count:
             return {"count": 0}
         return {
-            "count": len(self._values),
+            "count": self._count,
             "mean_s": self.mean,
             "p50_s": self.p50,
             "p95_s": self.p95,

@@ -14,8 +14,9 @@ Examples::
     python -m repro.tools profile-cluster --policy least_queue --sort tottime
     python -m repro.tools profile-cluster --output /tmp/cluster.pstats
 
-``--policy least_queue`` profiles the scalar (per-request) pump, the
-one policy that still runs it; ``--output`` dumps raw pstats for
+Every policy runs the vectorized pump; ``--policy least_queue``
+profiles its per-arrival routing (each row picks its replica, and
+lands there, at its own arrival).  ``--output`` dumps raw pstats for
 ``snakeviz``/``pstats`` offline digging.
 """
 
@@ -44,8 +45,8 @@ def build_parser() -> argparse.ArgumentParser:
                              "(default 4)")
     parser.add_argument("--policy", default="round_robin",
                         help="router policy (default round_robin; "
-                             "least_queue profiles the scalar "
-                             "per-request pump)")
+                             "least_queue profiles the pump's "
+                             "per-arrival routing)")
     parser.add_argument("--seed", type=int, default=7,
                         help="traffic seed (default 7, the benchmark's)")
     parser.add_argument("--top", type=int, default=25,
@@ -103,9 +104,8 @@ def _build_cluster(args):
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     cluster = _build_cluster(args)
-    path = "scalar" if cluster._pump is None else "fast"
     print(f"profiling {args.requests} requests x {args.replicas} "
-          f"replicas ({args.policy}, {path} path)...", flush=True)
+          f"replicas ({args.policy})...", flush=True)
 
     profiler = cProfile.Profile()
     start = time.perf_counter()

@@ -148,9 +148,9 @@ def test_autoscaled_run_is_deterministic(compiled_model, tenant_mix):
 @pytest.mark.parametrize("policy", ["round_robin", "tenant_affinity",
                                     "least_queue"])
 def test_traced_serve_config_matches_untraced(compiled_model, policy):
-    """A traced ``ServeConfig`` records spans on whichever pump the
-    policy takes (the fast pump for all but ``least_queue``), and
-    tracing changes no modeled output."""
+    """A traced ``ServeConfig`` records spans on the pump whether the
+    policy routes whole chunks or, like ``least_queue``, one arrival at
+    a time, and tracing changes no modeled output."""
 
     def run(tracing):
         config = ClusterConfig(
@@ -173,8 +173,9 @@ def test_traced_serve_config_matches_untraced(compiled_model, policy):
 
 @pytest.mark.parametrize("policy", ["round_robin", "least_queue"])
 def test_tenant_width_must_match_the_model(compiled_model, policy):
-    """A width mismatch is a build-time error on either pump, not a
-    numpy broadcast failure at the first dispatch or in the resolve."""
+    """A width mismatch is a build-time error whether the pump routes
+    whole chunks or one arrival at a time, not a numpy broadcast
+    failure at the first dispatch or in the resolve."""
     tenants = (TenantSpec("wide", rate_hz=100.0, deadline_s=0.1,
                           num_features=NUM_FEATURES + 4),)
     config = ClusterConfig(tenants=tenants, total_requests=100,

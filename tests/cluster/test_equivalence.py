@@ -8,14 +8,15 @@ policies, admission pressure, streamed input and tracing.
 
 The second half pins the *cluster* vectorized fast pump (chunked
 traffic + batched routing + columnar bookkeeping + macro-stepped
-arrivals, which every policy but ``least_queue`` runs) byte-for-byte
-against the scalar event-per-arrival pump, forced by patching
-``Cluster._takes_pump``, across router policies, placed fleets, tiered
-shedding, autoscaling, failure injection and cluster and replica
-tracing.
+arrivals, which every policy runs; ``least_queue`` routes inside it
+one arrival at a time) byte-for-byte against the scalar
+event-per-arrival pump, forced by patching ``Cluster._takes_pump``,
+across router policies, placed fleets, tiered shedding, autoscaling,
+metrics, failure injection and cluster and replica tracing.
 """
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from repro.cluster import (
     AutoscalerConfig,
     Cluster,
     ClusterConfig,
+    POLICIES,
     TenantSpec,
 )
 from repro.compression.tiers import TierSpec, build_tiers
@@ -31,10 +33,12 @@ from repro.config import BackendSpec, FleetSpec, ServeConfig
 from repro.data.streams import DriftingStream, StreamConfig
 from repro.edgetpu.multidevice import DevicePool, FailurePlan
 from repro.hdc.bagging import BaggingConfig, BaggingHDCTrainer
+from repro.observability.metrics import MetricsRegistry
 from repro.observability.trace import Tracer
 from repro.runtime.placement import PlacementOptimizer
 from repro.serving import ArrivalProcess, RequestStream
 from repro.serving._reference import serve_reference
+from repro.serving.arrivals import Request
 from repro.serving.server import InferenceServer
 
 from tests.cluster.conftest import NUM_CLASSES, NUM_FEATURES
@@ -128,22 +132,22 @@ def test_single_device_and_empty_trace(compiled_model):
 # Cluster fast pump ≡ scalar pump
 #
 # Every comparison below runs the same ClusterConfig twice — once as
-# built (every policy but least_queue takes the vectorized
-# FastArrivalPump) and once forced onto the scalar event-per-arrival
-# pump, the oracle — and demands identity down to the last float:
-# predictions, modeled latencies, batch splits, device busy time, the
-# merged latency tracker's *value order*, the full summary JSON (which
-# folds in per-tenant SLA rows and scaling events) and every replica
-# tracer's spans.
+# built (every policy takes the vectorized FastArrivalPump) and once
+# forced onto the scalar event-per-arrival pump, the oracle — and
+# demands identity down to the last float: predictions, modeled
+# latencies, batch splits, device busy time, the merged latency
+# tracker's *value order*, the full summary JSON (which folds in
+# per-tenant SLA rows and scaling events) and every replica tracer's
+# spans.
 
 
 def _cluster(compiled_model, tenant_mix, *, tiers=None, tracer=None,
-             failures=(), **overrides):
+             metrics=None, failures=(), **overrides):
     kwargs = dict(tenants=tenant_mix, total_requests=3000,
                   num_replicas=2, seed=7)
     kwargs.update(overrides)
     cluster = Cluster(compiled_model, ClusterConfig(**kwargs),
-                      tiers=tiers, tracer=tracer)
+                      tiers=tiers, tracer=tracer, metrics=metrics)
     for replica_index, plan in failures:
         cluster.replicas[replica_index].server.pool.schedule_failure(
             plan
@@ -168,17 +172,22 @@ def _assert_cluster_reports_identical(fast, scalar):
     assert fast.makespan_s == scalar.makespan_s
     assert fast.device_seconds == scalar.device_seconds
     assert fast.routed_counts == scalar.routed_counts
-    assert fast.latency._values == scalar.latency._values
+    np.testing.assert_array_equal(fast.latency._values,
+                                  scalar.latency._values)
     assert len(fast.replica_reports) == len(scalar.replica_reports)
     for new, old in zip(fast.replica_reports, scalar.replica_reports):
+        assert json.dumps(new.summary(), sort_keys=True) == \
+            json.dumps(old.summary(), sort_keys=True)
         np.testing.assert_array_equal(new.predictions, old.predictions)
+        np.testing.assert_array_equal(new.labels, old.labels)
         np.testing.assert_array_equal(new.latencies, old.latencies)
         assert new.batch_sizes == old.batch_sizes
         assert new.device_busy_seconds == old.device_busy_seconds
         assert new.deadline_misses == old.deadline_misses
         assert new.dropped == old.dropped
         assert new.makespan_s == old.makespan_s
-        assert new.latency._values == old.latency._values
+        np.testing.assert_array_equal(new.latency._values,
+                                      old.latency._values)
         assert new.tier_batches == old.tier_batches
         assert new.tier_sheds == old.tier_sheds
         if old.request_tiers is None:
@@ -204,6 +213,9 @@ def _compare(compiled_model, tenant_mix, **kwargs):
     ("round_robin", 1),
     ("tenant_affinity", 2),
     ("consistent_hash", 4),
+    ("least_queue", 1),
+    ("least_queue", 2),
+    ("least_queue", 3),
 ])
 def test_cluster_fast_path_matches_scalar_per_policy(
         compiled_model, tenant_mix, policy, num_replicas):
@@ -221,10 +233,44 @@ def test_cluster_fast_path_matches_scalar_under_pressure(
     _compare(compiled_model, tenant_mix, serve=serve)
 
 
+FAILURES = (
+    (0, FailurePlan(device_index=0, at_s=1.0, mode="usb_stall")),
+    (1, FailurePlan(device_index=0, at_s=2.0, mode="device_loss",
+                    detect_seconds=0.01)),
+)
+
+
+@pytest.mark.parametrize("case", [
+    pytest.param(dict(serve=ServeConfig(batcher="fixed", max_batch=4,
+                                        timeout_s=0.01)),
+                 id="fixed_batcher"),
+    pytest.param(dict(serve=ServeConfig(max_queue=4)), id="drops"),
+    pytest.param(dict(devices_per_replica=2, failures=FAILURES,
+                      total_requests=6000), id="failures"),
+    # The edges: the trace ends on its first arrival, every arrival is
+    # dropped, and a fixed batcher that never times out flushes only
+    # at end of trace.
+    pytest.param(dict(total_requests=1, num_replicas=3),
+                 id="single_request"),
+    pytest.param(dict(serve=ServeConfig(max_queue=0)), id="drop_all"),
+    pytest.param(dict(serve=ServeConfig(batcher="fixed", max_batch=4,
+                                        timeout_s=math.inf)),
+                 id="fixed_batcher_no_timeout"),
+])
+def test_least_queue_pump_matches_scalar(compiled_model, tenant_mix,
+                                         case):
+    """``least_queue`` routes each row at its arrival inside the pump;
+    its picks, drops and dispatches must match the scalar intake's."""
+    fast, _ = _compare(compiled_model, tenant_mix, policy="least_queue",
+                       **case)
+    assert fast.num_requests == case.get("total_requests", 3000)
+
+
 @pytest.mark.parametrize("policy,num_replicas", [
     ("round_robin", 2),
     ("tenant_affinity", 2),
     ("consistent_hash", 3),
+    ("least_queue", 2),
 ])
 def test_traced_replicas_take_the_pump_and_match_scalar_spans(
         compiled_model, tenant_mix, policy, num_replicas):
@@ -256,28 +302,45 @@ def test_placed_fleet_matches_scalar(compiled_model, tenant_mix):
                for report in fast.replica_reports)
 
 
+def _compare_autoscaled(compiled_model, tenant_mix, policy):
+    """The autoscaled comparison, with a metrics registry on each side
+    whose summaries must match too."""
+    autoscaler = AutoscalerConfig(interval_s=0.5, queue_high=8,
+                                  queue_low=2, miss_high=0.02,
+                                  cooldown_s=1.0)
+    kwargs = dict(autoscaler=autoscaler, total_requests=6000,
+                  policy=policy)
+    fast_metrics, scalar_metrics = MetricsRegistry(), MetricsRegistry()
+    fast = _cluster(compiled_model, tenant_mix, metrics=fast_metrics,
+                    **kwargs)
+    scalar = _scalar_cluster(compiled_model, tenant_mix,
+                             metrics=scalar_metrics, **kwargs)
+    assert fast._pump is not None and scalar._pump is None
+    fast_report = fast.run()
+    _assert_cluster_reports_identical(fast_report, scalar.run())
+    assert json.dumps(fast_metrics.summary(), sort_keys=True) == \
+        json.dumps(scalar_metrics.summary(), sort_keys=True)
+    assert fast_report.scaling_events, "autoscaler never fired; weak test"
+
+
 def test_cluster_fast_path_matches_scalar_with_autoscaler(
         compiled_model, tenant_mix):
     """Autoscaling reads mid-run report state, so bookkeeping cannot
     fully defer — this pins the partial-deferral path, including the
-    periodic tick interleaving with macro-stepped arrivals."""
-    autoscaler = AutoscalerConfig(interval_s=0.5, queue_high=8,
-                                  queue_low=2, miss_high=0.02,
-                                  cooldown_s=1.0)
-    fast, _ = _compare(compiled_model, tenant_mix,
-                       autoscaler=autoscaler, total_requests=6000)
-    assert fast.scaling_events, "autoscaler never fired; weak test"
+    periodic tick interleaving with macro-stepped arrivals, and the
+    metrics both pumps write."""
+    _compare_autoscaled(compiled_model, tenant_mix, "round_robin")
+
+
+def test_least_queue_pump_matches_scalar_with_autoscaler(
+        compiled_model, tenant_mix):
+    _compare_autoscaled(compiled_model, tenant_mix, "least_queue")
 
 
 def test_cluster_fast_path_matches_scalar_under_failures(
         compiled_model, tenant_mix):
-    failures = (
-        (0, FailurePlan(device_index=0, at_s=1.0, mode="usb_stall")),
-        (1, FailurePlan(device_index=0, at_s=2.0, mode="device_loss",
-                        detect_seconds=0.01)),
-    )
     _compare(compiled_model, tenant_mix, devices_per_replica=2,
-             failures=failures, total_requests=6000)
+             failures=FAILURES, total_requests=6000)
 
 
 @pytest.fixture(scope="module")
@@ -301,8 +364,7 @@ def tier_ladder():
     )
 
 
-def test_cluster_fast_path_matches_scalar_with_tiered_shedding(
-        tenant_mix, tier_ladder):
+def _compare_tiered(tenant_mix, tier_ladder, policy):
     """A hot mix forces degraded-tier batches; the fast path must shed
     the exact same batches to the exact same tiers."""
     hot = tuple(
@@ -311,29 +373,62 @@ def test_cluster_fast_path_matches_scalar_with_tiered_shedding(
         for spec in tenant_mix
     )
     fast, _ = _compare(tier_ladder[0].compiled, hot, tiers=tier_ladder,
-                       total_requests=4000)
+                       total_requests=4000, policy=policy)
     sheds = sum(r.tier_sheds for r in fast.replica_reports)
     assert sheds > 0, "no batches shed; weak test"
 
 
-def test_cluster_traced_run_matches_untraced_and_scalar_spans(
-        compiled_model, tenant_mix):
+def test_cluster_fast_path_matches_scalar_with_tiered_shedding(
+        tenant_mix, tier_ladder):
+    _compare_tiered(tenant_mix, tier_ladder, "round_robin")
+
+
+def test_least_queue_pump_matches_scalar_with_tiered_shedding(
+        tenant_mix, tier_ladder):
+    _compare_tiered(tenant_mix, tier_ladder, "least_queue")
+
+
+def _compare_cluster_traced(compiled_model, tenant_mix, policy):
+    """A cluster tracer: same spans on both pumps, and tracing moves
+    no modeled output."""
     fast_tracer = Tracer(enabled=True)
     scalar_tracer = Tracer(enabled=True)
-    traced_fast = _cluster(compiled_model, tenant_mix,
+    traced_fast = _cluster(compiled_model, tenant_mix, policy=policy,
                            tracer=fast_tracer).run()
     traced_scalar = _scalar_cluster(compiled_model, tenant_mix,
+                                    policy=policy,
                                     tracer=scalar_tracer).run()
     _assert_cluster_reports_identical(traced_fast, traced_scalar)
     assert _spans(fast_tracer) == _spans(scalar_tracer)
-    untraced = _cluster(compiled_model, tenant_mix).run()
+    untraced = _cluster(compiled_model, tenant_mix, policy=policy).run()
     _assert_cluster_reports_identical(traced_fast, untraced)
 
 
-def test_only_least_queue_runs_the_scalar_pump(compiled_model,
-                                               tenant_mix):
-    assert _cluster(compiled_model, tenant_mix,
-                    policy="least_queue")._pump is None
-    for policy in ("round_robin", "tenant_affinity", "consistent_hash"):
-        assert _cluster(compiled_model, tenant_mix,
-                        policy=policy)._pump is not None
+def test_cluster_traced_run_matches_untraced_and_scalar_spans(
+        compiled_model, tenant_mix):
+    _compare_cluster_traced(compiled_model, tenant_mix, "round_robin")
+
+
+def test_least_queue_traced_run_matches_untraced_and_scalar_spans(
+        compiled_model, tenant_mix):
+    _compare_cluster_traced(compiled_model, tenant_mix, "least_queue")
+
+
+def test_every_policy_runs_the_pump(compiled_model, tenant_mix,
+                                    monkeypatch):
+    """Every policy takes the pump, and no cluster run builds a
+    ``Request``."""
+
+    def no_request(*args, **kwargs):
+        raise AssertionError("a cluster run built a Request")
+
+    monkeypatch.setattr(Request, "__init__", no_request)
+    fleet = FleetSpec.single("edgetpu", count=4)
+    placement = PlacementOptimizer(fleet).place(compiled_model,
+                                                tenant_mix)
+    for policy in POLICIES:
+        extra = {"placement": placement} if policy == "placed" else {}
+        cluster = _cluster(compiled_model, tenant_mix, policy=policy,
+                           total_requests=500, **extra)
+        assert cluster._takes_pump() and cluster._pump is not None
+        assert cluster.run().num_requests == 500
