@@ -36,8 +36,6 @@ __all__ = [
 ]
 
 _BATCHERS = ("dynamic", "fixed")
-# ExecutorConfig fields only InferencePipeline reads.
-_INFERENCE_EXECUTOR_FIELDS = ("micro_batch", "num_devices")
 
 
 @dataclass(frozen=True)
@@ -219,9 +217,7 @@ class PipelineConfig:
         executor: Parallelism knobs; an int is shorthand for that many
             workers.  Normalized to an
             :class:`~repro.runtime.executor.ExecutorConfig` at
-            construction.  Training reads only ``workers``; the
-            inference-side fields (``micro_batch``, ``num_devices``)
-            must stay at their defaults.
+            construction.
         tracing: Record a span-level trace of the run (zero modeled
             cost either way; the trace rides on
             :attr:`PipelineResult.trace <repro.runtime.pipeline.PipelineResult>`).
@@ -247,15 +243,8 @@ class PipelineConfig:
             raise ValueError(
                 f"learning_rate must be > 0, got {self.learning_rate}"
             )
-        executor = ExecutorConfig.coerce(self.executor)
-        for name in _INFERENCE_EXECUTOR_FIELDS:
-            if getattr(executor, name) != getattr(ExecutorConfig, name):
-                raise ValueError(
-                    f"executor.{name} is an inference setting that "
-                    f"training never reads; leave it at its default "
-                    f"(got {getattr(executor, name)!r})"
-                )
-        object.__setattr__(self, "executor", executor)
+        object.__setattr__(self, "executor",
+                           ExecutorConfig.coerce(self.executor))
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,4 @@
-"""Edge TPU simulator: compiler, systolic MXU, device, and delegate.
+"""Edge TPU simulator: compiler, systolic MXU, device, and device pool.
 
 The paper runs its quantized HDC models on a Google Edge TPU attached
 over USB 3.0.  This package substitutes a simulator that preserves what
@@ -36,12 +36,10 @@ from repro.edgetpu.compiler import (
     is_op_supported,
 )
 from repro.edgetpu.device import EdgeTpuDevice, InvokeResult
-from repro.edgetpu.delegate import DelegatedExecutor, partition
 from repro.edgetpu.multidevice import (
     DeviceFailedError,
     DevicePool,
     FailurePlan,
-    ParallelEnsembleResult,
 )
 from repro.edgetpu.program import Instruction, Program, lower
 
@@ -49,7 +47,6 @@ __all__ = [
     "AcceleratorArch",
     "CompileError",
     "CompiledModel",
-    "DelegatedExecutor",
     "DeviceFailedError",
     "DevicePool",
     "EdgeTpuArch",
@@ -60,7 +57,6 @@ __all__ = [
     "InvokeResult",
     "NeuromorphicArch",
     "OpPlan",
-    "ParallelEnsembleResult",
     "Program",
     "SystolicArray",
     "backend_names",
@@ -68,7 +64,6 @@ __all__ = [
     "is_op_supported",
     "lower",
     "make_arch",
-    "partition",
     "register_backend",
     "systolic_cycles",
 ]

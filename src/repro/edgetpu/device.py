@@ -28,7 +28,8 @@ class InvokeResult:
 
     Attributes:
         outputs: Raw output of the last *TPU* op (int8 activations; any
-            CPU-fallback ops are the delegate's job).
+            CPU-fallback ops run on the host afterwards, see
+            :func:`~repro.runtime.executor.run_host_tail`).
         elapsed_s: Modeled seconds for this invocation.
         breakdown: Per-term seconds: ``overhead``, ``input_transfer``,
             ``weight_streaming``, ``compute``, ``output_transfer``.

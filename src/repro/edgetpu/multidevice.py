@@ -3,14 +3,15 @@
 The paper notes "most Edge TPUs take one model at a time" and fuses the
 bagging sub-models into one model for a single device.  With *several*
 USB accelerators (a common deployment — Coral sells multi-TPU boards),
-an alternative exists: pin one sub-model per device and run them in
-parallel, aggregating scores on the host.  This module provides the
-device pool and the parallel ensemble executor so that design point can
-be measured against fusion (``benchmarks/test_ablation_multidevice.py``).
+the pool replicates that fused model on every device
+(:meth:`DevicePool.load_replicated`), and the online server
+(:mod:`repro.serving.server`) dispatches micro-batches across it.
+Pinning one sub-model per device instead buys almost nothing: each
+device pays the same dispatch and input-transfer floor as the fused
+invocation (``benchmarks/test_ablation_multidevice.py`` measures it).
 
-Timing model: devices run concurrently (makespan = slowest device), the
-host pays one aggregation pass, and every device pays its own model
-load once.
+Every device pays its own model load; loads run in parallel, so a
+load's modeled cost is the slowest device's.
 
 For the online serving layer the pool also models *faults*: a
 :class:`FailurePlan` schedules a USB stall or outright device loss at a
@@ -22,7 +23,7 @@ detection cost), and :meth:`DevicePool.unload` /
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,7 +36,6 @@ __all__ = [
     "DeviceFailedError",
     "DevicePool",
     "FailurePlan",
-    "ParallelEnsembleResult",
 ]
 
 # Modeled time for the host runtime to notice each failure mode: a USB
@@ -105,28 +105,6 @@ class FailurePlan:
         if self.detect_seconds is not None:
             return self.detect_seconds
         return _FAILURE_MODES[self.mode]
-
-
-@dataclass
-class ParallelEnsembleResult:
-    """Outcome of one parallel ensemble invocation.
-
-    Attributes:
-        scores: Host-aggregated (summed, dequantized) ensemble scores.
-        makespan_s: Wall time — the slowest device's invocation.
-        device_seconds: Per-device invocation times.
-        host_seconds: Host-side aggregation time.
-    """
-
-    scores: np.ndarray
-    makespan_s: float
-    device_seconds: list
-    host_seconds: float
-
-    @property
-    def total_seconds(self) -> float:
-        """Makespan plus the host aggregation tail."""
-        return self.makespan_s + self.host_seconds
 
 
 class DevicePool:
@@ -364,36 +342,9 @@ class DevicePool:
         self.load_seconds[index] = seconds
         return seconds
 
-    def load_models(self, compiled_models: list[CompiledModel]) -> float:
-        """Pin one compiled model per device.
-
-        Loads happen in parallel across devices, so the modeled cost is
-        the slowest single load.
-
-        Raises:
-            ValueError: If there are more models than devices.
-        """
-        if not compiled_models:
-            raise ValueError("no models to load")
-        if len(compiled_models) > self.num_devices:
-            raise ValueError(
-                f"{len(compiled_models)} models but only {self.num_devices} "
-                f"devices"
-            )
-        slowest = 0.0
-        for index, compiled in enumerate(compiled_models):
-            compiled = self._variant_for(compiled, self.devices[index].arch)
-            seconds = self.devices[index].load_model(compiled)
-            self.models[index] = compiled
-            self.load_seconds[index] = seconds
-            slowest = max(slowest, seconds)
-        return slowest
-
     def load_replicated(self, compiled: CompiledModel) -> float:
         """Pin the *same* compiled model onto every device (data
-        parallelism — the replicated placement of the micro-batch
-        dispatcher, as opposed to :meth:`load_models`'s one-sub-model-
-        per-device sharding).
+        parallelism: the placement every server dispatches over).
 
         Loads happen in parallel across devices, so the modeled cost is
         the slowest single load.  Failed devices are skipped (a hot swap
@@ -426,47 +377,3 @@ class DevicePool:
             variant = self._variant_for(compiled, device.arch)
             slowest = max(slowest, device.load_resident(variant))
         return slowest
-
-    def invoke_ensemble(self, x: np.ndarray,
-                        host_elementwise_seconds=None
-                        ) -> ParallelEnsembleResult:
-        """Run one float batch through every loaded model in parallel.
-
-        Each device quantizes with its own model's input qparams,
-        executes, and returns dequantized scores; the host sums them
-        (the fused model's aggregation semantics, computed explicitly).
-
-        Args:
-            x: Float batch ``(batch, num_features)``.
-            host_elementwise_seconds: Callable ``(elements) -> seconds``
-                for the host aggregation cost; free when omitted.
-        """
-        loaded = [(device, model) for device, model in
-                  zip(self.devices, self.models) if model is not None]
-        if not loaded:
-            raise RuntimeError("no models loaded; call load_models() first")
-        x = np.asarray(x, dtype=np.float32)
-        if x.ndim != 2:
-            raise ValueError(f"expected a 2-D batch, got shape {x.shape}")
-        total_scores = None
-        device_seconds = []
-        for device, compiled in loaded:
-            quantized = compiled.model.input_spec.qparams.quantize(x)
-            result = device.invoke(quantized)
-            device_seconds.append(result.elapsed_s)
-            out_qparams = compiled.tpu_ops[-1].output_qparams
-            scores = out_qparams.dequantize(result.outputs)
-            total_scores = scores if total_scores is None \
-                else total_scores + scores
-        host_seconds = 0.0
-        if host_elementwise_seconds is not None:
-            # (M - 1) summations over the score matrix.
-            host_seconds = host_elementwise_seconds(
-                (len(loaded) - 1) * total_scores.size
-            )
-        return ParallelEnsembleResult(
-            scores=total_scores,
-            makespan_s=max(device_seconds),
-            device_seconds=device_seconds,
-            host_seconds=host_seconds,
-        )

@@ -9,8 +9,9 @@ Three layers:
   experiments.
 - :mod:`repro.runtime.executor` — the *parallel* execution layer:
   seed-spawned worker pools that train bagging sub-models concurrently
-  (bit-identical to sequential training), and the micro-batched
-  multi-device inference dispatcher.
+  (bit-identical to sequential training), and the host-tail cost every
+  inference path charges.  Multi-device offline inference is a
+  closed-loop :func:`repro.api.serve`, not a separate dispatcher.
 - :mod:`repro.runtime.costs` — *analytic* phase models over dataset
   shapes (Table I), producing the modeled runtimes behind the paper's
   Fig. 5/6/10 and Table II.  These never materialize data, so they run
@@ -31,14 +32,12 @@ _EXPORTS = {
     "ContinualLearner": "repro.runtime.continual",
     "ContinualResult": "repro.runtime.continual",
     "CostModel": "repro.runtime.costs",
-    "DispatchResult": "repro.runtime.executor",
     "ExecutorConfig": "repro.runtime.executor",
     "HdcTrainingConfig": "repro.runtime.costs",
     "InferencePipeline": "repro.runtime.pipeline",
     "InferenceResult": "repro.runtime.pipeline",
     "LatencyTracker": "repro.runtime.profiler",
     "LruCache": "repro.runtime.cache",
-    "MicroBatchDispatcher": "repro.runtime.executor",
     "ModelPlan": "repro.runtime.plan",
     "ParallelReport": "repro.runtime.executor",
     "PhaseBreakdown": "repro.runtime.costs",

@@ -31,7 +31,6 @@ from repro.config import PipelineConfig
 from repro.edgetpu.arch import EdgeTpuArch
 from repro.edgetpu.compiler import CompiledModel, compile_model
 from repro.edgetpu.device import EdgeTpuDevice
-from repro.edgetpu.multidevice import DevicePool
 from repro.hdc.bagging import (
     BaggingConfig,
     FusedHDCModel,
@@ -45,11 +44,9 @@ from repro.platforms.base import Platform
 from repro.platforms.cpu import MobileCpu
 from repro.runtime.costs import CostModel, HdcTrainingConfig
 from repro.runtime.executor import (
-    ExecutorConfig,
-    MicroBatchDispatcher,
     ParallelReport,
     WorkerPool,
-    cpu_op_seconds,
+    run_host_tail,
     spawn_rngs,
 )
 from repro.observability.trace import Tracer
@@ -201,7 +198,10 @@ class InferenceResult:
     Attributes:
         predictions: int64 class indices.
         seconds: Modeled time (device + host tail).
-        accuracy: Mean accuracy when labels were supplied, else None.
+        accuracy: Mean accuracy when labels were supplied for at least
+            one sample, else None.
+        breakdown: Modeled seconds per device term plus ``host_tail``.
+        trace: The run's spans when tracing was on, else None.
     """
 
     predictions: np.ndarray
@@ -521,68 +521,55 @@ class TrainingPipeline:
 class InferencePipeline:
     """Runs a compiled inference model on the device (paper Fig. 6 setup).
 
+    One device, batch after batch: each batch's device invoke and its
+    host tail (:func:`~repro.runtime.executor.run_host_tail`) are
+    charged in sequence, so the modeled time is their plain sum.  For
+    several devices, serve the rows as a closed-loop trace instead
+    (see ``docs/architecture.md``, "Offline multi-device inference").
+
     Args:
         compiled: The compiled inference model from a
             :class:`TrainingPipeline` result.
-        host: Host CPU model charging the argmax fallback.
+        host: Host CPU model charging the tail (the argmax fallback).
         batch: Samples per invocation (1 = the paper's real-time mode).
-        executor: Parallelism knobs.  With ``num_devices > 1`` or an
-            explicit ``micro_batch``, requests go through the
-            :class:`~repro.runtime.executor.MicroBatchDispatcher` over
-            a replicated :class:`~repro.edgetpu.multidevice.DevicePool`
-            (host tail overlapped with device dispatch); the default
-            keeps the original single-device sequential loop.
-        tracing: Record a span per device invocation and host-tail op;
-            the trace rides on :attr:`InferenceResult.trace`.
+        tracing: Record a ``device.invoke`` and a ``host.tail`` span per
+            batch; the trace rides on :attr:`InferenceResult.trace`.
     """
 
     def __init__(self, compiled: CompiledModel, host: Platform | None = None,
-                 batch: int = 1, executor: ExecutorConfig | int | None = None,
-                 tracing: bool = False):
+                 batch: int = 1, tracing: bool = False):
         if batch < 1:
             raise ValueError(f"batch must be >= 1, got {batch}")
         self.compiled = compiled
         self.host = host if host is not None else MobileCpu()
         self.batch = batch
-        self.executor = ExecutorConfig.coerce(executor)
         self.tracing = tracing
-        self.dispatcher: MicroBatchDispatcher | None = None
-        if self.executor.num_devices > 1 or \
-                self.executor.micro_batch is not None:
-            pool = DevicePool(self.executor.num_devices, compiled.arch)
-            self.model_load_seconds = pool.load_replicated(compiled)
-            self.dispatcher = MicroBatchDispatcher(
-                pool, host=self.host,
-                micro_batch=self.executor.micro_batch or batch,
-                placement="replicate",
-            )
-            self.device = pool.devices[0]
-        else:
-            self.device = EdgeTpuDevice(compiled.arch)
-            self.model_load_seconds = self.device.load_model(compiled)
+        self.device = EdgeTpuDevice(compiled.arch)
+        self.model_load_seconds = self.device.load_model(compiled)
 
     def run(self, test_x: np.ndarray,
             test_y: np.ndarray | None = None) -> InferenceResult:
-        """Classify ``test_x``; returns predictions with modeled timing."""
+        """Classify ``test_x``; returns predictions with modeled timing.
+
+        The breakdown covers this run only: the device's per-term
+        charges summed in batch order, plus ``host_tail``, so its values
+        add up to ``seconds``.
+        """
         test_x = np.asarray(test_x, dtype=np.float32)
         if test_x.ndim != 2:
             raise ValueError(f"expected 2-D samples, got shape {test_x.shape}")
+        if test_y is not None:
+            test_y = np.asarray(test_y, dtype=np.int64)
+            if len(test_y) != len(test_x):
+                raise ValueError(
+                    f"{len(test_x)} predictions but {len(test_y)} labels"
+                )
         tracer = Tracer(enabled=True) if self.tracing else None
-        if self.dispatcher is not None:
-            dispatched = self.dispatcher.dispatch(test_x, test_y,
-                                                  tracer=tracer)
-            return InferenceResult(
-                predictions=dispatched.predictions,
-                seconds=dispatched.makespan_seconds,
-                accuracy=dispatched.accuracy,
-                breakdown=dict(dispatched.breakdown),
-                trace=tracer,
-            )
-        model = self.compiled.model
-        quantized = model.input_spec.qparams.quantize(test_x)
+        quantized = self.compiled.model.input_spec.qparams.quantize(test_x)
         seconds = 0.0
+        breakdown: dict = {}
+        host_tail = 0.0
         predictions = np.empty(len(test_x), dtype=np.int64)
-        tail_width = self.compiled.plans[-1].output_dim
         root = (tracer.add("pipeline.infer", 0.0, 0.0,
                            samples=len(test_x), batch=self.batch)
                 if tracer else None)
@@ -597,38 +584,25 @@ class InferencePipeline:
                            bytes_in=result.bytes_in,
                            bytes_out=result.bytes_out)
             seconds += result.elapsed_s
-            out = result.outputs
-            width = tail_width
-            for op in self.compiled.cpu_ops:
-                cost = self._cpu_op_seconds(op, len(chunk), width)
-                if tracer:
-                    tracer.add(f"host.{op.kind.lower()}", seconds,
-                               seconds + cost, parent_id=root,
-                               phase="inference", batch=len(chunk))
-                seconds += cost
-                out = op.run(out)
-                width = op.output_dim(width)
-            if model.output_is_index:
-                predictions[start:start + self.batch] = out[:, 0]
-            else:
-                predictions[start:start + self.batch] = np.argmax(out, axis=-1)
+            for key, value in result.breakdown.items():
+                breakdown[key] = breakdown.get(key, 0.0) + value
+            predictions[start:start + len(chunk)], cost = run_host_tail(
+                self.compiled, result.outputs, self.host,
+            )
+            if tracer:
+                tracer.add("host.tail", seconds, seconds + cost,
+                           parent_id=root, phase="inference",
+                           batch=len(chunk))
+            seconds += cost
+            host_tail += cost
+        breakdown["host_tail"] = host_tail
         if tracer:
             tracer.finish(root, seconds)
             tracer.advance(seconds)
         accuracy = None
-        if test_y is not None:
-            test_y = np.asarray(test_y, dtype=np.int64)
-            if len(test_y) != len(predictions):
-                raise ValueError(
-                    f"{len(predictions)} predictions but {len(test_y)} labels"
-                )
+        if test_y is not None and len(test_y):
             accuracy = float(np.mean(predictions == test_y))
         return InferenceResult(
             predictions=predictions, seconds=seconds, accuracy=accuracy,
-            breakdown=dict(self.device.stats.breakdown),
-            trace=tracer,
+            breakdown=breakdown, trace=tracer,
         )
-
-    def _cpu_op_seconds(self, op, rows: int, width: int) -> float:
-        """Host cost of one CPU-fallback op, charged by its actual kind."""
-        return cpu_op_seconds(self.host, op, rows, width)

@@ -11,8 +11,12 @@ of a production serving stack:
   decides when the queue closes into a micro-batch; the batch then runs
   on the earliest-free device of a replicated
   :class:`~repro.edgetpu.multidevice.DevicePool` with the host
-  dequantize/argmax tail serialized behind it, exactly the timing model
-  of :class:`~repro.runtime.executor.MicroBatchDispatcher`.
+  dequantize/argmax tail serialized behind it (the tail of batch ``j``
+  overlaps the devices' work on later batches).  This is also the
+  repo's only multi-device offline dispatch: on a closed-loop trace
+  (every request at ``t=0``, no deadline, the fixed batcher, a queue
+  as long as the trace) the rows run in order, ``max_batch`` at a
+  time.
 - **One int8 executor** — every batch runs through the server's own
   arena-backed :class:`~repro.runtime.plan.ModelPlan` per resident
   model, sized to ``max_batch``: features quantize in place, the
@@ -53,7 +57,7 @@ from repro.observability.metrics import MetricsRegistry
 from repro.observability.trace import Tracer
 from repro.platforms.base import Platform
 from repro.runtime.cache import LruCache
-from repro.runtime.executor import cpu_op_seconds
+from repro.runtime.executor import cpu_op_seconds, host_tail_seconds
 from repro.runtime.plan import ModelPlan, fit_plan
 from repro.runtime.profiler import LatencyTracker
 from repro.serving.swap import ModelSwapper, SwapRecord
@@ -429,17 +433,6 @@ class InferenceServer:
     # Cost estimation (drives the deadline-aware batch trigger)
     # ------------------------------------------------------------------
 
-    def _host_tail_seconds(self, compiled: CompiledModel,
-                           rows: int) -> float:
-        width = compiled.plans[-1].output_dim
-        seconds = 0.0
-        for op in compiled.cpu_ops:
-            seconds += cpu_op_seconds(self.host, op, rows, width)
-            width = op.output_dim(width)
-        if not compiled.model.output_is_index:
-            seconds += self.host.argmax_seconds(rows, width)
-        return seconds
-
     def service_estimate(self, batch_size: int) -> float:
         """Modeled device invoke + host tail for one batch (memoized)."""
         if batch_size < 1:
@@ -459,7 +452,7 @@ class InferenceServer:
                     variants.setdefault(id(model), model)
             estimate = max(
                 compiled.invoke_seconds(batch_size)
-                + self._host_tail_seconds(compiled, batch_size)
+                + host_tail_seconds(self.host, compiled, batch_size)
                 for compiled in variants.values()
             )
             self._estimate_cache.put(batch_size, estimate)
@@ -474,7 +467,7 @@ class InferenceServer:
         if estimate is None:
             compiled = self._tiers[tier_index].compiled
             estimate = (compiled.invoke_seconds(batch_size)
-                        + self._host_tail_seconds(compiled, batch_size))
+                        + host_tail_seconds(self.host, compiled, batch_size))
             self._degraded_estimates.put(key, estimate)
         return estimate
 
@@ -711,13 +704,13 @@ class InferenceServer:
                 key = (id(compiled), rows)
                 tail_cost = self._tail_cache.get(key)
                 if tail_cost is None:
-                    tail_cost = self._host_tail_seconds(compiled, rows)
+                    tail_cost = host_tail_seconds(self.host, compiled, rows)
                     self._tail_cache[key] = tail_cost
             else:
                 # Arena tail on the device-output view (bit-identical
-                # to run_host_tail, and charged the same per-op sum).
+                # to run_host_tail; both charge host_tail_seconds).
                 predictions = plan.run_tail(invoke.outputs)
-                tail_cost = self._host_tail_seconds(compiled, rows)
+                tail_cost = host_tail_seconds(self.host, compiled, rows)
             tail_start = max(host_free, device_done)
             host_free = tail_start + tail_cost
             report.host_seconds += tail_cost

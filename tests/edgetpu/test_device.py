@@ -1,15 +1,10 @@
-"""Tests for the Edge TPU device simulator and delegate."""
+"""Tests for the Edge TPU device simulator and delegated execution."""
 
 import numpy as np
 import pytest
 
-from repro.edgetpu import (
-    DelegatedExecutor,
-    EdgeTpuArch,
-    EdgeTpuDevice,
-    compile_model,
-    partition,
-)
+from repro.edgetpu import EdgeTpuArch, EdgeTpuDevice, compile_model
+from repro.runtime import InferencePipeline
 from repro.tflite import FlatModel, Interpreter, TensorSpec
 from repro.tflite.ops import ArgmaxOp, FullyConnectedOp, TanhOp
 from repro.tflite.quantization import qparams_asymmetric
@@ -104,56 +99,55 @@ class TestDevice:
 
 
 class TestDelegatedExecutor:
+    """Delegated execution: the compiled TPU prefix runs on the device,
+    the CPU tail (the ARGMAX) on the host, through InferencePipeline."""
+
     def test_predictions_bit_identical_to_interpreter(self, hdc_model, rng):
-        executor = DelegatedExecutor(compile_model(hdc_model))
+        pipeline = InferencePipeline(compile_model(hdc_model), batch=32)
         x = rng.uniform(-3, 3, (32, 40)).astype(np.float32)
         np.testing.assert_array_equal(
-            executor.predict(x), Interpreter(hdc_model).predict(x)
+            pipeline.run(x).predictions, Interpreter(hdc_model).predict(x)
         )
 
     def test_cpu_and_tpu_time_accounted(self, hdc_model, rng):
-        executor = DelegatedExecutor(compile_model(hdc_model))
-        executor.predict(rng.uniform(-3, 3, (8, 40)).astype(np.float32))
-        assert executor.tpu_seconds > 0
-        assert executor.cpu_seconds > 0  # the argmax fallback
-        assert executor.total_seconds == pytest.approx(
-            executor.tpu_seconds + executor.cpu_seconds
+        pipeline = InferencePipeline(compile_model(hdc_model), batch=8)
+        result = pipeline.run(rng.uniform(-3, 3, (8, 40)).astype(np.float32))
+        host_tail = result.breakdown["host_tail"]
+        assert host_tail > 0  # the argmax fallback
+        assert result.seconds - host_tail > 0
+        assert result.seconds == pytest.approx(
+            sum(result.breakdown.values())
         )
 
     def test_custom_cpu_cost_hook(self, hdc_model, rng):
+        # The host platform prices the fallback op, by its kind.
         calls = []
 
-        def cost(op, batch, width):
-            calls.append((op.kind, batch, width))
-            return 1.0
+        class Host:
+            def argmax_seconds(self, rows, width):
+                calls.append(("ARGMAX", rows, width))
+                return 1.0
 
-        executor = DelegatedExecutor(compile_model(hdc_model),
-                                     cpu_op_seconds=cost)
-        executor.predict(rng.uniform(-3, 3, (8, 40)).astype(np.float32))
+        pipeline = InferencePipeline(compile_model(hdc_model), host=Host(),
+                                     batch=8)
+        result = pipeline.run(rng.uniform(-3, 3, (8, 40)).astype(np.float32))
         assert calls == [("ARGMAX", 8, 5)]
-        assert executor.cpu_seconds == 1.0
+        assert result.breakdown["host_tail"] == 1.0
 
     def test_model_load_recorded(self, hdc_model):
-        executor = DelegatedExecutor(compile_model(hdc_model))
-        assert executor.model_load_seconds > 0
+        pipeline = InferencePipeline(compile_model(hdc_model))
+        assert pipeline.model_load_seconds > 0
 
     def test_single_sample_roundtrip(self, hdc_model, rng):
-        executor = DelegatedExecutor(compile_model(hdc_model))
-        x = rng.uniform(-3, 3, 40).astype(np.float32)
-        out = executor.run(x)
-        assert np.isscalar(out) or out.shape == ()
-
-    def test_scores_model_returns_float(self, hdc_model, rng):
-        scores_model = FlatModel("scores", hdc_model.input_spec,
-                                 hdc_model.ops[:-1])
-        executor = DelegatedExecutor(compile_model(scores_model))
-        out = executor.run(rng.uniform(-3, 3, (4, 40)).astype(np.float32))
-        assert out.shape == (4, 5)
-        assert out.dtype == np.float32
+        pipeline = InferencePipeline(compile_model(hdc_model))
+        x = rng.uniform(-3, 3, (1, 40)).astype(np.float32)
+        result = pipeline.run(x)
+        assert result.predictions.shape == (1,)
+        assert result.predictions[0] == Interpreter(hdc_model).predict(x)[0]
 
 
 class TestPartitionHelper:
     def test_partition_shapes(self, hdc_model):
-        tpu_ops, cpu_ops = partition(hdc_model)
-        assert len(tpu_ops) == 3
-        assert len(cpu_ops) == 1
+        compiled = compile_model(hdc_model)
+        assert len(compiled.tpu_ops) == 3
+        assert len(compiled.cpu_ops) == 1

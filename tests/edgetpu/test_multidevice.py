@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.data import isolet
-from repro.edgetpu import DevicePool, compile_model
+from repro.edgetpu import DevicePool, EdgeTpuDevice, compile_model
 from repro.hdc import BaggingConfig, BaggingHDCTrainer
 from repro.nn import from_classifier
 from repro.tflite import convert
@@ -32,63 +32,47 @@ class TestDevicePool:
             DevicePool(0)
 
     def test_load_models(self, ensemble):
+        # One sub-model per device: each device holds, and was charged
+        # for, its own model.
         _, _, compiled = ensemble
         pool = DevicePool(3)
-        slowest = pool.load_models(compiled)
-        assert slowest > 0
-        assert slowest == max(pool.load_seconds)
+        seconds = [pool.reload(i, model) for i, model in enumerate(compiled)]
+        assert all(s > 0 for s in seconds)
+        assert pool.load_seconds == seconds
+        assert pool.models == compiled
 
     def test_too_many_models_rejected(self, ensemble):
+        # A 2-device pool has no device for a third sub-model.
         _, _, compiled = ensemble
         pool = DevicePool(2)
-        with pytest.raises(ValueError, match="devices"):
-            pool.load_models(compiled)
-
-    def test_empty_load_rejected(self):
-        with pytest.raises(ValueError, match="no models"):
-            DevicePool(2).load_models([])
+        with pytest.raises(ValueError, match="out of range"):
+            for index, model in enumerate(compiled):
+                pool.reload(index, model)
 
     def test_invoke_before_load(self):
         pool = DevicePool(2)
-        with pytest.raises(RuntimeError, match="load_models"):
-            pool.invoke_ensemble(np.zeros((1, 4), dtype=np.float32))
+        with pytest.raises(RuntimeError, match="no model loaded"):
+            pool.try_invoke(0, np.zeros((1, 4), dtype=np.int8))
 
     def test_parallel_scores_match_serial_ensemble(self, ensemble):
+        # The sub-model-per-device ensemble: each device scores the
+        # batch with its own sub-model, and the host sums the
+        # dequantized scores.
         ds, trainer, compiled = ensemble
-        pool = DevicePool(3)
-        pool.load_models(compiled)
         x = ds.test_x[:32]
-        result = pool.invoke_ensemble(x)
+        scores = 0.0
+        for model in compiled:
+            device = EdgeTpuDevice()
+            device.load_model(model)
+            out = device.invoke(model.model.input_spec.qparams.quantize(x))
+            scores = scores + model.tpu_ops[-1].output_qparams.dequantize(
+                out.outputs
+            )
         # Predictions should agree with the float ensemble consensus on
         # the vast majority of samples (int8 grids differ slightly).
         float_pred = trainer.predict(x)
-        pool_pred = np.argmax(result.scores, axis=1)
+        pool_pred = np.argmax(scores, axis=1)
         assert np.mean(pool_pred == float_pred) > 0.85
-
-    def test_makespan_is_slowest_device(self, ensemble):
-        ds, _, compiled = ensemble
-        pool = DevicePool(3)
-        pool.load_models(compiled)
-        result = pool.invoke_ensemble(ds.test_x[:8])
-        assert result.makespan_s == max(result.device_seconds)
-        assert len(result.device_seconds) == 3
-
-    def test_host_aggregation_cost_hook(self, ensemble):
-        ds, _, compiled = ensemble
-        pool = DevicePool(3)
-        pool.load_models(compiled)
-        calls = []
-
-        def cost(elements):
-            calls.append(elements)
-            return 0.5
-
-        result = pool.invoke_ensemble(ds.test_x[:4], cost)
-        assert result.host_seconds == 0.5
-        assert calls == [2 * 4 * 26]  # (M-1) * batch * classes
-        assert result.total_seconds == pytest.approx(
-            result.makespan_s + 0.5
-        )
 
     def test_load_replicated(self, ensemble):
         ds, _, compiled = ensemble
@@ -109,9 +93,9 @@ class TestDevicePool:
     def test_rejects_1d_batch(self, ensemble):
         _, _, compiled = ensemble
         pool = DevicePool(3)
-        pool.load_models(compiled)
+        pool.load_replicated(compiled[0])
         with pytest.raises(ValueError, match="2-D"):
-            pool.invoke_ensemble(np.zeros(617, dtype=np.float32))
+            pool.try_invoke(0, np.zeros(617, dtype=np.int8))
 
 
 class TestFailureInjection:

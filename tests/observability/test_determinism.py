@@ -8,6 +8,8 @@ timings and predictions, plus the serving span invariants (one span per
 request, device-span seconds summing to the report's busy seconds).
 """
 
+import math
+
 import numpy as np
 import pytest
 
@@ -117,14 +119,27 @@ class TestInferenceDeterminism:
                    if s.name == "device.invoke") == 12  # ceil(90 / 8)
 
     def test_dispatcher_path(self, compiled, data):
+        # Multi-device offline inference: a closed-loop serve() on two
+        # devices (every row at t=0, no deadline, fixed batches of 16).
         x, y = data
-        executor = ExecutorConfig(num_devices=2, micro_batch=16)
-        off = InferencePipeline(compiled, executor=executor).run(x, y)
-        on = InferencePipeline(compiled, executor=executor,
-                               tracing=True).run(x, y)
-        assert on.seconds == off.seconds
+        trace = [Request(request_id=i, arrival_s=0.0, deadline_s=math.inf,
+                         features=x[i], label=int(y[i]))
+                 for i in range(len(x))]
+
+        def run(tracing):
+            pool = DevicePool(2, compiled.arch)
+            pool.load_replicated(compiled)
+            config = ServeConfig(batcher="fixed", max_batch=16,
+                                 max_queue=len(trace), tracing=tracing)
+            return InferenceServer(pool, config).serve(trace)
+
+        off, on = run(False), run(True)
+        assert on.summary() == off.summary()
         np.testing.assert_array_equal(on.predictions, off.predictions)
+        np.testing.assert_array_equal(on.latencies, off.latencies)
+        assert off.trace is None
         invokes = [s for s in on.trace.spans if s.name == "device.invoke"]
+        assert len(invokes) == on.num_batches == 6  # ceil(90 / 16)
         assert {s.attrs["device"] for s in invokes} == {0, 1}
 
 

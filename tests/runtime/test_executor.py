@@ -1,22 +1,27 @@
-"""Tests for the parallel execution layer (worker pool + dispatcher)."""
+"""Tests for the parallel execution layer and offline multi-device
+inference (worker pool, and closed-loop ``serve`` as the dispatcher)."""
+
+import math
 
 import numpy as np
 import pytest
 
+import repro
+from repro.config import FleetSpec, ServeConfig
 from repro.data import isolet
 from repro.edgetpu import DevicePool, EdgeTpuDevice, compile_model
 from repro.hdc import BaggingConfig, BaggingHDCTrainer
 from repro.nn import from_classifier, from_fused
-from repro.platforms import MobileCpu
-from repro.runtime import PhaseProfiler
+from repro.runtime import InferencePipeline, PhaseProfiler
 from repro.runtime.executor import (
     ExecutorConfig,
-    MicroBatchDispatcher,
     ParallelReport,
     WorkerPool,
     simulate_makespan,
     spawn_rngs,
 )
+from repro.serving import InferenceServer
+from repro.serving.arrivals import Request
 from repro.tflite import convert
 
 
@@ -26,23 +31,17 @@ def _square(value):
 
 class TestExecutorConfig:
     def test_defaults_are_sequential_single_device(self):
-        config = ExecutorConfig()
-        assert config.workers == 1
-        assert config.micro_batch is None
-        assert config.num_devices == 1
+        assert ExecutorConfig() == ExecutorConfig(workers=1)
 
     @pytest.mark.parametrize("kwargs", [
         dict(workers=0),
-        dict(micro_batch=0),
-        dict(num_devices=0),
+        dict(workers=-1),
     ])
     def test_invalid_configs(self, kwargs):
         with pytest.raises(ValueError):
             ExecutorConfig(**kwargs)
 
     def test_has_no_placement_knob(self):
-        # InferencePipeline always replicates; a placement field would
-        # be read by nothing.  MicroBatchDispatcher keeps its own.
         with pytest.raises(TypeError):
             ExecutorConfig(placement="shard")
 
@@ -156,7 +155,78 @@ def fused_setup():
     return ds, fused, fused_compiled, shard_compiled
 
 
+def _trace(x, y=None):
+    """A closed-loop trace: every row arrives at t=0, no deadline."""
+    return [Request(i, 0.0, math.inf, row,
+                    None if y is None else int(y[i]))
+            for i, row in enumerate(x)]
+
+
+def _offline_config(micro_batch, rows):
+    return ServeConfig(batcher="fixed", max_batch=micro_batch,
+                       max_queue=rows)
+
+
+def _closed_loop(compiled, x, devices, micro_batch, y=None):
+    """Offline inference of ``x`` on ``devices`` replicated devices."""
+    deployment = repro.deploy(compiled,
+                              fleet=FleetSpec.single(count=devices))
+    return repro.serve(deployment, _trace(x, y),
+                       config=_offline_config(micro_batch, len(x)))
+
+
+# What MicroBatchDispatcher(placement="replicate") reported for
+# fused_setup's model on test_x[:101], recorded before closed-loop
+# serve() replaced it: (devices, micro_batch) -> (makespan, per-device
+# busy seconds, host seconds, batches).  Timing depends only on the
+# model's shape and the cost model, never on trained values.
+DISPATCH_ORACLE = {
+    (1, 1): ("0x1.23bd923611cefp-7", ("0x1.23938e2e7321fp-7",),
+             "0x1.09397019a3f6bp-11", 101),
+    (1, 8): ("0x1.62d5578ad65d4p-10", ("0x1.6182e3bc44302p-10",),
+             "0x1.144d19bef3a12p-14", 13),
+    (2, 8): ("0x1.7dac12c2fb3cdp-11",
+             ("0x1.7b072b25d6e29p-11", "0x1.47fe9c52b17dcp-11"),
+             "0x1.144d19bef3a12p-14", 13),
+    (4, 16): ("0x1.11790a6920bc2p-12",
+              ("0x1.01686e36cdaadp-12", "0x1.01686e36cdaadp-12",
+               "0x1.cd8aa983633e0p-13", "0x1.01686e36cdaadp-13"),
+              "0x1.2cf1b1133e56bp-15", 7),
+    (3, 7): ("0x1.13376bbe00173p-11",
+             ("0x1.0b466154f6433p-11", "0x1.0b466154f6433p-11",
+              "0x1.066e8b3fab585p-11"),
+             "0x1.3e3e84d0ba72dp-14", 15),
+    (2, 200): ("0x1.54b2677969810p-12",
+               ("0x1.4e8941a456d39p-12", "0x0.0p+0"),
+               "0x1.8a497544ab5b7p-18", 1),
+}
+
+
+class TestOfflineDispatchOracle:
+    @pytest.mark.parametrize("devices,micro_batch", list(DISPATCH_ORACLE))
+    def test_closed_loop_serve_reproduces_dispatcher(
+            self, fused_setup, devices, micro_batch):
+        ds, _, fused_compiled, _ = fused_setup
+        x = ds.test_x[:101]
+        report = _closed_loop(fused_compiled, x, devices, micro_batch)
+        makespan, busy, host, batches = \
+            DISPATCH_ORACLE[(devices, micro_batch)]
+        assert report.makespan_s == float.fromhex(makespan)
+        assert report.device_busy_seconds == \
+            [float.fromhex(value) for value in busy]
+        assert report.host_seconds == float.fromhex(host)
+        assert report.num_batches == batches
+        assert report.served == len(x) and report.dropped == 0
+        single = InferencePipeline(fused_compiled, batch=micro_batch).run(x)
+        np.testing.assert_array_equal(report.predictions,
+                                      single.predictions)
+
+
 class TestMicroBatchDispatcherReplicated:
+    """Replicated micro-batch dispatch over a device pool, served as a
+    closed-loop trace (the behaviour ``MicroBatchDispatcher``'s
+    ``replicate`` placement had before ``serve()`` replaced it)."""
+
     def test_predictions_match_single_device(self, fused_setup):
         ds, _, fused_compiled, _ = fused_setup
         x = ds.test_x[:64]
@@ -169,179 +239,115 @@ class TestMicroBatchDispatcherReplicated:
         expected = out[:, 0] if fused_compiled.model.output_is_index \
             else np.argmax(out, axis=-1)
 
-        pool = DevicePool(3)
-        pool.load_replicated(fused_compiled)
-        dispatcher = MicroBatchDispatcher(pool, micro_batch=16)
-        result = dispatcher.dispatch(x)
-        np.testing.assert_array_equal(result.predictions, expected)
-        assert result.num_batches == 4
-        assert result.samples == 64
+        report = _closed_loop(fused_compiled, x, 3, 16)
+        np.testing.assert_array_equal(report.predictions, expected)
+        assert report.num_batches == 4
+        assert report.served == 64
 
     def test_overlap_beats_serial(self, fused_setup):
         ds, _, fused_compiled, _ = fused_setup
-        pool = DevicePool(3)
-        pool.load_replicated(fused_compiled)
-        dispatcher = MicroBatchDispatcher(pool, micro_batch=8)
-        result = dispatcher.dispatch(ds.test_x[:64])
-        assert result.makespan_seconds < result.serial_seconds
-        assert result.speedup > 1.0
-        assert result.throughput > 0
+        report = _closed_loop(fused_compiled, ds.test_x[:64], 3, 8)
+        serial = sum(report.device_busy_seconds) + report.host_seconds
+        assert report.makespan_s < serial
+        assert report.throughput > 0
 
     def test_more_devices_more_throughput(self, fused_setup):
         ds, _, fused_compiled, _ = fused_setup
 
-        def throughput(num_devices):
-            pool = DevicePool(num_devices)
-            pool.load_replicated(fused_compiled)
-            dispatcher = MicroBatchDispatcher(pool, micro_batch=8)
-            return dispatcher.dispatch(ds.test_x[:96]).throughput
+        def throughput(devices):
+            return _closed_loop(fused_compiled, ds.test_x[:96], devices,
+                                8).throughput
 
         assert throughput(4) > throughput(1)
 
     def test_accuracy_and_profiler(self, fused_setup):
         ds, _, fused_compiled, _ = fused_setup
+        x, y = ds.test_x[:64], ds.test_y[:64]
         profiler = PhaseProfiler()
         pool = DevicePool(2)
         pool.load_replicated(fused_compiled)
-        dispatcher = MicroBatchDispatcher(pool, micro_batch=16,
-                                          profiler=profiler)
-        result = dispatcher.dispatch(ds.test_x[:64], ds.test_y[:64])
-        assert 0.0 <= result.accuracy <= 1.0
-        assert profiler.seconds("inference") == result.makespan_seconds
+        server = InferenceServer(pool, _offline_config(16, len(x)),
+                                 profiler=profiler)
+        report = server.serve(_trace(x, y))
+        assert 0.0 <= report.accuracy <= 1.0
+        assert profiler.seconds("inference") == report.makespan_s
 
     def test_rejects_mixed_models(self, fused_setup):
-        ds, _, fused_compiled, shard_compiled = fused_setup
+        _, _, fused_compiled, shard_compiled = fused_setup
         pool = DevicePool(2)
-        pool.load_models(shard_compiled[:2])
-        dispatcher = MicroBatchDispatcher(pool, micro_batch=8)
+        pool.load_replicated(fused_compiled)
+        pool.reload(1, shard_compiled[0])
         with pytest.raises(ValueError, match="replicated"):
-            dispatcher.dispatch(ds.test_x[:8])
+            InferenceServer(pool)
 
     def test_input_validation(self, fused_setup):
         ds, _, fused_compiled, _ = fused_setup
-        pool = DevicePool(2)
-        pool.load_replicated(fused_compiled)
-        dispatcher = MicroBatchDispatcher(pool, micro_batch=8)
-        with pytest.raises(ValueError, match="2-D"):
-            dispatcher.dispatch(np.zeros(5))
-        with pytest.raises(ValueError, match="labels"):
-            dispatcher.dispatch(ds.test_x[:8], ds.test_y[:5])
+        trace = _trace(ds.test_x[:8])
+        trace[2], trace[5] = (
+            Request(2, 0.5, math.inf, trace[2].features),
+            Request(5, 0.1, math.inf, trace[5].features),
+        )
+        deployment = repro.deploy(fused_compiled)
+        with pytest.raises(ValueError, match="arrival order"):
+            repro.serve(deployment, trace,
+                        config=_offline_config(4, len(trace)))
 
     def test_empty_stream_returns_zero_result(self, fused_setup):
         # An idle tick in a streaming pipeline: no samples is a valid
-        # dispatch, not an error.
+        # run, not an error.
         ds, _, fused_compiled, _ = fused_setup
-        pool = DevicePool(2)
-        pool.load_replicated(fused_compiled)
-        dispatcher = MicroBatchDispatcher(pool, micro_batch=8)
-        result = dispatcher.dispatch(
-            np.zeros((0, ds.test_x.shape[1]), dtype=ds.test_x.dtype)
+        report = _closed_loop(
+            fused_compiled,
+            np.zeros((0, ds.test_x.shape[1]), dtype=ds.test_x.dtype), 2, 8,
         )
-        assert result.samples == 0
-        assert result.num_batches == 0
-        assert result.predictions.shape == (0,)
-        assert result.predictions.dtype == np.int64
-        assert result.makespan_seconds == 0.0
-        assert result.device_seconds == [0.0, 0.0]
-        assert result.utilization == 0.0
-        assert result.accuracy is None
+        assert report.served == 0
+        assert report.num_batches == 0
+        assert report.predictions.shape == (0,)
+        assert report.predictions.dtype == np.int64
+        assert report.makespan_s == 0.0
+        assert report.device_busy_seconds == [0.0, 0.0]
+        assert report.utilization == 0.0
+        assert report.accuracy is None
 
     def test_remainder_batch(self, fused_setup):
         # 50 samples at micro_batch=16 -> 3 full batches + one of 2.
         ds, _, fused_compiled, _ = fused_setup
-        pool = DevicePool(2)
-        pool.load_replicated(fused_compiled)
-        dispatcher = MicroBatchDispatcher(pool, micro_batch=16)
-        result = dispatcher.dispatch(ds.test_x[:50])
-        assert result.num_batches == 4
-        assert result.samples == 50
-        assert result.predictions.shape == (50,)
+        report = _closed_loop(fused_compiled, ds.test_x[:50], 2, 16)
+        assert report.batch_sizes == [16, 16, 16, 2]
+        assert report.served == 50
+        assert report.predictions.shape == (50,)
 
     def test_micro_batch_larger_than_stream(self, fused_setup):
         ds, _, fused_compiled, _ = fused_setup
-        pool = DevicePool(3)
-        pool.load_replicated(fused_compiled)
-        dispatcher = MicroBatchDispatcher(pool, micro_batch=256)
-        result = dispatcher.dispatch(ds.test_x[:24])
-        assert result.num_batches == 1
-        assert result.samples == 24
+        report = _closed_loop(fused_compiled, ds.test_x[:24], 3, 256)
+        assert report.batch_sizes == [24]
+        assert report.served == 24
 
     def test_micro_batch_one_matches_full_batch(self, fused_setup):
         # Bit-exactness under the finest slicing: per-sample dispatch
         # must agree with a single full-batch dispatch.
         ds, _, fused_compiled, _ = fused_setup
         x = ds.test_x[:32]
-        pool = DevicePool(2)
-        pool.load_replicated(fused_compiled)
-        fine = MicroBatchDispatcher(pool, micro_batch=1).dispatch(x)
-        full = MicroBatchDispatcher(pool, micro_batch=len(x)).dispatch(x)
+        fine = _closed_loop(fused_compiled, x, 2, 1)
+        full = _closed_loop(fused_compiled, x, 2, len(x))
         assert fine.num_batches == 32
         assert full.num_batches == 1
         np.testing.assert_array_equal(fine.predictions, full.predictions)
 
     def test_utilization_accounting(self, fused_setup):
         ds, _, fused_compiled, _ = fused_setup
-        pool = DevicePool(3)
-        pool.load_replicated(fused_compiled)
-        dispatcher = MicroBatchDispatcher(pool, micro_batch=8)
-        result = dispatcher.dispatch(ds.test_x[:64])
-        assert isinstance(result.device_seconds, list)
-        assert len(result.device_idle_seconds) == 3
-        assert all(idle >= 0.0 for idle in result.device_idle_seconds)
-        assert 0.0 < result.utilization <= 1.0
+        report = _closed_loop(fused_compiled, ds.test_x[:64], 3, 8)
+        assert len(report.device_busy_seconds) == 3
+        assert len(report.device_idle_seconds) == 3
+        assert all(idle >= 0.0 for idle in report.device_idle_seconds)
+        assert 0.0 < report.utilization <= 1.0
 
-    def test_unloaded_pool_rejected(self, fused_setup):
-        ds, *_ = fused_setup
-        dispatcher = MicroBatchDispatcher(DevicePool(2), micro_batch=8)
+    def test_unloaded_pool_rejected(self):
         with pytest.raises(RuntimeError, match="load"):
-            dispatcher.dispatch(ds.test_x[:8])
+            InferenceServer(DevicePool(2))
 
-    def test_bad_construction(self, fused_setup):
-        with pytest.raises(ValueError, match="micro_batch"):
-            MicroBatchDispatcher(DevicePool(1), micro_batch=0)
-        with pytest.raises(ValueError, match="placement"):
-            MicroBatchDispatcher(DevicePool(1), placement="mirror")
-
-
-class TestMicroBatchDispatcherSharded:
-    def test_sharded_scores_match_fused(self, fused_setup):
-        # The determinism satellite: sharded device-pool scores must
-        # agree with the single-device fused model within quantization
-        # tolerance (both are int8 views of the same float ensemble).
-        ds, fused, _, shard_compiled = fused_setup
-        x = ds.test_x[:48]
-        pool = DevicePool(3)
-        pool.load_models(shard_compiled)
-        dispatcher = MicroBatchDispatcher(pool, micro_batch=16,
-                                          placement="shard")
-        result = dispatcher.dispatch(x)
-        float_scores = fused.scores(x)
-        # Quantization tolerance: per-shard int8 score grids.
-        steps = [c.tpu_ops[-1].output_qparams.scale for c in shard_compiled]
-        tolerance = sum(steps) + 0.05 * np.abs(float_scores).max()
-        assert np.max(np.abs(result.scores - float_scores)) < tolerance
-
-    def test_sharded_predictions_mostly_match_fused(self, fused_setup):
-        ds, fused, _, shard_compiled = fused_setup
-        x = ds.test_x[:64]
-        pool = DevicePool(3)
-        pool.load_models(shard_compiled)
-        dispatcher = MicroBatchDispatcher(pool, micro_batch=16,
-                                          placement="shard")
-        result = dispatcher.dispatch(x)
-        agreement = np.mean(result.predictions == fused.predict(x))
-        assert agreement > 0.9
-
-    def test_sharded_timing_accounting(self, fused_setup):
-        ds, _, _, shard_compiled = fused_setup
-        pool = DevicePool(3)
-        pool.load_models(shard_compiled)
-        dispatcher = MicroBatchDispatcher(pool, host=MobileCpu(),
-                                          micro_batch=16, placement="shard")
-        result = dispatcher.dispatch(ds.test_x[:48])
-        assert len(result.device_seconds) == 3
-        assert result.host_seconds > 0
-        assert result.makespan_seconds <= result.serial_seconds
-        assert result.breakdown["host_tail"] == pytest.approx(
-            result.host_seconds
-        )
+    def test_bad_construction(self):
+        with pytest.raises(ValueError, match="max_batch"):
+            _offline_config(0, 8)
+        with pytest.raises(ValueError, match="batcher"):
+            ServeConfig(batcher="mirror")

@@ -1,6 +1,7 @@
 """Tests for the functional co-design pipelines (Fig. 1 / Fig. 3 flows)."""
 
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from repro.config import PipelineConfig
 from repro.hdc import BaggingConfig, HDCClassifier
 from repro.runtime import InferencePipeline, TrainingPipeline
 from repro.runtime.costs import CostModel
-from repro.runtime.executor import ExecutorConfig
+from repro.runtime.executor import ExecutorConfig, cpu_op_seconds
 from repro.runtime.pipeline import CompileCache
 
 
@@ -453,11 +454,11 @@ class TestCostAccountingFixes:
                 )
         assert result.profiler.seconds("update") == pytest.approx(expected)
 
-    def test_cpu_ops_charged_by_kind(self, ds, trained_small):
+    def test_cpu_ops_charged_by_kind(self):
+        from repro.platforms import MobileCpu
         from repro.tflite.ops import ArgmaxOp, FullyConnectedOp, TanhOp
         from repro.tflite.quantization import QuantParams
-        inference = InferencePipeline(trained_small.compiled, batch=8)
-        host = inference.host
+        host = MobileCpu()
         qp = QuantParams(scale=0.05, zero_point=0, dtype="int8")
         argmax = ArgmaxOp(qp)
         tanh = TanhOp(qp)
@@ -465,19 +466,19 @@ class TestCostAccountingFixes:
         fc = FullyConnectedOp.from_float(
             rng.standard_normal((12, 5)).astype(np.float32), qp, qp,
         )
-        assert inference._cpu_op_seconds(argmax, 8, 12) == \
+        assert cpu_op_seconds(host, argmax, 8, 12) == \
             host.argmax_seconds(8, 12)
-        assert inference._cpu_op_seconds(tanh, 8, 12) == \
+        assert cpu_op_seconds(host, tanh, 8, 12) == \
             host.tanh_seconds(8 * 12)
-        assert inference._cpu_op_seconds(fc, 8, 12) == \
+        assert cpu_op_seconds(host, fc, 8, 12) == \
             host.matmul_seconds(8, 12, 5)
         # An op kind without a dedicated model falls back to elementwise
         # traffic -- not to argmax, which was the original bug.
         class DequantizeOp:
             kind = "DEQUANTIZE"
-        assert inference._cpu_op_seconds(DequantizeOp(), 8, 12) == \
+        assert cpu_op_seconds(host, DequantizeOp(), 8, 12) == \
             host.elementwise_seconds(8 * 12)
-        assert inference._cpu_op_seconds(DequantizeOp(), 8, 12) != \
+        assert cpu_op_seconds(host, DequantizeOp(), 8, 12) != \
             host.argmax_seconds(8, 12)
 
     def test_argmax_tail_charge_unchanged(self, ds, trained_small):
@@ -494,6 +495,28 @@ class TestCostAccountingFixes:
             rows = len(samples[start:start + 4])
             expected_tail += inference.host.argmax_seconds(rows, width)
         assert seconds > expected_tail
+
+    def test_breakdown_covers_one_run(self, ds, trained_small):
+        # The breakdown is this run's, not the device's lifetime total:
+        # a second run reports the same terms, and they add up to the
+        # run's seconds (device terms plus the host tail).
+        inference = InferencePipeline(trained_small.compiled, batch=8)
+        first = inference.run(ds.test_x[:40])
+        second = inference.run(ds.test_x[:40])
+        assert second.breakdown == first.breakdown
+        assert first.breakdown["host_tail"] > 0
+        assert sum(first.breakdown.values()) == pytest.approx(first.seconds)
+        assert second.seconds == first.seconds
+
+    def test_empty_input(self, ds, trained_small):
+        inference = InferencePipeline(trained_small.compiled, batch=8)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = inference.run(ds.test_x[:0], ds.test_y[:0])
+        assert result.accuracy is None
+        assert result.predictions.shape == (0,)
+        assert result.seconds == 0.0
+        assert "accuracy" not in result.summary()
 
 
 @pytest.fixture(scope="module")
@@ -519,3 +542,30 @@ class TestScoresOnlyInference:
         inference = InferencePipeline(compiled, batch=8)
         result = inference.run(ds.test_x, ds.test_y)
         assert result.accuracy > model.score(ds.test_x, ds.test_y) - 0.1
+
+    def test_host_argmax_charged(self, ds):
+        # Without an ARGMAX op the host takes the argmax over the class
+        # scores, and pays for it: every batch costs its invoke plus
+        # the argmax over that batch's scores.
+        from repro.edgetpu import compile_model
+        from repro.nn import from_classifier
+        from repro.tflite import convert
+        model = HDCClassifier(dimension=512, seed=4)
+        model.fit(ds.train_x, ds.train_y, iterations=1,
+                  num_classes=ds.num_classes)
+        compiled = compile_model(convert(
+            from_classifier(model, include_argmax=False), ds.train_x[:128],
+        ))
+        assert not compiled.cpu_ops
+        assert not compiled.model.output_is_index
+        inference = InferencePipeline(compiled, batch=8)
+        result = inference.run(ds.test_x[:44])
+        expected = 0.0
+        tail = 0.0
+        for rows in (8, 8, 8, 8, 8, 4):
+            expected += compiled.invoke_seconds(rows)
+            argmax = inference.host.argmax_seconds(rows, ds.num_classes)
+            expected += argmax
+            tail += argmax
+        assert result.seconds == expected
+        assert result.breakdown["host_tail"] == tail

@@ -192,7 +192,8 @@ class TestValidation:
         from tests.serving.conftest import train_compiled
         other = train_compiled(train_x, train_y, seed=9)
         pool = DevicePool(2)
-        pool.load_models([compiled, other])
+        pool.load_replicated(compiled)
+        pool.reload(1, other)
         with pytest.raises(ValueError, match="replicated"):
             InferenceServer(pool)
 

@@ -67,12 +67,12 @@ class TestPipelineConfig:
         ("num_devices", 2), ("micro_batch", 16),
     ])
     def test_rejects_inference_executor_fields(self, field, value):
-        # Training reads only executor.workers; an inference knob set
-        # here would be dropped without a word.
-        with pytest.raises(ValueError, match=f"executor.{field}"):
-            PipelineConfig(executor=ExecutorConfig(**{field: value}))
-        # InferencePipeline keeps accepting them.
-        assert getattr(ExecutorConfig(**{field: value}), field) == value
+        # The executor config sizes the training worker pool only; an
+        # inference knob has nowhere to go, so it cannot be spelled.
+        with pytest.raises(TypeError, match=field):
+            ExecutorConfig(**{field: value})
+        with pytest.raises(TypeError, match="executor"):
+            InferencePipeline(None, executor=2)
 
 
 class TestServeConfig:

@@ -1,16 +1,20 @@
 """End-to-end integration tests across the whole stack."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.config import PipelineConfig
+import repro
+from repro.config import FleetSpec, PipelineConfig, ServeConfig
 from repro.data import isolet, load
-from repro.edgetpu import DelegatedExecutor, compile_model, lower
+from repro.edgetpu import compile_model, lower
 from repro.hdc import BaggingConfig, HDCClassifier
 from repro.nn import from_classifier
 from repro.runtime import InferencePipeline, TrainingPipeline
+from repro.serving.arrivals import Request
 from repro.tflite import FlatModel, Interpreter, convert
 
 
@@ -46,16 +50,22 @@ class TestFullStack:
         np.testing.assert_array_equal(original, reloaded)
 
     def test_three_execution_paths_bit_identical(self, artifacts):
-        # Reference interpreter, delegated executor, inference pipeline —
-        # all must produce the same predictions.
+        # Reference interpreter, inference pipeline, and a closed-loop
+        # serve() on two devices — all must produce the same predictions.
         ds, result, _ = artifacts
         reference = Interpreter(result.inference_model).predict(ds.test_x)
-        delegated = DelegatedExecutor(result.compiled).predict(ds.test_x)
         piped = InferencePipeline(result.compiled, batch=16).run(
             ds.test_x
         ).predictions
-        np.testing.assert_array_equal(reference, delegated)
+        trace = [Request(i, 0.0, math.inf, row)
+                 for i, row in enumerate(ds.test_x)]
+        served = repro.serve(
+            repro.deploy(result, fleet=FleetSpec.single(count=2)), trace,
+            config=ServeConfig(batcher="fixed", max_batch=16,
+                               max_queue=len(trace)),
+        ).predictions
         np.testing.assert_array_equal(reference, piped)
+        np.testing.assert_array_equal(reference, served)
 
     def test_quantized_close_to_float(self, artifacts):
         ds, result, _ = artifacts
@@ -84,7 +94,9 @@ class TestEveryDatasetEndToEnd:
         flat = convert(from_classifier(model, include_argmax=True),
                        ds.train_x[:128])
         compiled = compile_model(flat)
-        predictions = DelegatedExecutor(compiled).predict(ds.test_x)
+        predictions = InferencePipeline(compiled, batch=32).run(
+            ds.test_x
+        ).predictions
         accuracy = float(np.mean(predictions == ds.test_y))
         assert accuracy > model.score(ds.test_x, ds.test_y) - 0.1
         assert accuracy > 1.5 / ds.num_classes  # far better than chance
@@ -137,6 +149,6 @@ def test_property_random_models_roundtrip_and_execute(n, d, k, seed):
     flat = convert(from_classifier(model, include_argmax=True), x)
     restored = FlatModel.from_bytes(flat.to_bytes())
     compiled = compile_model(restored)
-    predictions = DelegatedExecutor(compiled).predict(x)
+    predictions = InferencePipeline(compiled, batch=16).run(x).predictions
     assert predictions.shape == (60,)
     assert predictions.min() >= 0 and predictions.max() < k
