@@ -1,9 +1,9 @@
 """Shared benchmark fixtures and the result log.
 
-Every benchmark regenerates one paper table/figure (or an ablation) and
-appends its formatted output to ``bench_results.txt`` next to this file,
-so a full ``pytest benchmarks/ --benchmark-only`` run leaves a complete
-paper-vs-measured record behind.
+Benchmarks append their formatted tables to ``bench_results.txt`` next
+to this file through ``record_result``, so a full
+``pytest benchmarks/ --benchmark-only`` run leaves a complete
+paper-vs-measured record behind.  The log is generated, not committed.
 """
 
 import pathlib

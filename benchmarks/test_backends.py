@@ -1,49 +1,38 @@
-"""Backends and placement: cost/latency Pareto sweep, optimizer value.
+"""Backends and placement: a real trade-off, and the optimizer's value.
 
-Two measurements back the pluggable-backend framework and the fleet
-placement optimizer, all on the virtual clock (bit-reproducible):
+Two claims back the pluggable-backend framework and the fleet
+placement optimizer, both on the virtual clock:
 
-- **Cost/latency Pareto sweep** — the four registered backends span
-  three orders of magnitude in modeled service time and an order of
-  magnitude in unit cost on a wide ISOLET-style model; no single
-  backend dominates, which is what makes placement a real problem.
+- **Cost/latency trade-off** — the four registered backends span three
+  orders of magnitude in modeled service time and an order of
+  magnitude in unit cost on a wide ISOLET-style model, and the fastest
+  is not the cheapest, which is what makes placement a real problem.
 - **Optimizer vs. static provisioning** — the ``PlacementOptimizer``
-  splits three SLA tenants across a heterogeneous fleet and the
-  resulting ``policy="placed"`` cluster run must dominate (strictly
-  cheaper AND no worse measured p99 than) at least one
-  single-backend static provisioning of the same tenants.
+  splits three SLA tenants across a heterogeneous fleet, and the
+  resulting ``policy="placed"`` cluster run over 8,000 requests must
+  dominate (strictly cheaper AND no worse measured p99 than) at least
+  one single-backend static provisioning of the same tenants.
 
-Results are written machine-readable to ``BENCH_backends.json`` (the
-serving sections are built twice and compared, so the file is proven
-run-to-run deterministic) and human-readable to the shared
-``bench_results.txt`` log.
-
-Set ``BACKENDS_BENCH_REQUESTS`` to shrink the trace for smoke runs.
+Run-to-run determinism of placed cluster runs is asserted in
+``tests/cluster/test_cluster.py``.
 """
 
-import json
-import os
-import pathlib
-
 import numpy as np
+import pytest
 
 import repro
 from repro.cluster import ClusterConfig, TenantSpec
 from repro.config import FleetSpec
 from repro.data import isolet
 from repro.edgetpu import compile_model, make_arch
-from repro.experiments.report import format_table
 from repro.hdc.encoder import NonlinearEncoder
 from repro.hdc.model import HDCClassifier
 from repro.nn import from_classifier
 from repro.runtime.placement import PlacementOptimizer
 from repro.tflite import convert
 
-JSON_PATH = pathlib.Path(__file__).parent / "BENCH_backends.json"
-
-NUM_REQUESTS = int(os.environ.get("BACKENDS_BENCH_REQUESTS", "12000"))
+NUM_REQUESTS = 8000
 DIMENSION = 4096
-BUCKETS = (1, 8, 32)
 
 # Unit costs roughly track device capability: the big TPU is the
 # premium part, the Pi CPU is nearly free, the neuromorphic part sits
@@ -75,174 +64,65 @@ TENANTS = (
 
 SERVE = repro.ServeConfig(max_batch=8, max_queue=50_000)
 
-_COMPILED = None
+
+@pytest.fixture(scope="module")
+def compiled():
+    """The wide ISOLET model (deterministic, but not cheap)."""
+    ds = isolet(max_samples=400, seed=7).normalized()
+    rng = np.random.default_rng(0)
+    encoder = NonlinearEncoder(ds.train_x.shape[1], DIMENSION, seed=rng)
+    classifier = HDCClassifier(dimension=DIMENSION, encoder=encoder,
+                               seed=rng)
+    classifier.fit(ds.train_x, ds.train_y, iterations=2, num_classes=26)
+    return compile_model(convert(
+        from_classifier(classifier, include_argmax=True),
+        ds.train_x[:96],
+    ))
 
 
-def _compiled():
-    """Train the wide ISOLET model once (deterministic, but not cheap)."""
-    global _COMPILED
-    if _COMPILED is None:
-        ds = isolet(max_samples=400, seed=7).normalized()
-        rng = np.random.default_rng(0)
-        encoder = NonlinearEncoder(ds.train_x.shape[1], DIMENSION,
-                                   seed=rng)
-        classifier = HDCClassifier(dimension=DIMENSION, encoder=encoder,
-                                   seed=rng)
-        classifier.fit(ds.train_x, ds.train_y, iterations=2,
-                       num_classes=26)
-        _COMPILED = compile_model(convert(
-            from_classifier(classifier, include_argmax=True),
-            ds.train_x[:96],
-        ))
-    return _COMPILED
-
-
-def _pareto_section():
-    """Modeled per-backend service time and cost across batch buckets."""
-    rows = {}
-    for backend, unit_cost in BACKEND_COSTS.items():
-        variant = compile_model(_compiled().model, make_arch(backend))
-        arch = variant.arch
-        rows[backend] = {
-            "unit_cost": unit_cost,
-            "active_power_w": arch.active_power_w,
-            "idle_power_w": arch.idle_power_w,
-            "buckets": {
-                str(bucket): {
-                    "service_s": variant.invoke_seconds(bucket),
-                    "us_per_row": 1e6 * variant.invoke_seconds(bucket)
-                    / bucket,
-                    "rows_per_s": bucket / variant.invoke_seconds(bucket),
-                }
-                for bucket in BUCKETS
-            },
-        }
-    # Sanity: the sweep spans a real Pareto frontier — the cheapest
-    # backend is not the fastest, so placement has a trade to make.
-    fastest = min(rows, key=lambda b: rows[b]["buckets"]["32"]["service_s"])
-    cheapest = min(rows, key=lambda b: rows[b]["unit_cost"])
-    assert fastest != cheapest
-    return rows
-
-
-def _measured(placement, seed=7):
-    """Serve the tenant trace on a placed fleet; return key metrics."""
+def _p99(compiled, placement):
+    """Measured p99 of the tenant trace served on a placed fleet."""
     config = ClusterConfig(
         tenants=TENANTS, total_requests=NUM_REQUESTS, policy="placed",
-        placement=placement, serve=SERVE, seed=seed,
+        placement=placement, serve=SERVE, seed=7,
     )
-    summary = repro.serve_cluster(_compiled(), config=config).summary()
-    return {
-        "p99_s": summary["latency"]["p99_s"],
-        "mean_s": summary["latency"]["mean_s"],
-        "deadline_miss_rate": summary["deadline_miss_rate"],
-        "drop_rate": summary["drop_rate"],
-        "throughput_rps": summary["throughput_rps"],
-        "energy_j": summary["energy_j"],
-        "served": summary["served"],
+    summary = repro.serve_cluster(compiled, config=config).summary()
+    return summary["latency"]["p99_s"]
+
+
+def test_fastest_backend_is_not_the_cheapest(compiled):
+    service_s = {
+        backend: compile_model(compiled.model,
+                               make_arch(backend)).invoke_seconds(32)
+        for backend in BACKEND_COSTS
     }
+    fastest = min(service_s, key=service_s.get)
+    cheapest = min(BACKEND_COSTS, key=BACKEND_COSTS.get)
+    assert fastest != cheapest
 
 
-def _placed_section():
-    """Optimizer placement on the heterogeneous fleet, then serve it."""
-    placement = PlacementOptimizer(FLEET).place(_compiled(), TENANTS)
+def test_optimizer_dominates_a_static_fleet(compiled):
+    # All-neuromorphic cannot meet the 2 ms interactive SLA at any
+    # device count, so it is always a victim; all-big-TPU pays the
+    # premium part for every tenant.
+    placement = PlacementOptimizer(FLEET).place(compiled, TENANTS)
     backends_used = sorted({d.group for d in placement.decisions})
     assert placement.feasible, placement.summary()
     assert len(backends_used) >= 2, (
         f"optimizer picked a homogeneous placement: {backends_used}"
     )
-    return {
-        "decisions": placement.describe(),
-        "total_cost_rate": placement.total_cost_rate,
-        "total_devices": placement.total_devices,
-        "backends_used": backends_used,
-        "measured": _measured(placement),
-    }
+    cost = placement.total_cost_rate
+    p99 = _p99(compiled, placement)
 
+    def dominated(backend):
+        static = PlacementOptimizer(
+            FleetSpec.single(backend, count=64,
+                             unit_cost=BACKEND_COSTS[backend])
+        ).place(compiled, TENANTS)
+        return (cost < static.total_cost_rate
+                and p99 <= _p99(compiled, static))
 
-def _static_section():
-    """Single-backend provisioning of the same tenants, per backend."""
-    rows = {}
-    for backend, unit_cost in BACKEND_COSTS.items():
-        placement = PlacementOptimizer(
-            FleetSpec.single(backend, count=64, unit_cost=unit_cost)
-        ).place(_compiled(), TENANTS)
-        rows[backend] = {
-            "total_cost_rate": placement.total_cost_rate,
-            "total_devices": placement.total_devices,
-            "feasible": placement.feasible,
-            "measured": _measured(placement),
-        }
-    return rows
-
-
-def _build_payload():
-    heterogeneous = _placed_section()
-    static = _static_section()
-
-    # Acceptance: the optimizer's heterogeneous placement dominates —
-    # strictly cheaper AND no worse measured p99 — at least one static
-    # single-backend provisioning (all-neuromorphic cannot meet the
-    # 2 ms interactive SLA at any device count, so it is always a
-    # victim; all-big-TPU pays the premium part for every tenant).
-    het_cost = heterogeneous["total_cost_rate"]
-    het_p99 = heterogeneous["measured"]["p99_s"]
-    dominated = sorted(
-        backend for backend, row in static.items()
-        if het_cost < row["total_cost_rate"]
-        and het_p99 <= row["measured"]["p99_s"]
+    assert any(dominated(backend) for backend in BACKEND_COSTS), (
+        f"heterogeneous placement (cost {cost:.2f}, "
+        f"p99 {1e3 * p99:.2f} ms) dominates no static provisioning"
     )
-    assert dominated, (
-        f"heterogeneous placement (cost {het_cost:.2f}, "
-        f"p99 {1e3 * het_p99:.2f} ms) dominates no static provisioning"
-    )
-    return {
-        "num_requests": NUM_REQUESTS,
-        "tenants": [
-            {"name": t.name, "rate_hz": t.rate_hz,
-             "deadline_s": t.deadline_s}
-            for t in TENANTS
-        ],
-        "pareto": _pareto_section(),
-        "heterogeneous": heterogeneous,
-        "static": static,
-        "dominated_baselines": dominated,
-    }
-
-
-def test_backends_placement(benchmark, record_result):
-    payload = benchmark.pedantic(_build_payload, rounds=1, iterations=1)
-
-    # Acceptance: the whole benchmark is virtual-clock deterministic —
-    # a second build must serialize to the identical JSON.
-    again = json.dumps(_build_payload(), indent=2, sort_keys=True)
-    first = json.dumps(payload, indent=2, sort_keys=True)
-    assert first == again, "backends benchmark is not run-deterministic"
-
-    JSON_PATH.write_text(first + "\n")
-
-    het = payload["heterogeneous"]
-    rows = [[
-        "heterogeneous (optimizer)",
-        het["total_cost_rate"],
-        het["total_devices"],
-        1e3 * het["measured"]["p99_s"],
-        het["measured"]["deadline_miss_rate"],
-        het["measured"]["energy_j"],
-    ]]
-    for backend, row in sorted(payload["static"].items()):
-        rows.append([
-            f"static all-{backend}",
-            row["total_cost_rate"],
-            row["total_devices"],
-            1e3 * row["measured"]["p99_s"],
-            row["measured"]["deadline_miss_rate"],
-            row["measured"]["energy_j"],
-        ])
-    record_result(format_table(
-        ["fleet", "cost rate", "devices", "p99 (ms)", "miss rate",
-         "energy (J)"],
-        rows,
-        title="Backends — optimizer placement vs. static provisioning",
-        float_format="{:.3f}",
-    ))

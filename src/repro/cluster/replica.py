@@ -300,6 +300,8 @@ class Replica:
         for left, right in zip(requests, requests[1:]):
             if right.arrival_s < left.arrival_s:
                 raise ValueError("requests must be in arrival order")
+        for request in requests:
+            self._check_width(request)
         self.report = report
         self._exact_requests = requests
         self._begin(trace_requests=num_requests)
@@ -313,6 +315,17 @@ class Replica:
         self._begin(trace_requests=None)
         self._source = requests
         self._schedule_next_arrival()
+
+    def _check_width(self, request: Request) -> None:
+        """Reject a request the served model cannot take before it is
+        queued (its batch would otherwise fail mid-run)."""
+        width = np.size(request.features)
+        expected = self.server._compiled.model.input_spec.size
+        if width != expected:
+            raise ValueError(
+                f"request {request.request_id} has {width} features but "
+                f"the model takes {expected}"
+            )
 
     def open(self) -> None:
         """Prepare for routed traffic: requests arrive via
@@ -365,6 +378,7 @@ class Replica:
             # streamed path validates as it pulls.
             if request.arrival_s < self._prev_arrival:
                 raise ValueError("requests must be in arrival order")
+            self._check_width(request)
             self._prev_arrival = request.arrival_s
         self.engine.at(max(self.engine.now, request.arrival_s),
                        self._on_arrival, request)

@@ -164,17 +164,7 @@ class EdgeTpuDevice:
             RuntimeError: If no model is loaded (or the requested model
                 is not resident on this device).
         """
-        if compiled is None or compiled is self.compiled:
-            if self.compiled is None:
-                raise RuntimeError(
-                    "no model loaded; call load_model() first"
-                )
-            compiled = self.compiled
-        elif id(compiled) not in self._resident:
-            raise RuntimeError(
-                "model is not resident on this device; call "
-                "load_resident() first"
-            )
+        compiled = self._resolve(compiled)
         x = np.asarray(x)
         if x.dtype != np.int8:
             raise TypeError(f"device input must be int8, got {x.dtype}")
@@ -200,17 +190,13 @@ class EdgeTpuDevice:
         breakdown = dict(compiled.invoke_breakdown(batch))
         elapsed = compiled.invoke_seconds(batch)
 
-        bytes_in = batch * compiled.tpu_input_bytes
-        bytes_out = batch * compiled.tpu_output_bytes
-        self.stats.invocations += 1
-        self.stats.samples += batch
-        self.stats.busy_seconds += elapsed
-        self.stats.bytes_in += bytes_in
-        self.stats.bytes_out += bytes_out
-        for key, value in breakdown.items():
-            self.stats.breakdown[key] = self.stats.breakdown.get(key, 0.0) + value
-        return InvokeResult(outputs=out, elapsed_s=elapsed, breakdown=breakdown,
-                            bytes_in=bytes_in, bytes_out=bytes_out)
+        result = InvokeResult(
+            outputs=out, elapsed_s=elapsed, breakdown=breakdown,
+            bytes_in=batch * compiled.tpu_input_bytes,
+            bytes_out=batch * compiled.tpu_output_bytes,
+        )
+        self._charge(batch, result, breakdown.items())
+        return result
 
     def invoke_cost(self, batch: int,
                     compiled: CompiledModel | None = None) -> InvokeResult:
@@ -224,17 +210,7 @@ class EdgeTpuDevice:
         are bit-identical to running :meth:`invoke` on a real ``(batch,
         input_dim)`` int8 array.  ``outputs`` is ``None``.
         """
-        if compiled is None or compiled is self.compiled:
-            if self.compiled is None:
-                raise RuntimeError(
-                    "no model loaded; call load_model() first"
-                )
-            compiled = self.compiled
-        elif id(compiled) not in self._resident:
-            raise RuntimeError(
-                "model is not resident on this device; call "
-                "load_resident() first"
-            )
+        compiled = self._resolve(compiled)
         if batch < 1:
             raise ValueError("cannot invoke with an empty batch")
 
@@ -250,6 +226,30 @@ class EdgeTpuDevice:
             cached = (compiled, result, tuple(breakdown.items()))
             self._cost_cache[(id(compiled), batch)] = cached
         _, result, items = cached
+        self._charge(batch, result, items)
+        # The same (shared, treat-as-read-only) InvokeResult is handed
+        # back on every repeat charge.
+        return result
+
+    def _resolve(self, compiled: CompiledModel | None) -> CompiledModel:
+        """The loaded model an invoke runs: the primary when
+        ``compiled`` is omitted, else that co-resident model."""
+        if compiled is None or compiled is self.compiled:
+            if self.compiled is None:
+                raise RuntimeError(
+                    "no model loaded; call load_model() first"
+                )
+            return self.compiled
+        if id(compiled) not in self._resident:
+            raise RuntimeError(
+                "model is not resident on this device; call "
+                "load_resident() first"
+            )
+        return compiled
+
+    def _charge(self, batch: int, result: InvokeResult, items) -> None:
+        """Add one invoke of ``batch`` rows to the device counters;
+        ``items`` are its per-term breakdown seconds."""
         stats = self.stats
         stats.invocations += 1
         stats.samples += batch
@@ -259,9 +259,6 @@ class EdgeTpuDevice:
         breakdown = stats.breakdown
         for key, value in items:
             breakdown[key] = breakdown.get(key, 0.0) + value
-        # The same (shared, treat-as-read-only) InvokeResult is handed
-        # back on every repeat charge.
-        return result
 
     def energy_joules(self) -> float:
         """Energy consumed while busy (active power x busy time)."""

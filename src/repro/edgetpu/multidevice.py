@@ -266,25 +266,8 @@ class DevicePool:
         Returns:
             The device's :class:`~repro.edgetpu.device.InvokeResult`.
         """
-        if not 0 <= index < self.num_devices:
-            raise ValueError(f"device index {index} out of range")
-        if index in self.failed:
-            plan = self._failure_plans.get(index)
-            mode = plan.mode if plan is not None else "device_loss"
-            raise DeviceFailedError(index, mode, 0.0)
-        plan = self._failure_plans.get(index)
-        if plan is not None and at_s >= plan.at_s:
-            self.failed.add(index)
-            self.unload(index)
-            raise DeviceFailedError(
-                index, plan.mode, plan.resolved_detect_seconds
-            )
-        if self.models[index] is None:
-            raise RuntimeError(f"device {index} has no model loaded")
-        if model is not None:
-            model = self._variant_for(model, self.devices[index].arch)
-        return self.devices[index].invoke(x, compiled=model,
-                                          executor=executor)
+        device, model = self._ready(index, at_s, model)
+        return device.invoke(x, compiled=model, executor=executor)
 
     def invoke_cost(self, index: int, batch: int, at_s: float = 0.0,
                     model: CompiledModel | None = None):
@@ -294,6 +277,15 @@ class DevicePool:
         uses this to dispatch on modeled cost alone; it predicted every
         row when the row was routed.
         """
+        device, model = self._ready(index, at_s, model)
+        return device.invoke_cost(batch, compiled=model)
+
+    def _ready(self, index: int, at_s: float,
+               model: CompiledModel | None):
+        """The checks before every invoke of device ``index`` at
+        ``at_s``: its index, its health (tripping any armed failure)
+        and its loaded model.  Returns the device and the variant of
+        ``model`` it runs (``None`` keeps its primary)."""
         if not 0 <= index < self.num_devices:
             raise ValueError(f"device index {index} out of range")
         if index in self.failed:
@@ -311,7 +303,7 @@ class DevicePool:
             raise RuntimeError(f"device {index} has no model loaded")
         if model is not None:
             model = self._variant_for(model, self.devices[index].arch)
-        return self.devices[index].invoke_cost(batch, compiled=model)
+        return self.devices[index], model
 
     # ------------------------------------------------------------------
     # Model management

@@ -19,8 +19,8 @@ convention:
   freshly retrained model atomically between batches while the old
   model keeps serving.
 
-``benchmarks/test_serving.py`` runs the end-to-end comparisons (SLA
-attainment, failure recovery, drift recovery via hot swap).
+``tests/serving/`` asserts the end-to-end comparisons (SLA attainment,
+failure recovery, drift recovery via hot swap).
 """
 
 from repro.config import ServeConfig

@@ -95,9 +95,22 @@ class ModelSwapper:
         )
 
     def schedule(self, compiled: CompiledModel, at_s: float) -> float:
-        """Request a swap at virtual time ``at_s``; returns ready time."""
+        """Request a swap at virtual time ``at_s``; returns ready time.
+
+        Raises:
+            ValueError: If ``at_s`` is negative, or ``compiled`` takes a
+                different input width than the model the pool serves.
+        """
         if at_s < 0:
             raise ValueError(f"at_s must be >= 0, got {at_s}")
+        width = compiled.model.input_spec.size
+        served = [m.model.input_spec.size
+                  for m in self.pool.models if m is not None]
+        if served and served[0] != width:
+            raise ValueError(
+                f"swap model takes {width} features but the pool serves "
+                f"a model taking {served[0]}"
+            )
         ready = at_s + self.modelgen_seconds(compiled)
         self._pending.append(PendingSwap(
             compiled=compiled, scheduled_s=at_s, ready_s=ready,

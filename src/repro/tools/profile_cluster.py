@@ -5,7 +5,8 @@ dynamic batching, round-robin sharding) at a configurable scale, runs
 it under :mod:`cProfile`, and prints the hottest functions — the
 standing entry point for keeping the vectorized fast path honest: any
 regression in the per-arrival or per-batch constants shows up here as
-a new hot frame long before the wall-clock budget in CI trips.
+a new hot frame, where the benchmark harness (``perfbench/``, the
+``fleet-sweep`` workload's ``serve_s``) shows only that the total grew.
 
 Examples::
 

@@ -14,7 +14,7 @@ from repro.cluster import (
     POLICIES,
     TenantSpec,
 )
-from repro.config import FleetSpec, ServeConfig
+from repro.config import BackendSpec, FleetSpec, ServeConfig
 from repro.observability.metrics import MetricsRegistry
 from repro.runtime.placement import PlacementOptimizer
 
@@ -46,11 +46,18 @@ def test_every_policy_serves_the_whole_trace(compiled_model,
 
 
 @pytest.mark.parametrize("policy", ["round_robin", "least_queue",
-                                    "consistent_hash"])
+                                    "consistent_hash", "placed"])
 def test_runs_are_bit_deterministic_per_seed(compiled_model,
                                              tenant_mix, policy):
     kwargs = dict(tenants=tenant_mix, total_requests=1000,
                   num_replicas=2, policy=policy, seed=13)
+    if policy == "placed":
+        # One Edge TPU takes the busiest tenant and the Pi CPUs the
+        # rest, so replicas run per-backend variants of the model.
+        fleet = FleetSpec((BackendSpec("edgetpu", count=1),
+                           BackendSpec("pi-cpu", count=4)))
+        kwargs["placement"] = PlacementOptimizer(fleet).place(
+            compiled_model, tenant_mix)
     first = json.dumps(_summary(compiled_model, **kwargs),
                        sort_keys=True)
     second = json.dumps(_summary(compiled_model, **kwargs),

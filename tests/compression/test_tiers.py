@@ -128,10 +128,14 @@ class TestBuildTiers:
             build_tiers(fused, x[:96],
                         specs=(TierSpec("full"), TierSpec("f2")))
 
-    def test_summary(self, ladder):
+    def test_summary(self, ladder, trained):
         summary = ladder.summary()
         assert summary["schema"] == "repro.tiers/1"
         assert [t["name"] for t in summary["tiers"]] == ladder.names
+        # A second build of the same ladder is the same ladder.
+        fused, x, y = trained
+        again = build_tiers(fused, x[:96], specs=SPECS, evaluation=(x, y))
+        assert again.summary() == summary
 
     def test_tierset_validation(self, ladder):
         with pytest.raises(ValueError):

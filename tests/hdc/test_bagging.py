@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.data import isolet
 from repro.hdc import BaggingConfig, BaggingHDCTrainer, FusedHDCModel
 from repro.runtime.executor import ExecutorConfig
 
@@ -261,6 +262,16 @@ class TestParallelTraining:
         assert report.workers == 4
         assert len(report.task_seconds) == 4
         assert report.speedup > 1.0
+        # Four sub-models of an ISOLET-sized training on four workers:
+        # their measured task seconds list-schedule to at least twice
+        # the serial speed.
+        ds = isolet(max_samples=800, seed=7).normalized()
+        cfg = BaggingConfig(num_models=4, dimension=1024, iterations=3,
+                            dataset_ratio=0.7)
+        trainer = BaggingHDCTrainer(cfg, seed=0,
+                                    executor=ExecutorConfig(workers=4))
+        trainer.fit(ds.train_x, ds.train_y, num_classes=ds.num_classes)
+        assert trainer.last_parallel_report.speedup >= 2.0
 
     def test_different_seeds_still_differ(self):
         _, a = self._fused(ExecutorConfig(workers=4), seed=7)

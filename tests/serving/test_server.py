@@ -12,6 +12,8 @@ from repro.edgetpu import (
 )
 from repro.runtime import PhaseProfiler
 from repro.serving import InferenceServer, ModelSwapper
+from repro.serving.arrivals import Request
+from tests.serving.conftest import SLA_DYNAMIC, SLA_FIXED, SLA_S
 
 DYNAMIC_16 = ServeConfig(max_batch=16, slack_s=0.001)
 
@@ -79,7 +81,8 @@ class TestServe:
         assert dropped_mask.sum() == report.dropped
         assert np.isnan(report.latencies[dropped_mask]).all()
 
-    def test_deadline_aware_beats_fixed_p99(self, serving_setup):
+    def test_deadline_aware_beats_fixed_p99(self, serving_setup,
+                                            sla_setup):
         _, compiled, trace = serving_setup
         dynamic, _ = _serve(compiled, trace,
                             config=ServeConfig(max_batch=32, slack_s=0.001))
@@ -87,6 +90,13 @@ class TestServe:
                           config=ServeConfig(batcher="fixed", max_batch=32))
         assert dynamic.latency.p99 < fixed.latency.p99
         assert dynamic.deadline_miss_rate < fixed.deadline_miss_rate
+        # On the SLA workload the deadline-aware batcher meets the 50 ms
+        # p99 target and fixed-size batching misses it, neither dropping.
+        compiled, trace = sla_setup
+        dynamic, _ = _serve(compiled, trace, config=SLA_DYNAMIC)
+        fixed, _ = _serve(compiled, trace, config=SLA_FIXED)
+        assert dynamic.dropped == fixed.dropped == 0
+        assert dynamic.latency.p99 <= SLA_S < fixed.latency.p99
 
     def test_deterministic_reports(self, serving_setup):
         _, compiled, trace = serving_setup
@@ -149,7 +159,7 @@ class TestFaultTolerance:
         np.testing.assert_array_equal(report.predictions,
                                       healthy.predictions)
 
-    def test_cpu_fallback_when_pool_lost(self, serving_setup):
+    def test_cpu_fallback_when_pool_lost(self, serving_setup, sla_setup):
         _, compiled, trace = serving_setup
         pool = DevicePool(1)
         pool.load_replicated(compiled)
@@ -164,6 +174,21 @@ class TestFaultTolerance:
         np.testing.assert_array_equal(report.predictions,
                                       healthy.predictions)
         assert report.host_seconds > healthy.host_seconds
+        # A USB stall on the only device, 1 s into the SLA workload:
+        # the host serves the rest, dropping nothing, in request order.
+        compiled, trace = sla_setup
+        pool = DevicePool(1)
+        pool.load_replicated(compiled)
+        pool.schedule_failure(FailurePlan(0, at_s=1.0, mode="usb_stall"))
+        stalled = InferenceServer(pool, SLA_DYNAMIC).serve(trace)
+        healthy, _ = _serve(compiled, trace, num_devices=1,
+                            config=SLA_DYNAMIC)
+        assert stalled.dropped == 0
+        assert stalled.served == len(trace)
+        assert stalled.fallback_batches > 0
+        assert stalled.failed_devices == [0]
+        np.testing.assert_array_equal(stalled.predictions,
+                                      healthy.predictions)
 
     def test_stall_detection_costs_latency(self, serving_setup):
         _, compiled, trace = serving_setup
@@ -221,6 +246,28 @@ class TestValidation:
         server = InferenceServer(pool)
         with pytest.raises(ValueError, match="arrival order"):
             server.serve([trace[1], trace[0]])
+
+    @pytest.mark.parametrize("as_list", [True, False])
+    def test_feature_width_checked_before_serving(self, serving_setup,
+                                                  as_list):
+        # Forty 16-wide requests, then a 5-wide one: a list is rejected
+        # before anything runs, an iterator when that request is pulled.
+        _, compiled, trace = serving_setup
+        bad = trace[40]
+        requests = trace[:40] + [Request(bad.request_id, bad.arrival_s,
+                                         bad.deadline_s, bad.features[:5],
+                                         bad.label)]
+        pool = DevicePool(1)
+        pool.load_replicated(compiled)
+        server = InferenceServer(pool, DYNAMIC_16)
+        with pytest.raises(ValueError,
+                           match="request 40 has 5 features but the "
+                                 "model takes 16"):
+            server.serve(requests if as_list else iter(requests))
+        # Nothing ran before a list was rejected; an iterator had
+        # already served batches of the requests before it.
+        invocations = pool.devices[0].stats.invocations
+        assert (invocations == 0) if as_list else (invocations > 0)
 
     def test_empty_trace(self, serving_setup):
         _, compiled, _ = serving_setup

@@ -15,6 +15,9 @@ from repro.serving import (
 from tests.serving.conftest import (
     NUM_CLASSES,
     NUM_FEATURES,
+    SLA_DYNAMIC,
+    sla_compiled,
+    sla_workload,
     train_compiled,
 )
 
@@ -179,6 +182,26 @@ class TestModelSwapper:
         with pytest.raises(ValueError):
             ModelSwapper(pool).schedule(retrained, at_s=-1.0)
 
+    def test_schedule_rejects_another_input_width(self, drift_setup):
+        # A 20-wide model cannot replace the 16-wide one mid-stream:
+        # every queued request would fail at the first batch after the
+        # commit, after the pool had already reloaded.
+        compiled, _, _, _ = drift_setup
+        stream = DriftingStream(
+            StreamConfig(num_features=20, num_classes=NUM_CLASSES),
+            seed=31,
+        )
+        wider = train_compiled(*stream.next_batch(200), seed=32)
+        pool = DevicePool(1)
+        pool.load_replicated(compiled)
+        swapper = ModelSwapper(pool)
+        with pytest.raises(ValueError,
+                           match="takes 20 features but the pool serves "
+                                 "a model taking 16"):
+            swapper.schedule(wider, at_s=0.0)
+        assert swapper.pending == 0
+        assert pool.models[0] is compiled
+
 
 class TestServedSwap:
     def _serve(self, drift_setup, swap):
@@ -205,6 +228,31 @@ class TestServedSwap:
         static_windows = static.windowed_accuracy(4)
         swap_windows = swapped.windowed_accuracy(4)
         assert swap_windows[-1] > static_windows[-1]
+        # The SLA workload drifting at 0.08 per request over 1,200
+        # requests: a model retrained on the 300 requests before the
+        # midpoint, swapped in there, recovers at least 0.15 accuracy
+        # in the last of six windows.
+        compiled, trace = sla_workload(drift_rate=0.08, num_requests=1200)
+        window = trace[300:600]
+        retrained = sla_compiled(
+            np.stack([r.features for r in window]),
+            np.array([r.label for r in window], dtype=np.int64), seed=5,
+        )
+
+        def serve(swap):
+            pool = DevicePool(2)
+            pool.load_replicated(compiled)
+            swapper = ModelSwapper(pool) if swap else None
+            server = InferenceServer(pool, SLA_DYNAMIC, swapper=swapper)
+            if swap:
+                swapper.schedule(retrained, at_s=trace[600].arrival_s)
+            return server.serve(trace)
+
+        static, swapped = serve(False), serve(True)
+        assert swapped.swap_records
+        recovery = (swapped.windowed_accuracy(6)[-1]
+                    - static.windowed_accuracy(6)[-1])
+        assert recovery >= 0.15
 
     def test_old_model_serves_until_commit(self, drift_setup):
         compiled, retrained, trace, cut = drift_setup
