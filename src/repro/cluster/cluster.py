@@ -37,7 +37,11 @@ from repro.cluster.traffic import MultiTenantTraffic, TenantSpec
 from repro.config import ServeConfig
 from repro.edgetpu.compiler import CompiledModel
 from repro.edgetpu.multidevice import DevicePool
-from repro.observability.metrics import LatencyTracker, MetricsRegistry
+from repro.observability.metrics import (
+    LatencyTracker,
+    MetricsRegistry,
+    sum_left_to_right,
+)
 from repro.observability.trace import Tracer
 from repro.runtime.placement import FleetPlacement
 from repro.serving.arrivals import Request
@@ -311,10 +315,8 @@ class Cluster:
     # ------------------------------------------------------------------
 
     def _still_serving(self) -> bool:
-        if not self._traffic_done:
-            return True
-        return any(replica.queue or replica._dispatch_event is not None
-                   for replica in self.replicas)
+        # A pending dispatch always has a queue behind it.
+        return not self._traffic_done or any(r.queue for r in self.replicas)
 
     def _schedule_next_traffic(self) -> None:
         try:
@@ -360,13 +362,16 @@ class Cluster:
                 sum(len(r.server.pool.healthy_indices())
                     for r in self.replicas)
             )
-        if self._pump is not None:
-            self._pump.start()
-        else:
+        # The first arrival's seq precedes the first tick's (the pump
+        # drew it when it was built).
+        if self._pump is None:
             self._schedule_next_traffic()
         if self.autoscaler is not None:
             self.autoscaler.start()
-        self.engine.run(max_events=config.max_events)
+        if self._pump is not None:
+            self._pump.run(config.max_events)
+        else:
+            self.engine.run(max_events=config.max_events)
         # Deferred work replays before finalize: the makespan reads the
         # latency column the full-deferred bookkeeping fills in.
         for replica in self.replicas:
@@ -390,7 +395,7 @@ class Cluster:
             routed_counts=list(self.router.routed_counts),
             tenants=tenant_stats(list(config.tenants), self.replicas),
             scaling_events=scaling,
-            device_seconds=sum(
+            device_seconds=sum_left_to_right(
                 replica.device_seconds(makespan)
                 for replica in self.replicas
             ),

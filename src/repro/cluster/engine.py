@@ -146,6 +146,18 @@ class EventEngine:
         heapq.heappush(self._heap, (time_s, seq, event))
         return event
 
+    def draw_seq(self) -> int:
+        """Take the next insertion sequence number without scheduling.
+
+        A caller that keeps its own pending ``(time, seq)`` key off the
+        heap draws its ``seq`` here, from the counter :meth:`at` uses,
+        so the key orders against scheduled events exactly as a
+        scheduled event would.
+        """
+        seq = self._seq
+        self._seq = seq + 1
+        return seq
+
     def after(self, delay_s: float, callback: Callable, *args) -> Event:
         """Schedule ``callback(*args)`` ``delay_s`` seconds from now."""
         if delay_s < 0:
@@ -201,9 +213,8 @@ class EventEngine:
 
         Tombstones encountered at the top of the heap are dropped (the
         same lazy sweep ``run`` performs), so the answer is exact.  The
-        cluster fast path uses this to decide whether any event fires
-        before the next arrival — if not, consecutive arrivals are
-        processed inline without a heap round-trip each.
+        cluster pump uses this as the bound of each replica's run-ahead
+        window: the next cluster-level event.
         """
         heap = self._heap
         while heap:

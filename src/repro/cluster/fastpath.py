@@ -1,65 +1,44 @@
-"""The cluster simulation fast path: chunked intake, deferred math.
+"""The cluster simulation fast path: chunked intake, replica-local time.
 
-After PR 8 the 10⁶-request cluster bench was bound by per-request
-Python, not by the modeled kernels: every arrival cost a traffic heap
-pop, a `Request` allocation, a router pick, a per-field row append and
-a cancel-and-reinsert of the batch dispatch.  This module amortizes
-all of it into per-chunk numpy work while leaving every modeled time,
-report column and prediction byte-identical to the scalar path (the
+Per-request Python, not the modeled kernels, bounds a 10⁶-request
+cluster run.  This module amortizes it into per-chunk numpy work and
+per-replica loops, leaving every modeled time, report column and
+prediction byte-identical to the scalar event-per-arrival intake (the
 contract ``tests/cluster/test_equivalence.py`` pins):
 
 - :class:`FastArrivalPump` pulls merged
   :class:`~repro.cluster.traffic.TrafficChunk` columns, routes each
-  chunk in one :meth:`~repro.cluster.router.Router.route_chunk` call,
-  bulk-appends every replica's rows
-  (:meth:`~repro.cluster.replica._Rows.bulk_append`) and then
-  *macro-steps* the engine: consecutive arrivals are processed inline
-  — advancing the virtual clock directly — for as long as no other
-  pending event would fire first, so the common steady state (arrival
-  after arrival with the batch dispatch elided) costs no heap traffic
-  at all.  The hand-off rules below make the fired-event order
-  provably identical to the scalar one-event-per-arrival pump.
-- ``least_queue`` routes on queue depths that every pick changes, so
-  it has no chunk form: the pump predicts its chunk without routing
-  it, and :meth:`FastArrivalPump._on_run` picks each row's replica
-  (:meth:`~repro.cluster.router.Router.route_least_queue`) when the
-  row's arrival is processed — after every earlier event, where the
-  scalar intake routes — then appends the row
-  (:meth:`~repro.cluster.replica._Rows.append_row`) and submits it
-  with a ``nan`` lookahead.  The next arrival to that replica is not
-  known yet, so its dispatch is never elided: every submit cancels and
-  reinserts it, as the scalar intake does.
-- The pump predicts each routed block on arrival at its replica, once
-  per tier model (:meth:`FastArrivalPump._predict`), and the replica
-  keeps those int64 predictions instead of the feature rows — sound
-  because modeled latency depends only on row counts and the int8
-  chain is exact per row.  :class:`DeferredPredictions` gathers each
-  served row's prediction by its serving tier after the simulation
-  and, when nothing observes per-request state mid-run
-  (:attr:`~DeferredPredictions.full`), replays the per-batch latency
-  bookkeeping there too.
+  chunk in one :meth:`~repro.cluster.router.Router.route_chunk` call
+  and lands every replica's rows as columns, predicted on arrival once
+  per tier model (:meth:`FastArrivalPump._predict`): modeled latency
+  depends only on row counts, and the int8 chain is exact per row.
+- Each replica owns its pending dispatch as a ``(time, seq)`` key,
+  re-keyed where the scalar intake cancels and reinserts its dispatch
+  event, so the engine heap carries only cluster-level events
+  (autoscaler ticks, device-online commits).
+- **Run-ahead**, with no shared metrics registry and routing blind to
+  replica state (every policy but ``least_queue``): replicas are
+  independent between cluster-level events, so each advances through
+  its routed rows to the next one in one loop (``Replica._advance``):
+  admissions inline, the dispatch core once per batch, no engine
+  traffic.  Only a replica's own events can tie inside a window, and
+  ``Replica._reached`` orders them as the scalar intake's seqs do.
+- **Merged order**, for ``least_queue`` (each row picks its replica at
+  its arrival) or a registry (which sees writes in global order): one
+  loop takes the earliest key among the next arrival, the replicas'
+  dispatches and the next cluster-level event, every seq drawn where
+  the scalar intake draws it.
+- :class:`DeferredPredictions` gathers each served row's prediction by
+  its serving tier after the simulation and, when nothing observes
+  per-request state mid-run, replays the latency bookkeeping there.
 
-Macro-stepping equivalence.  The scalar pump schedules exactly one
-arrival event ahead; at arrival *k* it (1) schedules arrival *k+1*
-(sequence number ``mark``), then (2) submits *k*, whose dispatch
-reschedule allocates newer sequence numbers.  The pump therefore
-processes arrival *k+1* inline — without scheduling it — exactly when
-the earliest pending event either fires strictly after *k+1*'s
-(clamped) time, or ties it with a sequence number ``>= mark`` (i.e. it
-was inserted during submit *k*, and the arrival's older ``mark`` would
-have beaten it anyway).  Otherwise it yields: arrival *k+1* becomes a
-real event, and if submit *k*'s own dispatch landed on the same
-instant it is cancel-and-reinserted after the arrival, restoring the
-exact ``older-events < arrival < dispatch`` tie order the scalar pump
-produces.
-
-Every router policy runs this pump, traced replicas included; the
-scalar pump survives only as the oracle tests force through
+Every policy runs this pump, traced replicas included; the scalar
+intake survives as the oracle tests force through
 :meth:`Cluster._takes_pump <repro.cluster.cluster.Cluster._takes_pump>`.
 """
-
 from __future__ import annotations
 
+import bisect
 import math
 from typing import TYPE_CHECKING
 
@@ -140,15 +119,12 @@ class DeferredPredictions:
 
 
 class FastArrivalPump:
-    """Chunked traffic → batched routing → macro-stepped arrivals.
+    """Chunked traffic → batched routing → replica-local time.
 
-    One chunk at a time: route the whole chunk, predict and
-    bulk-append each replica's rows, precompute per-row scalars
-    (arrival time, replica, local id, next-arrival-to-the-same-replica
-    lookahead), then drive the clock through :meth:`_on_run` — inline
-    while nothing else is due, one scheduled event whenever a dispatch
-    or autoscaler tick must interleave (see the module docstring for
-    the exact hand-off rules).
+    Runs ahead (:meth:`_run_ahead`) or in merged order
+    (:meth:`_run_merged`), see the module docstring; either way it
+    counts the arrivals, batches and cluster-level events it processes
+    against ``max_events``, as :meth:`EventEngine.run` counts events.
     """
 
     def __init__(self, cluster: "Cluster",
@@ -157,42 +133,53 @@ class FastArrivalPump:
         self.engine = cluster.engine
         self.router = cluster.router
         self.replicas = cluster.replicas
+        self.total = traffic.total_requests
         # One arena per distinct model, shared by the replicas serving
         # it (keyed by identity; the plan pins the model).
         self._plans: dict[int, ModelPlan] = {}
         self._chunks = traffic.chunks()
-        # least_queue routes on live queue depths, so each row picks
-        # its replica when its arrival is processed, not when its chunk
-        # lands.
         self._route_one = (self.router.route_least_queue
                            if self.router.policy == "least_queue" else None)
-        self._times: list[float] = []
-        # Routed at chunk time: each row's replica, local id and the
-        # next arrival to the same replica.
-        self._replica_of: list[int] = []
-        self._local: list[int] = []
-        self._next_same: list[float] = []
-        # Routed per arrival: the chunk's own columns.
-        self._deadlines: list[float] = []
-        self._tenants: list[int] = []
-        self._labels: list[int] = []
-        self._predicted: np.ndarray | None = None
-        self._row = 0
-        self._size = 0
-
-    def start(self) -> None:
-        """Schedule the first arrival (or finish an empty trace)."""
-        chunk = next(self._chunks, None)
-        if chunk is None:  # pragma: no cover - total_requests >= 1
-            self.cluster._traffic_done = True
+        self.merged = (self._route_one is not None
+                       or cluster.metrics is not None)
+        # Arrivals whose processing began, the next one's seq (drawn
+        # while its predecessor ran; the first before the autoscaler's
+        # first tick, as the scalar intake schedules it), and
+        # cluster-level events fired.
+        self._next = 0
+        self._next_seq = self.engine.draw_seq()
+        self._fired = 0
+        # Run-ahead: the loaded chunks' first indices and arrival
+        # times, kept while a tie walk may read them (see _load).
+        self._bases: list[int] = []
+        self._times: list[np.ndarray] = []
+        self._exhausted = False
+        if not self.merged:
             for replica in self.replicas:
-                replica.end_of_trace()
-            return
-        self._prepare(chunk)
+                replica._time_of = self.time_of
+
+    def run(self, max_events: int | None) -> None:
+        """Serve the whole trace; the engine clock ends at the last
+        event, as :meth:`EventEngine.run` leaves it."""
+        if self.merged:
+            self._run_merged(max_events)
+        else:
+            self._run_ahead(max_events)
         engine = self.engine
-        time_s = self._times[0]
-        engine.at(time_s if time_s > engine.now else engine.now,
-                  self._on_run)
+        engine.now = max(engine.now,
+                         max(replica._clock for replica in self.replicas))
+        self._check_budget(max_events)
+
+    def _check_budget(self, max_events: int | None) -> None:
+        if max_events is None:
+            return
+        events = (self._next + self._fired
+                  + sum(r.report.num_batches for r in self.replicas))
+        if events > max_events:
+            raise RuntimeError(
+                f"event budget exhausted: {events} events processed "
+                f"(max_events={max_events})"
+            )
 
     def _predict(self, replica: "Replica",
                  features: np.ndarray) -> np.ndarray:
@@ -212,145 +199,215 @@ class FastArrivalPump:
                 predicted[part, column] = plan.predict(features[part])
         return predicted
 
-    def _prepare(self, chunk) -> None:
-        """Route one chunk and land its predicted rows on the
-        replicas — or, under ``least_queue``, predict the chunk and
-        keep its columns for :meth:`_on_run` to route row by row."""
-        times = chunk.times
-        count = len(times)
-        self._times = times.tolist()
-        self._row = 0
-        self._size = count
-        if self._route_one is not None:
-            # A least_queue cluster is never placed: every replica
-            # serves the same model and tier ladder, so one prediction
-            # pass covers the chunk wherever its rows land.
-            self._deadlines = chunk.deadlines.tolist()
-            self._tenants = chunk.tenants.tolist()
-            self._labels = chunk.labels.tolist()
-            self._predicted = self._predict(self.replicas[0],
-                                            chunk.features)
-            return
+    def _route(self, chunk) -> tuple[np.ndarray, np.ndarray]:
+        """Route one chunk and land each replica's predicted rows (and,
+        running ahead, their times and global indices); returns each
+        row's replica and replica-local id."""
         indices = self.router.route_chunk(chunk.tenants)
-        local = np.empty(count, dtype=np.int64)
-        # nan = "no known next arrival to this replica in the chunk":
-        # any comparison is false, so elision stays off across chunk
-        # boundaries (~1 conservative dispatch per replica per chunk).
-        next_same = np.full(count, math.nan)
+        local = np.empty(len(indices), dtype=np.int64)
         for index, replica in enumerate(self.replicas):
-            positions = np.nonzero(indices == index)[0]
-            routed = len(positions)
-            if routed == 0:
+            positions = np.flatnonzero(indices == index)
+            if not len(positions):
                 continue
+            times = chunk.times[positions]
             base = replica._rows.bulk_append(
-                times[positions], chunk.deadlines[positions],
+                times, chunk.deadlines[positions],
                 chunk.tenants[positions], chunk.labels[positions],
                 self._predict(replica, chunk.features[positions]),
             )
-            local[positions] = base + np.arange(routed)
-            if routed > 1:
-                next_same[positions[:-1]] = times[positions[1:]]
-        self._replica_of = indices.tolist()
-        self._local = local.tolist()
-        self._next_same = next_same.tolist()
+            local[positions] = base + np.arange(len(positions))
+            if not self.merged:
+                admitted = replica._pend_k
+                replica._pend_k = 0
+                replica._pend_t = replica._pend_t[admitted:] + times.tolist()
+                replica._pend_g = (replica._pend_g[admitted:]
+                                   + (positions + chunk.base_id).tolist())
+        return indices, local
 
-    def _on_run(self) -> None:
-        """Process arrivals from ``self._row`` on, inline while safe.
+    # ------------------------------------------------------------------
+    # Run-ahead
+    # ------------------------------------------------------------------
 
-        Invariant on entry (and on every loop iteration): the engine
-        clock stands at the current arrival's clamped time — either
-        because this event was scheduled there, or because the previous
-        iteration advanced the clock inline.
+    def time_of(self, index: int) -> float:
+        """Arrival time of global arrival ``index`` (``-inf`` before
+        the first)."""
+        if index < 0:
+            return -math.inf
+        chunk = bisect.bisect_right(self._bases, index) - 1
+        return float(self._times[chunk][index - self._bases[chunk]])
+
+    def _load(self) -> None:
+        chunk = next(self._chunks, None)
+        if chunk is None:
+            self._exhausted = True
+            return
+        # Free the chunks no tie walk can reach (see Replica._reached):
+        # a walk reads arrival i >= _next - 1, or an older i only when
+        # arrival i + 1 ties a firing after its chain's root, an own
+        # arrival no older than that replica's queue head.
+        keep_s = min((float(replica._rows.arrivals[replica.queue[0]])
+                      for replica in self.replicas if replica.queue),
+                     default=self.time_of(self._next - 1))
+        bases, times = self._bases, self._times
+        while len(bases) > 1 and times[1][0] < keep_s:
+            del bases[0], times[0]
+        bases.append(chunk.base_id)
+        times.append(chunk.times)
+        self._route(chunk)
+
+    def _arrivals_before(self, time_s: float, seq: int) -> int:
+        """Global arrivals ordered before the cluster event ``(time_s,
+        seq)``: every earlier one, and the next one at ``time_s`` if its
+        seq is older (a later one's is drawn in this window).  They lie
+        in the next arrival's chunk: the window's arrival bound is the
+        next chunk's first row, or the last arrival."""
+        index = self._next
+        if index == self.total:
+            return index
+        first = self.time_of(index)
+        if first >= time_s:
+            return index + (first == time_s and self._next_seq < seq)
+        chunk = bisect.bisect_right(self._bases, index) - 1
+        return self._bases[chunk] + int(np.searchsorted(
+            self._times[chunk], time_s, side="left"))
+
+    def _run_ahead(self, max_events: int | None) -> None:
+        """Advance every replica window by window.
+
+        A window ends at the earlier of the next cluster-level event and
+        an arrival bound: the newest loaded chunk's first row (a later
+        row may precede a dispatch), or the last arrival, whose
+        processing arms every replica's flush rule.  Every re-key inside
+        a window happens between the same two cluster-level events, so
+        one stamp, drawn from the engine, orders them all against those.
         """
+        engine = self.engine
+        replicas = self.replicas
+        last = self.total - 1
+        self._load()
+        while True:
+            top = engine.peek()
+            stamp = engine.draw_seq()
+            for replica in replicas:
+                replica._stamp = stamp
+            start = self._next
+            if start > last and top is None:
+                for replica in replicas:
+                    replica._advance(start, math.inf, 0, -1)
+                return
+            by_arrival = False
+            if start <= last:
+                while not self._exhausted and self._bases[-1] <= start:
+                    self._load()
+                bound = last if self._exhausted else self._bases[-1]
+                bound_s = self.time_of(bound)
+                # The last arrival, next up at a cluster-level event's
+                # instant, goes first if its predecessor ran before
+                # that event's seq was drawn.
+                by_arrival = top is None or bound_s < top[0] or (
+                    bound_s == top[0] and bound == start
+                    and self._next_seq < top[1])
+            if by_arrival:
+                limit, window = bound, (bound_s, 0, bound)
+            else:
+                limit, window = self._arrivals_before(*top), (*top, -1)
+            for replica in replicas:
+                replica._advance(limit, *window)
+            if limit > start:
+                self._next_seq = stamp
+            self._next = limit
+            if not by_arrival:
+                engine.step()
+                self._fired += 1
+            elif bound == last and self._exhausted:
+                self.cluster._traffic_done = True
+                for replica in replicas:
+                    replica.end_of_trace(bound_s, last)
+                self._next = last + 1
+            self._check_budget(max_events)
+
+    # ------------------------------------------------------------------
+    # Merged order
+    # ------------------------------------------------------------------
+
+    def _columns(self, chunk) -> tuple:
+        """One chunk's rows as lists: each row's replica and local id,
+        or, under ``least_queue``, what :meth:`_Rows.append_row` takes
+        when the row is routed at its arrival."""
+        if self._route_one is None:
+            return tuple(column.tolist() for column in self._route(chunk))
+        # A least_queue cluster is never placed: every replica serves
+        # the same model and tier ladder, so one prediction pass covers
+        # the chunk wherever its rows land.
+        return (chunk.deadlines.tolist(), chunk.tenants.tolist(),
+                chunk.labels.tolist(),
+                self._predict(self.replicas[0], chunk.features))
+
+    def _run_merged(self, max_events: int | None) -> None:
+        """One event at a time: the earliest ``(time, seq)`` key among
+        the next arrival, the replicas' dispatches and the next
+        cluster-level event."""
         engine = self.engine
         cluster = self.cluster
         replicas = self.replicas
         metrics = cluster.metrics
-        peek = engine.peek
         route_one = self._route_one
-        times = self._times
-        replica_of = self._replica_of
-        local = self._local
-        next_same = self._next_same
-        deadlines = self._deadlines
-        tenants = self._tenants
-        labels = self._labels
-        predicted = self._predicted
-        size = self._size
+        inf = math.inf
+        top = engine.peek()
+        chunk = next(self._chunks)
+        columns = self._columns(chunk)
+        times = chunk.times.tolist()
+        row = 0
+        arrival_s = times[0]
+        arrival_seq = self._next_seq
         while True:
-            row = self._row
-            if route_one is None:
-                index = replica_of[row]
-                local_id = local[row]
-                lookahead = next_same[row]
+            first = None
+            due, due_seq = arrival_s, arrival_seq
+            for replica in replicas:
+                when = replica._due
+                if when < due or (when == due and when != inf
+                                  and replica._due_seq < due_seq):
+                    first = replica
+                    due, due_seq = when, replica._due_seq
+            if top is not None and (top[0] < due or (
+                    top[0] == due and top[1] < due_seq)):
+                engine.step()
+                self._fired += 1
+                top = engine.peek()
+                self._check_budget(max_events)
+            elif first is not None:
+                first._on_dispatch_fast()
+            elif arrival_s == inf:
+                return
             else:
-                # Every earlier event has fired, as at the scalar
-                # intake's route call; the replica's next arrival is
-                # unknown, so its dispatch is never elided.
-                index = route_one()
-                local_id = replicas[index]._rows.append_row(
-                    times[row], deadlines[row], tenants[row],
-                    labels[row], predicted[row],
-                )
-                lookahead = math.nan
-            # --- the scalar pump's _advance: establish the next
-            # arrival (pulling a chunk as needed) or end the trace,
-            # *before* submitting the current one ---
-            nrow = row + 1
-            if nrow == size:
-                chunk = next(self._chunks, None)
-                if chunk is None:
+                # The scalar intake's arrival event: the next arrival's
+                # seq (or the trace end), the route, the submit.
+                index = self._next
+                now = arrival_s
+                if route_one is None:
+                    target = columns[0][row]
+                    local = columns[1][row]
+                else:
+                    target = route_one()
+                    local = replicas[target]._rows.append_row(
+                        now, columns[0][row], columns[1][row],
+                        columns[2][row], columns[3][row])
+                self._next = index + 1
+                row += 1
+                if self._next == self.total:
                     cluster._traffic_done = True
                     for replica in replicas:
-                        replica.end_of_trace()
-                    if metrics is not None:
-                        metrics.counter("cluster.routed").inc()
-                    replicas[index]._submit_fast(local_id, lookahead)
-                    return
-                self._prepare(chunk)
-                times = self._times
-                replica_of = self._replica_of
-                local = self._local
-                next_same = self._next_same
-                deadlines = self._deadlines
-                tenants = self._tenants
-                labels = self._labels
-                predicted = self._predicted
-                size = self._size
-                nrow = 0
-            t_next = times[nrow]
-            # The sequence number the scalar pump's arrival event would
-            # carry: anything scheduled from here on (the submit's
-            # dispatch reschedule) is newer and loses ties to it.
-            mark = engine._seq
-            # --- submit the current arrival ---
-            if metrics is not None:
-                metrics.counter("cluster.routed").inc()
-            replica = replicas[index]
-            replica._submit_fast(local_id, lookahead)
-            # --- macro-step or yield ---
-            now = engine.now
-            t_eff = t_next if t_next > now else now
-            bound = peek()
-            if (bound is None or bound[0] > t_eff
-                    or (bound[0] == t_eff and bound[1] >= mark)):
-                # Nothing fires before the next arrival (ties only
-                # against events this submit just scheduled, which the
-                # arrival's older mark would beat): take it inline.
-                engine.now = t_eff
-                self._row = nrow
-                continue
-            # An event from before this submit is due first: yield.
-            self._row = nrow
-            engine.at(t_eff, self._on_run)
-            dispatch = replica._dispatch_event
-            if (dispatch is not None and dispatch.time_s == t_eff
-                    and dispatch.seq > mark):
-                # Submit's own dispatch tied the arrival instant; its
-                # sequence is now older than the just-scheduled arrival
-                # event, inverting the scalar order.  Reinsert it after.
-                engine.cancel(dispatch)
-                replica._dispatch_event = engine.at(
-                    t_eff, replica._on_dispatch_fast
-                )
-            return
+                        replica.end_of_trace(now, index)
+                    arrival_s = inf
+                else:
+                    arrival_seq = engine.draw_seq()
+                    if row == len(times):
+                        chunk = next(self._chunks)
+                        columns = self._columns(chunk)
+                        times = chunk.times.tolist()
+                        row = 0
+                        self._check_budget(max_events)
+                    arrival_s = times[row]
+                if metrics is not None:
+                    metrics.counter("cluster.routed").inc()
+                replicas[target]._submit_fast(local, now, index)

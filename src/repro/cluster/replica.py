@@ -29,11 +29,10 @@ The actor serves either mode the cluster needs:
   requests are pulled lazily, report rows live in growable arrays, and
   a 10⁶-request trace never exists in memory).
 - **Routed** (:meth:`open` / :meth:`end_of_trace`): the cluster pump
-  lands routed rows as columns with replica-local ids (a block per
-  chunk, or one row per arrival under ``least_queue``) and admits each
-  with :meth:`_submit_fast`; the replica keeps per-row
-  arrival/deadline/tenant columns for the cluster report's per-tenant
-  SLA accounting.  :meth:`submit` admits one
+  lands routed rows as columns with replica-local ids and keeps the
+  pending dispatch as a key the replica owns (:meth:`enable_fast`); the
+  rows' arrival/deadline/tenant columns feed the cluster report's
+  per-tenant SLA accounting.  :meth:`submit` admits one
   :class:`~repro.serving.arrivals.Request` instead: standalone
   arrivals call it, and so does the scalar cluster intake that tests
   keep as the pump's oracle.
@@ -255,17 +254,29 @@ class Replica:
         self._source_done = False
         self._prev_arrival = -math.inf
         self._exact_requests: list[Request] | None = None
+        self._first_request: Request | None = None
         self._rows: _Rows | None = None
         self._finalized = False
-        # Fast-path state (see enable_fast); inert in scalar mode.
+        # Pump state (see enable_fast); inert in scalar mode.
         self._fast = False
         self._defer = None
-        self._lookahead = math.nan
-        self._fast_dynamic = False
         self._fast_max_batch = 0
-        self._fast_slack = 0.0
-        self._fast_timeout = math.inf
         self._fast_est: list[float | None] = []
+        self._head_column = "deadlines"
+        self._head_shift = self._head_base = 0.0
+        # The pending dispatch as a key the replica owns: time (inf for
+        # none), seq and origin (see _reached); and the last event time.
+        self._due = math.inf
+        self._due_seq = 0
+        self._due_origin = None
+        self._clock = 0.0
+        # Run-ahead only: the window's seq stamp, the global arrival
+        # times, and the routed rows not yet admitted (see _advance).
+        self._stamp: int | None = None
+        self._time_of = None
+        self._pend_t: list[float] = []
+        self._pend_g: list[int] = []
+        self._pend_k = 0
 
     # ------------------------------------------------------------------
     # Trace binding
@@ -290,6 +301,12 @@ class Replica:
 
     def _bind_list(self, requests: list[Request]) -> None:
         num_requests = len(requests)
+        for left, right in zip(requests, requests[1:]):
+            if right.arrival_s < left.arrival_s:
+                raise ValueError("requests must be in arrival order")
+        for request in requests:
+            self._check_width(request)
+            self._check_label(request)
         report = ServeReport(num_requests=num_requests)
         report.predictions = np.full(num_requests, -1, dtype=np.int64)
         report.latencies = np.full(num_requests, np.nan)
@@ -297,11 +314,6 @@ class Replica:
             report.labels = np.array(
                 [r.label for r in requests], dtype=np.int64
             )
-        for left, right in zip(requests, requests[1:]):
-            if right.arrival_s < left.arrival_s:
-                raise ValueError("requests must be in arrival order")
-        for request in requests:
-            self._check_width(request)
         self.report = report
         self._exact_requests = requests
         self._begin(trace_requests=num_requests)
@@ -315,6 +327,20 @@ class Replica:
         self._begin(trace_requests=None)
         self._source = requests
         self._schedule_next_arrival()
+
+    def _check_label(self, request: Request) -> None:
+        """Reject a trace that labels some requests but not all: the
+        report keeps one label column or none."""
+        first = self._first_request
+        if first is None:
+            self._first_request = request
+        elif (request.label is None) != (first.label is None):
+            raise ValueError(
+                f"request {request.request_id} is "
+                f"{'un' if request.label is None else ''}labelled but "
+                f"request {first.request_id} is not; label every "
+                f"request of a trace or none"
+            )
 
     def _check_width(self, request: Request) -> None:
         """Reject a request the served model cannot take before it is
@@ -379,6 +405,7 @@ class Replica:
             if request.arrival_s < self._prev_arrival:
                 raise ValueError("requests must be in arrival order")
             self._check_width(request)
+            self._check_label(request)
             self._prev_arrival = request.arrival_s
         self.engine.at(max(self.engine.now, request.arrival_s),
                        self._on_arrival, request)
@@ -422,12 +449,16 @@ class Replica:
             metrics.gauge("serve.queue_depth").set(len(queue))
         self._reschedule()
 
-    def end_of_trace(self) -> None:
+    def end_of_trace(self, now: float = 0.0, index: int = -1) -> None:
         """Routed mode: no more submits are coming — arm the flush rule
-        so a queue the policy would hold forever dispatches now."""
+        so a queue the policy would hold forever dispatches now.
+
+        The pump passes the last arrival's time and global index (the
+        scalar intake is at that event already)."""
         self._source_done = True
         if self._fast:
-            self._reschedule_fast(math.nan)
+            self._clock = now
+            self._reschedule_fast(now, index)
         else:
             self._reschedule()
 
@@ -472,26 +503,19 @@ class Replica:
         self._reschedule()
 
     # ------------------------------------------------------------------
-    # The vectorized fast path (cluster intake without Request objects)
+    # The pump path (cluster intake without Request objects)
     # ------------------------------------------------------------------
 
     def enable_fast(self, defer) -> None:
-        """Switch the routed intake to the cluster fast path.
+        """Switch the routed intake to the cluster pump.
 
-        In fast mode the queue holds replica-local integer ids instead
-        of :class:`Request` objects, arrivals land as per-chunk column
-        blocks (:meth:`_Rows.bulk_append` from the pump; one
-        :meth:`_Rows.append_row` per arrival under ``least_queue``),
-        the batch trigger is evaluated inline from the columns, and
-        predictions resolve through ``defer`` (a
-        :class:`~repro.cluster.fastpath.DeferredPredictions` sink) —
-        every modeled time, report column and span stays bit-identical
-        to the scalar path (``tests/cluster/test_equivalence.py``).
-
-        Requires a routed replica (:meth:`open`); the server's batcher
-        is always one of the two stock policies
-        (:meth:`~repro.config.ServeConfig.make_batcher`), whose trigger
-        math is reproduced inline.
+        The queue then holds replica-local row ids, the pending
+        dispatch is a key the replica owns instead of an engine event,
+        and predictions resolve through ``defer`` (a
+        :class:`~repro.cluster.fastpath.DeferredPredictions` sink).  The
+        stock batchers' triggers run inline as ``(head column + shift)
+        - estimate[size]``: ``(deadline - slack) - service estimate``,
+        or ``(arrival + timeout) - 0``.
         """
         from repro.serving.batcher import DynamicBatcher
         if self._rows is None or self._source is not None:
@@ -502,26 +526,59 @@ class Replica:
             raise ValueError("fast mode does not support a swapper")
         batcher = server.batcher
         if isinstance(batcher, DynamicBatcher):
-            self._fast_dynamic = True
-            self._fast_slack = batcher.slack_s
+            self._head_column, self._head_shift = "deadlines", -batcher.slack_s
+            self._fast_est = [None] * batcher.max_batch
         else:
-            self._fast_dynamic = False
-            self._fast_timeout = batcher.timeout_s
+            self._head_column, self._head_shift = "arrivals", batcher.timeout_s
+            self._fast_est = [0.0] * batcher.max_batch
         self._fast_max_batch = batcher.max_batch
-        self._fast_est = [None] * batcher.max_batch
         self._defer = defer
         self._fast = True
 
-    def _submit_fast(self, local_id: int, lookahead: float) -> None:
-        """Admit (or drop) one pre-appended row — the fast twin of
-        :meth:`submit`.
+    def _set_head(self, local_id: int) -> None:
+        """Cache the trigger base of a new queue head."""
+        column = getattr(self._rows, self._head_column)
+        self._head_base = float(column[local_id]) + self._head_shift
 
-        ``lookahead`` is the arrival time of the *next* request routed
-        to this replica (``nan`` when unknown: across a chunk boundary,
-        and always under ``least_queue``); it drives the
-        dispatch-elision rule in
-        :meth:`_reschedule_fast`.
+    def _reschedule_fast(self, now: float, origin) -> None:
+        """Re-key the pending dispatch at ``now`` — :meth:`_reschedule`
+        with the batch trigger inline.
+
+        A key takes a fresh ``seq`` where :meth:`_reschedule` calls
+        ``engine.at``: from the engine in merged order, else the
+        run-ahead window's stamp.  ``origin`` is the event re-keying it,
+        for the run-ahead tie rule (:meth:`_reached`).
         """
+        size = len(self.queue)
+        if not size:
+            self._due = math.inf
+            return
+        if size >= self._fast_max_batch:
+            ready = now
+        else:
+            estimate = self._fast_est[size]
+            if estimate is None:
+                estimate = self.server.service_estimate(size)
+                self._fast_est[size] = estimate
+            ready = self._head_base - estimate
+            if ready < now:
+                ready = now
+            elif ready == math.inf:
+                # The policy would wait forever: flush once the trace
+                # is over, until then schedule nothing.
+                if not self._source_done:
+                    self._due = math.inf
+                    return
+                ready = now
+        self._due = ready
+        self._due_origin = origin
+        stamp = self._stamp
+        self._due_seq = self.engine.draw_seq() if stamp is None else stamp
+
+    def _submit_fast(self, local_id: int, now: float, index: int) -> None:
+        """Merged order: admit (or drop) routed row ``local_id``, global
+        arrival ``index``, at its arrival time ``now`` — the fast twin
+        of :meth:`submit`."""
         server = self.server
         metrics = server.metrics
         queue = self.queue
@@ -530,83 +587,30 @@ class Replica:
         if len(queue) >= server.max_queue:
             self.report.dropped += 1
             if server.tracer is not None:
-                arrival = float(self._rows.arrivals[local_id])
-                server.tracer.add("request", arrival, arrival,
-                                  parent_id=self._root, tags=("dropped",),
-                                  request_id=local_id)
+                server.tracer.add("request", now, now, parent_id=self._root,
+                                  tags=("dropped",), request_id=local_id)
             if metrics is not None:
                 metrics.counter("serve.dropped").inc()
         else:
+            if not queue:
+                self._set_head(local_id)
             queue.append(local_id)
         if metrics is not None:
             metrics.gauge("serve.queue_depth").set(len(queue))
-        self._lookahead = lookahead
-        self._reschedule_fast(lookahead)
-
-    def _reschedule_fast(self, lookahead: float) -> None:
-        """Inline batch trigger with dispatch elision.
-
-        Reproduces :meth:`~repro.serving.batcher.DynamicBatcher.ready_at`
-        (or the fixed batcher's) bit-for-bit from the column store, then
-        skips scheduling entirely when ``ready`` falls strictly after
-        the next arrival bound for this replica: that arrival would
-        cancel-and-reinsert the dispatch before it could fire (the
-        scalar path does exactly that on *every* submit), so the event
-        is pure heap churn.  A ``nan`` lookahead disables elision (any
-        comparison with it is false) and the dispatch is scheduled
-        conservatively, which is always correct.
-        """
-        engine = self.engine
-        if self._dispatch_event is not None:
-            engine.cancel(self._dispatch_event)
-            self._dispatch_event = None
-        queue = self.queue
-        size = len(queue)
-        if size == 0:
-            return
-        now = engine.now
-        if size >= self._fast_max_batch:
-            ready = now
-        elif self._fast_dynamic:
-            estimate = self._fast_est[size]
-            if estimate is None:
-                estimate = self.server.service_estimate(size)
-                self._fast_est[size] = estimate
-            ready = (self._rows.deadlines[queue[0]]
-                     - self._fast_slack - estimate)
-            if ready < now:
-                ready = now
-        else:
-            timeout = self._fast_timeout
-            if math.isinf(timeout):
-                if not self._source_done:
-                    return
-                ready = now
-            else:
-                ready = self._rows.arrivals[queue[0]] + timeout
-                if ready < now:
-                    ready = now
-        if ready > lookahead:
-            # The next arrival to this replica lands strictly before
-            # the trigger and will re-evaluate it; skip the heap
-            # round-trip.  (At exact equality the event is scheduled:
-            # whether the pending arrival or this dispatch wins the tie
-            # depends on insertion order, and scheduling preserves the
-            # scalar path's order exactly.)
-            return
-        self._dispatch_event = engine.at(ready, self._on_dispatch_fast)
+        self._clock = now
+        self._reschedule_fast(now, index)
 
     def _on_dispatch_fast(self) -> None:
-        """Close and serve one batch of queued row ids — the fast twin
-        of :meth:`_on_dispatch` (columns in, no predictions out).
-        """
-        self._dispatch_event = None
+        """Close and serve one batch of queued row ids at the pending
+        dispatch's time — the fast twin of :meth:`_on_dispatch`
+        (columns in, no predictions out)."""
+        now = self._due
         server = self.server
         queue = self.queue
+        popleft = queue.popleft
         count = min(self._fast_max_batch, len(queue))
-        ids = np.empty(count, dtype=np.int64)
-        for k in range(count):
-            ids[k] = queue.popleft()
+        ids = np.fromiter([popleft() for _ in range(count)], np.int64,
+                          count)
         depth = len(queue)
         if server.metrics is not None:
             server.metrics.gauge("serve.queue_depth").set(depth)
@@ -620,12 +624,123 @@ class Replica:
             deadlines = rows.deadlines[ids]
         self.host_free = server._dispatch_columns(
             ids, arrivals, deadlines, None,
-            self.engine.now, self.device_free, self.device_busy,
+            now, self.device_free, self.device_busy,
             self.device_swap, self.host_free, self.report,
             server.tracer, self._root, queue_depth=depth,
             defer=self._defer,
         )
-        self._reschedule_fast(self._lookahead)
+        self._clock = now
+        if not depth:
+            self._due = math.inf
+            return
+        self._set_head(queue[0])
+        self._reschedule_fast(
+            now, (now, self._due_origin) if self._stamp is not None else None
+        )
+
+    # Run-ahead: no shared registry, routing blind to replica state ----
+
+    def _reached(self, origin, index: int) -> bool:
+        """Whether global arrival ``index`` began processing at or
+        before ``origin``, the event that last re-keyed the dispatch.
+
+        The scalar intake draws arrival *m*'s seq while arrival *m - 1*
+        runs, so an arrival beats the dispatch at the same instant
+        exactly when ``_reached(origin, m - 1)``.  An origin is an own
+        arrival's (or the trace end's) global index, or ``(fired_s,
+        parent)`` for a dispatch fired at ``fired_s``: an arrival
+        precedes that firing if earlier, or as early with an older seq,
+        which recurses one arrival back.
+        """
+        time_of = self._time_of
+        while origin.__class__ is tuple:
+            fired, origin = origin
+            arrival = time_of(index)
+            if arrival != fired:
+                return arrival < fired
+            index -= 1
+        return index <= origin
+
+    def _advance(self, limit: int, bound_s: float, bound_seq: int,
+                 bound_index: int) -> None:
+        """Run ahead to a window bound, with no engine traffic.
+
+        Admits each routed row (``_pend_t``/``_pend_g``: arrival times
+        and global indices) below global index ``limit``, inline, after
+        the dispatches due before it; then fires the dispatches ordered
+        before the bound — global arrival ``bound_index`` at
+        ``bound_s``, or (``bound_index < 0``) the cluster-level event
+        ``(bound_s, bound_seq)``, whose seq orders against the stamps.
+        """
+        pend_t = self._pend_t
+        pend_g = self._pend_g
+        k = self._pend_k
+        count = len(pend_g)
+        queue = self.queue
+        append = queue.append
+        server = self.server
+        max_queue = server.max_queue
+        max_batch = self._fast_max_batch
+        estimates = self._fast_est
+        tracer = server.tracer
+        stamp = self._stamp
+        inf = math.inf
+        local = self._rows.count - (count - k)
+        due = self._due
+        seq = self._due_seq
+        origin = self._due_origin
+        head = self._head_base
+        size = len(queue)
+        last = -inf
+        while k < count:
+            index = pend_g[k]
+            if index >= limit:
+                break
+            now = pend_t[k]
+            if due <= now and (due < now
+                               or not self._reached(origin, index - 1)):
+                self._due, self._due_seq, self._due_origin = due, seq, origin
+                self._on_dispatch_fast()
+                due, seq, origin = self._due, self._due_seq, self._due_origin
+                head = self._head_base
+                size = len(queue)
+                continue
+            if size >= max_queue:
+                self.report.dropped += 1
+                if tracer is not None:
+                    tracer.add("request", now, now, parent_id=self._root,
+                               tags=("dropped",), request_id=local)
+            else:
+                if not size:
+                    self._set_head(local)
+                    head = self._head_base
+                append(local)
+                size += 1
+            local += 1
+            k += 1
+            last = now
+            # _reschedule_fast(now, index), inline.
+            origin = index
+            seq = stamp
+            if size >= max_batch:
+                due = now
+            elif size:
+                estimate = estimates[size]
+                if estimate is None:
+                    estimate = server.service_estimate(size)
+                    estimates[size] = estimate
+                due = head - estimate
+                if due < now or (due == inf and self._source_done):
+                    due = now
+        self._pend_k = k
+        self._due, self._due_seq, self._due_origin = due, seq, origin
+        if last > self._clock:
+            self._clock = last
+        while due < bound_s or (due == bound_s and due != inf and (
+                not self._reached(self._due_origin, bound_index - 1)
+                if bound_index >= 0 else self._due_seq < bound_seq)):
+            self._on_dispatch_fast()
+            due = self._due
 
     def resolve_deferred(self) -> None:
         """Replay every deferred computation — the prediction gather

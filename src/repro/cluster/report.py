@@ -25,7 +25,7 @@ import numpy as np
 
 from repro.cluster.autoscaler import ScalingEvent
 from repro.cluster.traffic import TenantSpec
-from repro.observability.metrics import LatencyTracker
+from repro.observability.metrics import LatencyTracker, sum_left_to_right
 from repro.observability.trace import Tracer
 from repro.serving.server import ServeReport
 
@@ -153,7 +153,8 @@ class ClusterReport:
     @property
     def energy_j(self) -> float:
         """Fleet-wide modeled joules (sum of per-device energy)."""
-        return sum(sum(r.device_energy_j) for r in self.replica_reports)
+        return sum_left_to_right(sum_left_to_right(r.device_energy_j)
+                                 for r in self.replica_reports)
 
     def summary(self) -> dict:
         """Machine-readable fleet report (``repro.cluster/1``)."""
@@ -184,7 +185,7 @@ class ClusterReport:
                     "devices": len(report.device_busy_seconds),
                     "utilization": report.utilization,
                     "makespan_s": report.makespan_s,
-                    "energy_j": sum(report.device_energy_j),
+                    "energy_j": sum_left_to_right(report.device_energy_j),
                 }
                 for report in self.replica_reports
             ],

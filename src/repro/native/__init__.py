@@ -139,11 +139,6 @@ def _bind(lib: ctypes.CDLL) -> None:
         ctypes.c_void_p, ctypes.c_void_p,
         ctypes.c_int64, ctypes.c_int64, ctypes.c_int64,
     ]
-    lib.fc_acc_i32.restype = None
-    lib.fc_acc_i32.argtypes = [
-        ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p,
-        ctypes.c_int64, ctypes.c_int64, ctypes.c_int64,
-    ]
 
 
 def _smoke_test(lib: ctypes.CDLL) -> bool:

@@ -130,29 +130,3 @@ void fc_fused_i8(const uint8_t* A, const int8_t* Wp, const int32_t* offs,
         }
     }
 }
-
-/* Plain VNNI GEMM into raw int32 accumulators (same packing; used for
- * stages that need the pre-requantization accumulator). */
-void fc_acc_i32(const uint8_t* A, const int8_t* Wp, const int32_t* offs,
-                int32_t* out, int64_t M, int64_t K4, int64_t N) {
-    int64_t nb_count = N / 16;
-    for (int64_t m0 = 0; m0 < M; m0 += 8) {
-        int64_t mr = (M - m0) < 8 ? (M - m0) : 8;
-        for (int64_t nb = 0; nb < nb_count; nb++) {
-            __m512i acc[8];
-            for (int64_t i = 0; i < mr; i++)
-                acc[i] = _mm512_loadu_si512(offs + nb * 16);
-            const int8_t* wbase = Wp + (size_t)nb * K4 * 64;
-            for (int64_t k = 0; k < K4; k++) {
-                __m512i b = _mm512_loadu_si512(wbase + (size_t)k * 64);
-                for (int64_t i = 0; i < mr; i++) {
-                    __m512i a = _mm512_set1_epi32(
-                        ((const int32_t*)(A + (size_t)(m0 + i) * K4 * 4))[k]);
-                    acc[i] = _mm512_dpbusd_epi32(acc[i], a, b);
-                }
-            }
-            for (int64_t i = 0; i < mr; i++)
-                _mm512_storeu_si512(out + (size_t)(m0 + i) * N + nb * 16, acc[i]);
-        }
-    }
-}

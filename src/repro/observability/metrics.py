@@ -20,7 +20,22 @@ import math
 
 import numpy as np
 
-__all__ = ["Counter", "Gauge", "LatencyTracker", "MetricsRegistry"]
+__all__ = ["Counter", "Gauge", "LatencyTracker", "MetricsRegistry",
+           "sum_left_to_right"]
+
+
+def sum_left_to_right(values):
+    """``sum(values)`` as CPython 3.10 and 3.11 compute it: from ``0``,
+    adding left to right (and ``0`` for no values).
+
+    CPython 3.12's :func:`sum` compensates float rounding, so a modeled
+    value summed with it would change its last bits, and the golden
+    digests with them, with the interpreter.
+    """
+    total = 0
+    for value in values:
+        total += value
+    return total
 
 
 class LatencyTracker:

@@ -28,6 +28,7 @@ from dataclasses import dataclass
 from repro.data.datasets import DatasetSpec
 from repro.hdc.bagging import BaggingConfig
 from repro.hdc.metrics import weight_update_cost_ratio
+from repro.observability.metrics import sum_left_to_right
 from repro.platforms.base import Platform
 from repro.platforms.cpu import MobileCpu
 from repro.platforms.tpu import EdgeTpuPlatform
@@ -283,7 +284,7 @@ class CostModel:
             1, int(round(bagging.feature_ratio * workload.num_features))
         )
         # Encoding: M sub-models, each encoding its alpha-subset at d'.
-        encode = sum(
+        encode = sum_left_to_right(
             self.tpu_encode_seconds(subset, sub_features, sub_dim)
             for _ in range(bagging.num_models)
         )

@@ -53,7 +53,7 @@ import numpy as np
 from repro.config import ServeConfig, TierPolicy
 from repro.edgetpu.compiler import CompiledModel
 from repro.edgetpu.multidevice import DeviceFailedError, DevicePool
-from repro.observability.metrics import MetricsRegistry
+from repro.observability.metrics import MetricsRegistry, sum_left_to_right
 from repro.observability.trace import Tracer
 from repro.platforms.base import Platform
 from repro.runtime.cache import LruCache
@@ -176,9 +176,9 @@ class ServeReport:
         Swap-reload time counts toward the denominator (the device was
         occupied, not serving) but never toward busy time.
         """
-        busy = sum(self.device_busy_seconds)
-        total = (busy + sum(self.device_idle_seconds)
-                 + sum(self.device_swap_seconds))
+        busy = sum_left_to_right(self.device_busy_seconds)
+        total = (busy + sum_left_to_right(self.device_idle_seconds)
+                 + sum_left_to_right(self.device_swap_seconds))
         return busy / total if total > 0 else 0.0
 
     @property
@@ -276,13 +276,13 @@ class ServeReport:
             "host_s": self.host_seconds,
             "retried_batches": self.retried_batches,
             "fallback_batches": self.fallback_batches,
-            "energy_j": sum(self.device_energy_j),
+            "energy_j": sum_left_to_right(self.device_energy_j),
             "device_energy_j": list(self.device_energy_j),
             "failed_devices": list(self.failed_devices),
             "swaps_committed": len(self.swap_records),
-            "swap_s": sum(r.modelgen_seconds + r.load_seconds
-                          for r in self.swap_records),
-            "swap_load_s": sum(self.device_swap_seconds),
+            "swap_s": sum_left_to_right(r.modelgen_seconds + r.load_seconds
+                                        for r in self.swap_records),
+            "swap_load_s": sum_left_to_right(self.device_swap_seconds),
             "latency": self.latency.summary(),
         }
         if self.labels is not None:

@@ -15,9 +15,10 @@ Examples::
     python -m repro.tools profile-cluster --policy least_queue --sort tottime
     python -m repro.tools profile-cluster --output /tmp/cluster.pstats
 
-Every policy runs the vectorized pump; ``--policy least_queue``
-profiles its per-arrival routing (each row picks its replica, and
-lands there, at its own arrival).  ``--output`` dumps raw pstats for
+Every policy runs the vectorized pump.  Round-robin replicas run ahead
+on their own clocks, batch by batch; ``--policy least_queue`` profiles
+the merged-order loop instead, where each row picks its replica, and
+lands there, at its own arrival.  ``--output`` dumps raw pstats for
 ``snakeviz``/``pstats`` offline digging.
 """
 
@@ -45,9 +46,9 @@ def build_parser() -> argparse.ArgumentParser:
                         help="replica servers behind the router "
                              "(default 4)")
     parser.add_argument("--policy", default="round_robin",
-                        help="router policy (default round_robin; "
-                             "least_queue profiles the pump's "
-                             "per-arrival routing)")
+                        help="router policy (default round_robin, "
+                             "whose replicas run ahead; least_queue "
+                             "profiles the merged-order loop)")
     parser.add_argument("--seed", type=int, default=7,
                         help="traffic seed (default 7, the benchmark's)")
     parser.add_argument("--top", type=int, default=25,

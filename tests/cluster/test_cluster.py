@@ -213,6 +213,36 @@ def test_max_events_budget_guards_runaway_runs(compiled_model,
                  total_requests=2000, max_events=50)
 
 
+@pytest.mark.parametrize("autoscaled", [False, True])
+def test_unobserved_run_fires_no_engine_event_per_arrival_or_batch(
+        compiled_model, tenant_mix, monkeypatch, autoscaled):
+    """Without a registry, round_robin replicas run ahead between
+    cluster-level events: the engine fires those events and nothing
+    for the 2000 arrivals and their batches."""
+    from repro.cluster.autoscaler import Autoscaler
+    fired = []
+    for name in ("_tick", "_commit_add"):
+        method = getattr(Autoscaler, name)
+
+        def counted(self, *args, _method=method):
+            fired.append(self.engine.now)
+            return _method(self, *args)
+
+        monkeypatch.setattr(Autoscaler, name, counted)
+    autoscaler = (AutoscalerConfig(interval_s=0.5, queue_high=4,
+                                   up_streak=1, cooldown_s=1.0,
+                                   provision_s=0.5)
+                  if autoscaled else None)
+    cluster = Cluster(compiled_model, ClusterConfig(
+        tenants=tenant_mix, total_requests=2000, num_replicas=2, seed=7,
+        serve=ServeConfig(max_batch=4), autoscaler=autoscaler))
+    report = cluster.run()
+    assert not cluster._pump.merged
+    assert sum(r.num_batches for r in report.replica_reports) > 100
+    assert bool(fired) == autoscaled
+    assert cluster.engine.events_processed <= len(fired) + 2
+
+
 def test_serve_cluster_accepts_pipeline_results_and_rejects_junk(
         compiled_model, tenant_mix):
     config = ClusterConfig(tenants=tenant_mix, total_requests=200)

@@ -7,9 +7,9 @@ byte-for-byte against :func:`repro.serving._reference.serve_reference`
 policies, admission pressure, streamed input and tracing.
 
 The second half pins the *cluster* vectorized fast pump (chunked
-traffic + batched routing + columnar bookkeeping + macro-stepped
-arrivals, which every policy runs; ``least_queue`` routes inside it
-one arrival at a time) byte-for-byte against the scalar
+traffic + batched routing + columnar bookkeeping + replica-local
+time, which every policy runs; ``least_queue`` routes inside it one
+arrival at a time) byte-for-byte against the scalar
 event-per-arrival pump, forced by patching ``Cluster._takes_pump``,
 across router policies, placed fleets, tiered shedding, autoscaling,
 metrics, failure injection and cluster and replica tracing.
@@ -266,6 +266,23 @@ def test_least_queue_pump_matches_scalar(compiled_model, tenant_mix,
     assert fast.num_requests == case.get("total_requests", 3000)
 
 
+@pytest.mark.parametrize("case", [
+    pytest.param(dict(total_requests=1, num_replicas=3),
+                 id="single_request"),
+    pytest.param(dict(serve=ServeConfig(max_queue=0)), id="drop_all"),
+    pytest.param(dict(serve=ServeConfig(batcher="fixed", max_batch=4,
+                                        timeout_s=math.inf)),
+                 id="fixed_batcher_no_timeout"),
+])
+def test_run_ahead_pump_matches_scalar_at_the_edges(compiled_model,
+                                                    tenant_mix, case):
+    """The edges the ``least_queue`` cases pin, on replicas that run
+    ahead: a fully dropped replica's makespan is the engine's final
+    clock, and a never-timing-out batcher flushes at the trace end."""
+    fast, _ = _compare(compiled_model, tenant_mix, **case)
+    assert fast.num_requests == case.get("total_requests", 3000)
+
+
 @pytest.mark.parametrize("policy,num_replicas", [
     ("round_robin", 2),
     ("tenant_affinity", 2),
@@ -432,3 +449,203 @@ def test_every_policy_runs_the_pump(compiled_model, tenant_mix,
                            total_requests=500, **extra)
         assert cluster._takes_pump() and cluster._pump is not None
         assert cluster.run().num_requests == 500
+
+
+# ----------------------------------------------------------------------
+# Exact ties
+#
+# Exponential gaps never tie, so the runs above never ask who goes
+# first at one instant.  Rounding every gap to a 50 µs grid (839·2⁻²⁴ s:
+# sums of it stay exact in float64) makes arrivals tie within and
+# across tenants, size-triggered dispatches (``max_batch=4``) tie the
+# next arrival, and ticks and provisioning on the same grid tie both.
+# The rule the pump must reproduce: an arrival beats a dispatch at the
+# same instant exactly when that dispatch was last re-keyed while the
+# preceding global arrival was processed, or later — the order the
+# scalar intake's sequence numbers give.
+
+_GRID_S = 839 / 2 ** 24
+
+
+def _round_gaps(monkeypatch, grid_s):
+    draw = ArrivalProcess.inter_arrivals
+
+    def gridded(self, num_requests):
+        return np.round(draw(self, num_requests) / grid_s) * grid_s
+
+    monkeypatch.setattr(ArrivalProcess, "inter_arrivals", gridded)
+
+
+@pytest.fixture()
+def gridded_arrivals(monkeypatch):
+    _round_gaps(monkeypatch, _GRID_S)
+
+
+@pytest.fixture()
+def hot_mix(tenant_mix):
+    return tuple(TenantSpec(spec.name, rate_hz=spec.rate_hz * 4.0,
+                            deadline_s=spec.deadline_s, kind=spec.kind)
+                 for spec in tenant_mix)
+
+
+def _arrival_times(tenants, total_requests, seed=7):
+    from repro.cluster.traffic import MultiTenantTraffic
+    return np.concatenate([
+        chunk.times for chunk in
+        MultiTenantTraffic(tenants, total_requests, seed=seed).chunks()
+    ])
+
+
+def _tied_pairs(tenants, total_requests=3000, seed=7):
+    times = _arrival_times(tenants, total_requests, seed)
+    return int(np.count_nonzero(np.diff(times) == 0.0))
+
+
+_TIED_SERVE = ServeConfig(max_batch=4)
+
+
+@pytest.mark.parametrize("policy", POLICIES)
+def test_pump_matches_scalar_on_exact_ties(compiled_model, hot_mix,
+                                           gridded_arrivals, policy):
+    assert _tied_pairs(hot_mix) >= 100, "few tied arrivals; weak test"
+    extra = {}
+    if policy == "placed":
+        fleet = FleetSpec.single("edgetpu", count=4)
+        extra["placement"] = PlacementOptimizer(fleet).place(
+            compiled_model, hot_mix)
+    _compare(compiled_model, hot_mix, policy=policy, serve=_TIED_SERVE,
+             **extra)
+
+
+def test_pump_matches_scalar_on_exact_ties_with_drops(
+        compiled_model, hot_mix, gridded_arrivals):
+    """On one replica a tied arrival lands before the size-triggered
+    dispatch at its instant, so it finds the queue full and drops."""
+    fast, _ = _compare(compiled_model, hot_mix, num_replicas=1,
+                       serve=ServeConfig(max_batch=4, max_queue=4))
+    assert sum(r.dropped for r in fast.replica_reports) > 0, \
+        "nothing dropped; weak test"
+
+
+def _compare_observed(compiled_model, tenants, with_metrics, **kwargs):
+    """:func:`_compare`, with a registry on each side whose summaries
+    must match too; returns the pump's report."""
+    fast_metrics = MetricsRegistry() if with_metrics else None
+    scalar_metrics = MetricsRegistry() if with_metrics else None
+    fast = _cluster(compiled_model, tenants, metrics=fast_metrics,
+                    **kwargs)
+    scalar = _scalar_cluster(compiled_model, tenants,
+                             metrics=scalar_metrics, **kwargs)
+    assert fast._pump.merged == (
+        with_metrics or kwargs.get("policy") == "least_queue")
+    fast_report = fast.run()
+    _assert_cluster_reports_identical(fast_report, scalar.run())
+    if with_metrics:
+        assert json.dumps(fast_metrics.summary(), sort_keys=True) == \
+            json.dumps(scalar_metrics.summary(), sort_keys=True)
+    return fast_report
+
+
+@pytest.mark.parametrize("policy,with_metrics", [
+    ("round_robin", True),
+    ("least_queue", True),
+    ("round_robin", False),
+])
+def test_pump_matches_scalar_on_exact_ties_with_autoscaler(
+        compiled_model, hot_mix, gridded_arrivals, policy, with_metrics):
+    """Ticks and device-online commits on the arrival grid tie
+    arrivals and dispatches; without a registry the replicas run ahead
+    to each of them."""
+    autoscaler = AutoscalerConfig(
+        interval_s=_GRID_S * 1024, queue_high=2, queue_low=1,
+        miss_high=0.02, up_streak=1, cooldown_s=_GRID_S * 1024,
+        provision_s=_GRID_S * 512)
+    report = _compare_observed(compiled_model, hot_mix, with_metrics,
+                               autoscaler=autoscaler, policy=policy,
+                               serve=_TIED_SERVE)
+    actions = {event.action for event in report.scaling_events}
+    assert {"scale_up", "device_online"} <= actions, \
+        "autoscaler never scaled; weak test"
+
+
+_COARSE_S = 2 ** -10
+
+
+@pytest.fixture(params=[256, 4, 1], ids=["blocks256", "blocks4", "blocks1"])
+def coarse_ties(monkeypatch, request):
+    """A 1 ms grid (2⁻¹⁰ s) lands several arrivals on most instants,
+    and small tenant blocks cut the trace into many chunks, so many
+    run-ahead windows end on a tied arrival.  Blocks of 4 or 1 draws
+    make chunks of a few rows, so tie walks read arrivals chunks back,
+    where the pump frees what no walk can reach."""
+    from repro.cluster import traffic
+    _round_gaps(monkeypatch, _COARSE_S)
+    monkeypatch.setattr(traffic, "_CHUNK", request.param)
+
+
+@pytest.mark.parametrize("serve", [
+    pytest.param(ServeConfig(max_batch=2), id="dynamic"),
+    pytest.param(ServeConfig(batcher="fixed", max_batch=2,
+                             timeout_s=2 * _COARSE_S), id="grid_timeout"),
+    pytest.param(ServeConfig(batcher="fixed", max_batch=2), id="no_timeout"),
+])
+@pytest.mark.parametrize("policy,num_replicas", [
+    ("round_robin", 1), ("tenant_affinity", 2), ("tenant_affinity", 3),
+])
+def test_pump_matches_scalar_on_tie_chains(compiled_model, hot_mix,
+                                           coarse_ties, serve, policy,
+                                           num_replicas):
+    """Batches close between tied arrivals, and a backlog's batches
+    re-key each other at one instant, so the rule recurses through
+    them."""
+    _compare(compiled_model, hot_mix, policy=policy,
+             num_replicas=num_replicas, serve=serve)
+
+
+@pytest.mark.parametrize("policy,with_metrics,total_requests", [
+    ("tenant_affinity", False, 3000),
+    # The trace ends on an instant where a dispatch ties the last
+    # arrival, so the window that closes at it must order them.
+    ("tenant_affinity", False, 3009),
+    ("round_robin", True, 3000),
+    ("least_queue", True, 3000),
+])
+def test_pump_matches_scalar_on_tie_chains_with_autoscaler(
+        compiled_model, hot_mix, coarse_ties, policy, with_metrics,
+        total_requests):
+    """A tick at every grid instant: the first arrival of an instant
+    after a quiet one, grid timeouts and size-triggered dispatches all
+    tie it."""
+    autoscaler = AutoscalerConfig(
+        interval_s=_COARSE_S, queue_high=4, queue_low=2,
+        miss_high=0.02, up_streak=1, cooldown_s=16 * _COARSE_S,
+        provision_s=8 * _COARSE_S, max_devices=6)
+    report = _compare_observed(
+        compiled_model, hot_mix, with_metrics, autoscaler=autoscaler,
+        policy=policy, total_requests=total_requests,
+        serve=ServeConfig(batcher="fixed", max_batch=8,
+                          timeout_s=4 * _COARSE_S))
+    assert report.scaling_events, "autoscaler never scaled; weak test"
+
+
+def test_pump_matches_scalar_when_the_last_arrival_ties_a_tick(
+        compiled_model, tenant_mix, coarse_ties):
+    """A quiet trace on the 1 ms grid, ticked every 1 ms: the last
+    arrival lands on a tick instant at least two intervals after its
+    predecessor, so its seq is older than that tick's and it goes
+    first.  The window that reaches it must take it and end the
+    traffic; otherwise the ticks never stop, which ``max_events`` turns
+    into an error."""
+    quiet = tuple(TenantSpec(spec.name, rate_hz=spec.rate_hz / 10,
+                             deadline_s=spec.deadline_s, kind=spec.kind)
+                  for spec in tenant_mix)
+    times = _arrival_times(quiet, 300)
+    assert times[-1] % _COARSE_S == 0.0 and times[-1] >= _COARSE_S
+    assert times[-1] - times[-2] >= 2 * _COARSE_S, \
+        "last arrival follows its predecessor closely; weak test"
+    autoscaler = AutoscalerConfig(
+        interval_s=_COARSE_S, queue_high=2, queue_low=1, miss_high=0.02,
+        up_streak=1, cooldown_s=16 * _COARSE_S,
+        provision_s=8 * _COARSE_S, max_devices=6)
+    _compare_observed(compiled_model, quiet, False, autoscaler=autoscaler,
+                      total_requests=300, max_events=50_000)

@@ -96,9 +96,9 @@ def _cluster_peak(compiled_model, tenant_mix, total_requests, policy,
 # Each routed row keeps one int64 prediction per tier, not its 16-float
 # payload row, and each latency is 8 bytes in a tracker buffer, not a
 # boxed float.  Marginal bytes/request through ``report.summary()``:
-# round_robin measured 107 (145 with latencies kept as Python floats);
+# round_robin measured 115 (145 with latencies kept as Python floats);
 # least_queue with a metrics registry, which also keeps every latency
-# in the ``serve.latency_s`` histogram, measured 122 (170 with floats on
+# in the ``serve.latency_s`` histogram, measured 139 (170 with floats on
 # the scalar per-request intake).  Each bound sits between the two.
 @pytest.mark.parametrize("policy,with_metrics,bound", [
     pytest.param("round_robin", False, 125.0, id="round_robin"),

@@ -269,6 +269,28 @@ class TestValidation:
         invocations = pool.devices[0].stats.invocations
         assert (invocations == 0) if as_list else (invocations > 0)
 
+    @pytest.mark.parametrize("as_list", [True, False])
+    @pytest.mark.parametrize("labelled_first", [True, False])
+    def test_mixed_label_trace_rejected(self, serving_setup, as_list,
+                                        labelled_first):
+        # Ten requests, one of them with the other label presence: a
+        # list is rejected before anything runs, an iterator when that
+        # request is pulled — never a numpy error, never lost labels.
+        _, compiled, trace = serving_setup
+        requests = [Request(r.request_id, r.arrival_s, r.deadline_s,
+                            r.features,
+                            r.label if labelled_first != (i == 6) else None)
+                    for i, r in enumerate(trace[:10])]
+        pool = DevicePool(1)
+        pool.load_replicated(compiled)
+        server = InferenceServer(pool, DYNAMIC_16)
+        which = "unlabelled" if labelled_first else "labelled"
+        with pytest.raises(ValueError, match=f"request 6 is {which} but "
+                                             f"request 0 is not"):
+            server.serve(requests if as_list else iter(requests))
+        if as_list:
+            assert pool.devices[0].stats.invocations == 0
+
     def test_empty_trace(self, serving_setup):
         _, compiled, _ = serving_setup
         pool = DevicePool(1)
