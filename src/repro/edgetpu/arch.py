@@ -22,9 +22,9 @@ from dataclasses import dataclass
 from repro.edgetpu.backend import (
     AcceleratorArch,
     Instruction,
-    OpPlan,
     register_backend,
 )
+from repro.edgetpu.systolic import systolic_cycles
 
 __all__ = ["EdgeTpuArch"]
 
@@ -89,44 +89,27 @@ class EdgeTpuArch(AcceleratorArch):
 
     # -- backend hooks -------------------------------------------------
 
-    def plan_op(self, op, input_dim: int) -> OpPlan:
+    def op_cycles(self, kind: str, input_dim: int,
+                  output_dim: int) -> tuple[int, float]:
         """Systolic cycle plan: tiled MXU matmul, vector-unit tanh."""
-        from repro.edgetpu.systolic import systolic_cycles
-        from repro.tflite.ops import FullyConnectedOp
-
-        output_dim = op.output_dim(input_dim)
-        if isinstance(op, FullyConnectedOp):
+        if kind == "FULLY_CONNECTED":
+            steady = systolic_cycles(
+                input_dim, output_dim, batch=1,
+                rows=self.mxu_rows, cols=self.mxu_cols, include_fill=False,
+            )
             fill = systolic_cycles(
-                op.input_dim, output_dim, batch=1,
+                input_dim, output_dim, batch=1,
                 rows=self.mxu_rows, cols=self.mxu_cols, include_fill=True,
-            ) - systolic_cycles(
-                op.input_dim, output_dim, batch=1,
-                rows=self.mxu_rows, cols=self.mxu_cols, include_fill=False,
-            )
-            per_row = systolic_cycles(
-                op.input_dim, output_dim, batch=1,
-                rows=self.mxu_rows, cols=self.mxu_cols, include_fill=False,
-            )
-            return OpPlan(
-                name=op.name, kind=op.kind, weight_bytes=op.weight_bytes,
-                input_dim=input_dim, output_dim=output_dim,
-                fixed_cycles=fill, cycles_per_row=float(per_row),
-            )
+            ) - steady
+            return fill, steady
         # Tanh: the vector unit processes `vector_lanes` activations/cycle.
-        per_row = -(-output_dim // self.vector_lanes)
-        return OpPlan(
-            name=op.name, kind=op.kind, weight_bytes=op.weight_bytes,
-            input_dim=input_dim, output_dim=output_dim,
-            fixed_cycles=0, cycles_per_row=float(per_row),
-        )
+        return 0, -(-output_dim // self.vector_lanes)
 
     def lower_op(self, op, width: int, batch: int) -> list[Instruction]:
         """Tile-level lowering: exposed first load + fill, hidden
         double-buffered tile loads, one MATMUL pass per tile."""
-        from repro.tflite.ops import FullyConnectedOp, TanhOp
-
         instructions: list[Instruction] = []
-        if isinstance(op, FullyConnectedOp):
+        if op.kind == "FULLY_CONNECTED":
             out_dim = op.output_dim(width)
             row_tiles = -(-op.input_dim // self.mxu_rows)
             col_tiles = -(-out_dim // self.mxu_cols)
@@ -150,7 +133,7 @@ class EdgeTpuArch(AcceleratorArch):
                         "MATMUL", f"{op.name}[{row},{col}]",
                         cycles=float(batch),
                     ))
-        elif isinstance(op, TanhOp):
+        elif op.kind == "TANH":
             lanes = self.vector_lanes
             instructions.append(Instruction(
                 "ACTIVATE", f"{op.name} (tanh LUT)",

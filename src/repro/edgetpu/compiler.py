@@ -15,8 +15,10 @@ backend protocol:
   buffer (models that do not fit stream the excess over the attach link
   per invocation);
 - produces per-op cycle plans from the backend's cost model
-  (:meth:`AcceleratorArch.plan_op` — the systolic-array model for the
-  Edge TPU backends, event routing for the neuromorphic backend).
+  (:meth:`AcceleratorArch.plan_op` over the backend's ``op_cycles`` —
+  the systolic-array model for the Edge TPU backends, event routing for
+  the neuromorphic backend), which the arch's shared latency model
+  (:meth:`AcceleratorArch.invoke_breakdown`) prices.
 """
 
 from __future__ import annotations
@@ -119,14 +121,16 @@ class CompiledModel:
     def invoke_breakdown(self, batch: int) -> dict:
         """Per-term modeled seconds of one ``invoke()`` with ``batch`` rows.
 
-        Keys (in accumulation order): ``overhead``, ``input_transfer``,
-        ``weight_streaming``, ``compute``, ``output_transfer``.  This is
-        the *shared* latency-plan cache — every device in a pool invokes
-        through it, so loading the same compiled model onto eight
-        devices derives each ``(model, batch)`` plan once, not eight
-        times.  Memoized in a small LRU (the plan is immutable; evicted
-        entries recompute bit-identically).  Treat the returned dict as
-        read-only; callers that expose it must copy.
+        The arch's :meth:`~AcceleratorArch.invoke_breakdown` of this
+        model's plans, keyed (in accumulation order) ``overhead``,
+        ``input_transfer``, ``weight_streaming``, ``compute``,
+        ``output_transfer``.  This is the *shared* latency-plan cache —
+        every device in a pool invokes through it, so loading the same
+        compiled model onto eight devices derives each ``(model,
+        batch)`` plan once, not eight times.  Memoized in a small LRU
+        (the plan is immutable; evicted entries recompute
+        bit-identically).  Treat the returned dict as read-only; callers
+        that expose it must copy.
         """
         if batch < 1:
             raise ValueError(f"batch must be >= 1, got {batch}")
@@ -136,37 +140,20 @@ class CompiledModel:
             self.__dict__["_breakdown_cache"] = cache
         breakdown = cache.get(batch)
         if breakdown is None:
-            arch = self.arch
-            breakdown = {
-                "overhead": arch.invoke_overhead_s,
-                "input_transfer": arch.transfer_time(
-                    batch * self.tpu_input_bytes
-                ),
-                "weight_streaming": arch.transfer_time(
-                    self.streamed_bytes_per_invoke
-                ),
-                "compute": arch.cycles_to_seconds(
-                    self.compute_cycles(batch)
-                ),
-                "output_transfer": arch.transfer_time(
-                    batch * self.tpu_output_bytes
-                ),
-            }
+            breakdown = self.arch.invoke_breakdown(self.plans, batch)
             cache.put(batch, breakdown)
         return breakdown
 
     def invoke_seconds(self, batch: int) -> float:
         """Modeled wall time of one ``invoke()`` with ``batch`` rows.
 
-        The sum of :meth:`invoke_breakdown`'s terms (fixed dispatch
-        overhead, input transfer, parameter streaming for oversized
-        models, compute, output transfer), added left to right: CPython
-        3.12's :func:`sum` compensates rounding, which would make the
-        modeled charge depend on the interpreter.  Every device charge
-        reads this value.  Memoized per batch size in a bounded LRU —
-        the plan is immutable — so per-batch callers (the device
-        simulator, the serving event loop's ``service_estimate``) stop
-        re-deriving the latency plan on every call.
+        The arch's :meth:`~AcceleratorArch.invoke_seconds` of this
+        model's plans: the sum of :meth:`invoke_breakdown`'s terms,
+        added left to right.  Every device charge reads this value.
+        Memoized per batch size in a bounded LRU — the plan is
+        immutable — so per-batch callers (the device simulator, the
+        serving event loop's ``service_estimate``) stop re-deriving the
+        latency plan on every call.
         """
         if batch < 1:
             raise ValueError(f"batch must be >= 1, got {batch}")
@@ -176,18 +163,13 @@ class CompiledModel:
             self.__dict__["_invoke_seconds_cache"] = cache
         seconds = cache.get(batch)
         if seconds is None:
-            seconds = 0.0
-            for term in self.invoke_breakdown(batch).values():
-                seconds += term
+            seconds = self.arch.invoke_seconds(self.plans, batch)
             cache.put(batch, seconds)
         return seconds
 
     def load_seconds(self) -> float:
         """Modeled one-time cost of pushing the model to the device."""
-        return (
-            self.arch.model_setup_s
-            + self.arch.transfer_time(self.model.size_bytes())
-        )
+        return self.arch.load_seconds(self.model.size_bytes())
 
     def summary(self) -> str:
         """Compiler report in the style of ``edgetpu_compiler`` logs."""

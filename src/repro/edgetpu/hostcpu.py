@@ -24,7 +24,6 @@ from dataclasses import dataclass
 from repro.edgetpu.backend import (
     AcceleratorArch,
     Instruction,
-    OpPlan,
     register_backend,
 )
 
@@ -78,33 +77,18 @@ class HostCpuArch(AcceleratorArch):
         """Aggregate int8 MAC throughput per clock."""
         return float(self.cores * self.macs_per_cycle_per_core)
 
-    def plan_op(self, op, input_dim: int) -> OpPlan:
+    def op_cycles(self, kind: str, input_dim: int,
+                  output_dim: int) -> tuple[int, float]:
         """Dense cycle plan: MACs / SIMD throughput, no pipeline fill."""
-        from repro.tflite.ops import FullyConnectedOp
-
-        output_dim = op.output_dim(input_dim)
-        if isinstance(op, FullyConnectedOp):
-            macs = op.input_dim * output_dim
-            per_row = -(-macs // self.macs_per_cycle)
-            return OpPlan(
-                name=op.name, kind=op.kind, weight_bytes=op.weight_bytes,
-                input_dim=input_dim, output_dim=output_dim,
-                fixed_cycles=0, cycles_per_row=float(per_row),
-            )
+        if kind == "FULLY_CONNECTED":
+            return 0, -(-(input_dim * output_dim) // self.macs_per_cycle)
         # Scalar LUT activation: ~4 cycles per element, split over cores.
-        per_row = -(-(output_dim * 4) // self.cores)
-        return OpPlan(
-            name=op.name, kind=op.kind, weight_bytes=op.weight_bytes,
-            input_dim=input_dim, output_dim=output_dim,
-            fixed_cycles=0, cycles_per_row=float(per_row),
-        )
+        return 0, -(-(output_dim * 4) // self.cores)
 
     def lower_op(self, op, width: int, batch: int) -> list[Instruction]:
         """CPU lowering: one SIMD kernel call per op."""
-        from repro.tflite.ops import FullyConnectedOp
-
         plan = self.plan_op(op, width)
-        if isinstance(op, FullyConnectedOp):
+        if op.kind == "FULLY_CONNECTED":
             return [Instruction(
                 "SIMD_MATMUL", f"{op.name} ({self.cores} cores)",
                 cycles=plan.cycles(batch),

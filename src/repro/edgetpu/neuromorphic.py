@@ -29,7 +29,6 @@ from dataclasses import dataclass
 from repro.edgetpu.backend import (
     AcceleratorArch,
     Instruction,
-    OpPlan,
     register_backend,
 )
 
@@ -87,34 +86,20 @@ class NeuromorphicArch(AcceleratorArch):
         """Aggregate synaptic-event throughput per clock."""
         return float(self.cores * self.events_per_core_per_cycle)
 
-    def plan_op(self, op, input_dim: int) -> OpPlan:
+    def op_cycles(self, kind: str, input_dim: int,
+                  output_dim: int) -> tuple[int, float]:
         """Event-driven cycle plan: events / fabric throughput, no fill."""
-        from repro.tflite.ops import FullyConnectedOp
-
-        output_dim = op.output_dim(input_dim)
-        if isinstance(op, FullyConnectedOp):
-            events = op.input_dim * output_dim * self.event_rate
-            per_row = -(-events // self.events_per_cycle)
-            return OpPlan(
-                name=op.name, kind=op.kind, weight_bytes=op.weight_bytes,
-                input_dim=input_dim, output_dim=output_dim,
-                fixed_cycles=0, cycles_per_row=float(per_row),
-            )
+        if kind == "FULLY_CONNECTED":
+            events = input_dim * output_dim * self.event_rate
+            return 0, -(-events // self.events_per_cycle)
         # Activation folds into the neuron update: one pass over the
         # neurons, `cores` of them per cycle.
-        per_row = -(-output_dim // self.cores)
-        return OpPlan(
-            name=op.name, kind=op.kind, weight_bytes=op.weight_bytes,
-            input_dim=input_dim, output_dim=output_dim,
-            fixed_cycles=0, cycles_per_row=float(per_row),
-        )
+        return 0, -(-output_dim // self.cores)
 
     def lower_op(self, op, width: int, batch: int) -> list[Instruction]:
         """Event-fabric lowering: route events, then update neurons."""
-        from repro.tflite.ops import FullyConnectedOp
-
         plan = self.plan_op(op, width)
-        if isinstance(op, FullyConnectedOp):
+        if op.kind == "FULLY_CONNECTED":
             return [Instruction(
                 "ROUTE_EVENTS", f"{op.name} (rate={self.event_rate:g})",
                 cycles=plan.cycles(batch),

@@ -62,7 +62,7 @@ def run(config: HdcTrainingConfig | None = None,
     cm = cost_model if cost_model is not None else CostModel()
     host = MobileCpu()
     pi = RaspberryPi3()
-    tpu_power = cm.tpu.power_w
+    tpu_power = cm.arch.active_power_w
     rows = []
     for spec in specs():
         workload = Workload.from_spec(spec)

@@ -63,7 +63,7 @@ def run(config: HdcTrainingConfig | None = None,
         framework_infer = cm.tpu_inference(workload, config)
         pi_energy = EnergyReport("pi3", pi_train, pi.power_w)
         framework_energy = EnergyReport(
-            "edge-tpu-framework", framework_train, cm.tpu.power_w,
+            "edge-tpu-framework", framework_train, cm.arch.active_power_w,
         )
         results.append(PiComparisonResult(
             dataset=spec.name,

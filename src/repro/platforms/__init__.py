@@ -6,7 +6,9 @@ Cortex-A53).  None are available here, so each is modeled as a
 deterministic cost model over operation shapes (matmul, tanh,
 elementwise traffic), driving a virtual clock.  Constants are calibrated
 so the *ratios* the paper reports re-emerge (see DESIGN.md section 2);
-absolute seconds are estimates.
+absolute seconds are estimates.  This package holds the CPU platforms;
+the Edge TPU, like every accelerator backend, is priced by its
+:class:`~repro.edgetpu.backend.AcceleratorArch`.
 """
 
 from repro.platforms.base import CpuSpec, Platform, VirtualClock
@@ -17,13 +19,11 @@ from repro.platforms.cpu import (
     MobileCpu,
     RaspberryPi3,
 )
-from repro.platforms.tpu import EdgeTpuPlatform
 from repro.platforms.energy import EnergyReport, energy_joules
 
 __all__ = [
     "CpuPlatform",
     "CpuSpec",
-    "EdgeTpuPlatform",
     "EnergyReport",
     "MOBILE_CPU_SPEC",
     "MobileCpu",

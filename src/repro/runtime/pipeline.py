@@ -42,7 +42,7 @@ from repro.hdc.model import HDCClassifier, TrainingHistory, check_labels
 from repro.nn.builder import encoder_network, inference_network
 from repro.platforms.base import Platform
 from repro.platforms.cpu import MobileCpu
-from repro.runtime.costs import CostModel, HdcTrainingConfig
+from repro.runtime.costs import CostModel, generation_seconds
 from repro.runtime.executor import (
     ParallelReport,
     WorkerPool,
@@ -408,7 +408,8 @@ class TrainingPipeline:
         # A cache hit skips the host-side generation cost but the device
         # still has to load the (cached) compiled model.
         if not cached:
-            profiler.charge("modelgen", self._modelgen_seconds(flat, compiled),
+            profiler.charge("modelgen",
+                            generation_seconds(compiled.weight_bytes),
                             name="modelgen.compile", model="encoder")
         profiler.charge("modelgen", device.load_model(compiled),
                         name="device.load", tags=cache_tag, model="encoder",
@@ -491,7 +492,8 @@ class TrainingPipeline:
         flat, compiled, cached = self._compile(network, calibration,
                                                "hdc-inference")
         if not cached:
-            profiler.charge("modelgen", self._modelgen_seconds(flat, compiled),
+            profiler.charge("modelgen",
+                            generation_seconds(compiled.weight_bytes),
                             name="modelgen.compile", model="hdc-inference")
         elif profiler.tracer:
             profiler.tracer.add(
@@ -500,22 +502,6 @@ class TrainingPipeline:
                 model="hdc-inference",
             )
         return flat, compiled
-
-    def _modelgen_seconds(self, flat: FlatModel, compiled: CompiledModel
-                          ) -> float:
-        """Host-side model generation cost (quantize + serialize + compile).
-
-        ``CostModel.modelgen_seconds`` includes the device load, which
-        the pipeline charges separately from the actual device model;
-        the difference is clamped at zero so a cost model whose load
-        estimate exceeds its generation estimate (tiny models) can never
-        produce a negative charge — ``VirtualClock.charge`` rejects it.
-        """
-        return max(
-            0.0,
-            self._costs.modelgen_seconds(compiled.weight_bytes)
-            - self._costs.tpu.model_load_seconds(compiled.weight_bytes),
-        )
 
 
 class InferencePipeline:

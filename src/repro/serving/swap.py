@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 from repro.edgetpu.compiler import CompiledModel
 from repro.edgetpu.multidevice import DevicePool
-from repro.runtime.costs import CostModel
+from repro.runtime.costs import generation_seconds
 
 __all__ = ["ModelSwapper", "PendingSwap", "SwapRecord"]
 
@@ -67,35 +67,21 @@ class ModelSwapper:
 
     Args:
         pool: The serving :class:`DevicePool` (replicated placement).
-        costs: Cost model charging modelgen; defaults to the standard
-            host/TPU pairing.
     """
 
-    def __init__(self, pool: DevicePool, costs: CostModel | None = None):
+    def __init__(self, pool: DevicePool):
         self.pool = pool
-        self.costs = costs if costs is not None else CostModel()
         self._pending: list[PendingSwap] = []
         self.records: list[SwapRecord] = []
 
     # ------------------------------------------------------------------
 
-    def modelgen_seconds(self, compiled: CompiledModel) -> float:
-        """Host-side generation cost of one swap artifact.
-
-        ``CostModel.modelgen_seconds`` bundles the device load, which
-        the swapper charges separately at commit time (per the actual
-        pool), so the load estimate is subtracted here — clamped at
-        zero exactly as :class:`~repro.runtime.pipeline.TrainingPipeline`
-        does for tiny models.
-        """
-        return max(
-            0.0,
-            self.costs.modelgen_seconds(compiled.weight_bytes)
-            - self.costs.tpu.model_load_seconds(compiled.weight_bytes),
-        )
-
     def schedule(self, compiled: CompiledModel, at_s: float) -> float:
         """Request a swap at virtual time ``at_s``; returns ready time.
+
+        The artifact is ready once its host-side generation
+        (:func:`~repro.runtime.costs.generation_seconds`) has elapsed;
+        the device load is charged per pool at commit.
 
         Raises:
             ValueError: If ``at_s`` is negative, or ``compiled`` takes a
@@ -111,7 +97,7 @@ class ModelSwapper:
                 f"swap model takes {width} features but the pool serves "
                 f"a model taking {served[0]}"
             )
-        ready = at_s + self.modelgen_seconds(compiled)
+        ready = at_s + generation_seconds(compiled.weight_bytes)
         self._pending.append(PendingSwap(
             compiled=compiled, scheduled_s=at_s, ready_s=ready,
         ))

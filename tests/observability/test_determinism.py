@@ -16,6 +16,7 @@ import pytest
 from repro.config import PipelineConfig, ServeConfig
 from repro.edgetpu.multidevice import DevicePool, FailurePlan
 from repro.observability.trace import Tracer
+from repro.runtime.costs import generation_seconds
 from repro.runtime.executor import ExecutorConfig, WorkerPool
 from repro.runtime.pipeline import InferencePipeline, TrainingPipeline
 from repro.serving.arrivals import Request
@@ -190,7 +191,7 @@ class TestServingDeterminism:
         retrained = TrainingPipeline(
             PipelineConfig(dimension=256, iterations=2, seed=9)
         ).run(x, y).compiled
-        gen_s = ModelSwapper(DevicePool(1)).modelgen_seconds(retrained)
+        gen_s = generation_seconds(retrained.weight_bytes)
         # Stretch the trace to ~3x the modelgen time so the swap
         # scheduled at t=0 commits well inside the run.
         requests = _requests(x, y, rate_rps=60 / (3 * gen_s), n=60,

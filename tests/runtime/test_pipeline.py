@@ -415,21 +415,6 @@ class TestCompileCache:
 
 
 class TestCostAccountingFixes:
-    def test_modelgen_charge_clamped_at_zero(self):
-        # Regression: a cost model whose device-load estimate exceeds its
-        # full generation estimate must charge 0.0, never go negative
-        # (VirtualClock.charge rejects negative seconds).
-        import types
-        pipeline = TrainingPipeline(PipelineConfig(dimension=64, seed=0))
-        pipeline._costs = types.SimpleNamespace(
-            modelgen_seconds=lambda weight_bytes: 0.01,
-            tpu=types.SimpleNamespace(
-                model_load_seconds=lambda weight_bytes: 0.05,
-            ),
-        )
-        compiled = types.SimpleNamespace(weight_bytes=128)
-        assert pipeline._modelgen_seconds(None, compiled) == 0.0
-
     def test_bagged_update_charged_at_the_submodel_chunk_size(self, ds):
         # chunk_size=1 is the paper's strictly online rule: one kernel
         # dispatch per sample, which the update phase must be charged.

@@ -6,6 +6,7 @@ import pytest
 from repro.config import ServeConfig
 from repro.data.streams import DriftingStream, StreamConfig
 from repro.edgetpu import DevicePool, FailurePlan
+from repro.runtime.costs import generation_seconds
 from repro.serving import (
     ArrivalProcess,
     InferenceServer,
@@ -72,9 +73,9 @@ class TestModelSwapper:
         swapper = ModelSwapper(pool)
         ready = swapper.schedule(retrained, at_s=1.0)
         assert ready == pytest.approx(
-            1.0 + swapper.modelgen_seconds(retrained)
+            1.0 + generation_seconds(retrained.weight_bytes)
         )
-        assert swapper.modelgen_seconds(retrained) > 0
+        assert generation_seconds(retrained.weight_bytes) > 0
         assert swapper.pending == 1
 
     def test_poll_before_ready_is_noop(self, drift_setup):
@@ -121,8 +122,8 @@ class TestModelSwapper:
         pool = DevicePool(1)
         pool.load_replicated(compiled)
         swapper = ModelSwapper(pool)
-        gen_big = swapper.modelgen_seconds(big)
-        gen_small = swapper.modelgen_seconds(small)
+        gen_big = generation_seconds(big.weight_bytes)
+        gen_small = generation_seconds(small.weight_bytes)
         assert gen_small < gen_big
         ready_big = swapper.schedule(big, at_s=0.0)
         ready_small = swapper.schedule(small,
@@ -143,8 +144,8 @@ class TestModelSwapper:
         pool = DevicePool(1)
         pool.load_replicated(compiled)
         swapper = ModelSwapper(pool)
-        gen_big = swapper.modelgen_seconds(big)
-        gen_small = swapper.modelgen_seconds(small)
+        gen_big = generation_seconds(big.weight_bytes)
+        gen_small = generation_seconds(small.weight_bytes)
         ready_big = swapper.schedule(big, at_s=0.0)
         ready_small = swapper.schedule(small,
                                        at_s=(gen_big - gen_small) / 2)
