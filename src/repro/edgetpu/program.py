@@ -19,14 +19,8 @@ from dataclasses import dataclass
 
 from repro.edgetpu.backend import Instruction
 from repro.edgetpu.compiler import CompiledModel
-from repro.runtime.cache import LruCache
 
 __all__ = ["Instruction", "Program", "lower"]
-
-# Lowered programs are large (one Instruction per MXU tile), so the
-# per-model memo is tighter than the scalar latency caches; evicted
-# programs re-lower identically.
-_PROGRAM_CACHE_SIZE = 16
 
 
 @dataclass
@@ -80,12 +74,8 @@ def lower(compiled: CompiledModel, batch: int = 1) -> Program:
 
     The DMA frame (input activations in, parameter spill stream, output
     activations out) is backend-independent; the per-op body comes from
-    the target backend's ``lower_op`` hook.  Lowering is memoized per
-    ``(compiled, batch)`` — the plan is pure in both — so repeat
-    callers (inspection tooling, per-batch serving paths) get the
-    cached :class:`Program` back; treat it as read-only.  The memo is a
-    small LRU: lowering is deterministic, so an evicted batch size
-    relowers to an identical trace.
+    the target backend's ``lower_op`` hook.  Lowering is deterministic:
+    the same ``(compiled, batch)`` always gives the same trace.
 
     Args:
         compiled: The compiled model.
@@ -96,13 +86,6 @@ def lower(compiled: CompiledModel, batch: int = 1) -> Program:
     """
     if batch < 1:
         raise ValueError(f"batch must be >= 1, got {batch}")
-    cache: LruCache = compiled.__dict__.get("_program_cache")
-    if cache is None:
-        cache = LruCache(_PROGRAM_CACHE_SIZE)
-        compiled.__dict__["_program_cache"] = cache
-    cached = cache.get(batch)
-    if cached is not None:
-        return cached
     arch = compiled.arch
     instructions: list[Instruction] = []
     instructions.append(Instruction(
@@ -122,7 +105,4 @@ def lower(compiled: CompiledModel, batch: int = 1) -> Program:
         "DMA_OUT", "output activations",
         bytes=batch * compiled.tpu_output_bytes,
     ))
-    program = Program(instructions=instructions, compiled=compiled,
-                      batch=batch)
-    cache.put(batch, program)
-    return program
+    return Program(instructions=instructions, compiled=compiled, batch=batch)

@@ -1,15 +1,15 @@
 """A small bounded LRU mapping for per-``(model, batch)`` memo caches.
 
 The serving stack memoizes pure derivations keyed by batch size —
-``CompiledModel.invoke_seconds``, ``lower()`` programs, device
-breakdown dicts, the server's service estimates.  Plain dicts are
-correct but unbounded: a long-running server fed adversarial batch
-sizes (every request count distinct) grows them without limit.  These
-caches hold *recomputable* values, so eviction can never change a
-result — only cost a recomputation — which makes a tiny LRU the right
-container.  :class:`LruCache` is that container: dict-like ``get`` /
-``put`` with move-to-front on hit and eviction of the least recently
-used entry past ``maxsize``.
+``CompiledModel.invoke_seconds``, device breakdown dicts, the server's
+service estimates.  Plain dicts are correct but unbounded: a
+long-running server fed adversarial batch sizes (every request count
+distinct) grows them without limit.  These caches hold *recomputable*
+values, so eviction can never change a result — only cost a
+recomputation — which makes a tiny LRU the right container.
+:class:`LruCache` is that container: dict-like ``get`` / ``put`` with
+move-to-front on hit and eviction of the least recently used entry past
+``maxsize``.
 
 This module is a leaf (stdlib only) so the :mod:`repro.edgetpu` layer
 can import it without touching the rest of :mod:`repro.runtime`.

@@ -5,7 +5,6 @@ import pytest
 
 from repro.edgetpu import EdgeTpuDevice, compile_model
 from repro.edgetpu.compiler import _MEMO_CACHE_SIZE
-from repro.edgetpu.program import _PROGRAM_CACHE_SIZE, lower
 from repro.tflite.ops import FullyConnectedOp
 from tests.edgetpu.test_compiler import _hdc_like_model
 
@@ -91,16 +90,3 @@ class TestMemoEviction:
         for b in (1, 7, 64, 200):
             assert compiled.invoke_seconds(b) == \
                 sum(compiled.invoke_breakdown(b).values())
-
-    def test_lower_survives_eviction(self, compiled):
-        batches = range(1, _PROGRAM_CACHE_SIZE + 8)
-        first = {b: lower(compiled, b) for b in batches}
-        for b in batches:
-            again = lower(compiled, b)
-            assert [str(i) for i in again.instructions] \
-                == [str(i) for i in first[b].instructions]
-        assert len(compiled.__dict__["_program_cache"]) \
-            == _PROGRAM_CACHE_SIZE
-
-    def test_lower_hit_returns_same_object(self, compiled):
-        assert lower(compiled, 4) is lower(compiled, 4)
