@@ -120,22 +120,26 @@ def test_update_kernel_speedup_dispatch_bound(record_result):
     assert speedup >= 5.0
 
 
-def test_train_pass_vectorized_vs_loop(record_result, blobs):
+def test_train_pass_vectorized_vs_loop(record_result, blobs, monkeypatch):
     """End-to-end training pass: vectorized kernel vs reference loop."""
     import timeit
+    from repro.hdc import kernels
     x, y = blobs
     encoded = NonlinearEncoder(617, 2048, seed=0).encode(x)
+    selector = kernels.class_update
 
-    def one_pass(kernel):
-        model = HDCClassifier(dimension=2048, seed=0, update_kernel=kernel)
+    def one_pass(update):
+        # Training runs kernels.class_update; pin the kernel under test.
+        monkeypatch.setattr(kernels, "class_update", update)
+        model = HDCClassifier(dimension=2048, seed=0)
         model.fit(encoded, y, iterations=1, encoded=True, num_classes=10)
 
     loop_s = min(
-        timeit.timeit(lambda: one_pass("loop"), number=3) / 3
-        for _ in range(3)
+        timeit.timeit(lambda: one_pass(kernels.loop_class_update), number=3)
+        / 3 for _ in range(3)
     )
     fast_s = min(
-        timeit.timeit(lambda: one_pass("auto"), number=3) / 3
+        timeit.timeit(lambda: one_pass(selector), number=3) / 3
         for _ in range(3)
     )
     record_result(

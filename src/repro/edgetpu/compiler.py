@@ -25,15 +25,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from repro.edgetpu.arch import EdgeTpuArch
 from repro.edgetpu.backend import AcceleratorArch, OpPlan, default_supports
-from repro.runtime.cache import LruCache
 from repro.tflite.flatmodel import FlatModel
 from repro.tflite.ops import Op
 
 __all__ = [
     "CompileError",
     "CompiledModel",
+    "InvokeResult",
     "OpPlan",
     "compile_model",
     "is_op_supported",
@@ -44,12 +46,27 @@ class CompileError(Exception):
     """Raised when a model cannot be mapped to the device at all."""
 
 
-# Per-(compiled, batch) memo caches are bounded: a long-running server
-# fed adversarial batch sizes must not grow them without limit.  The
-# entries are pure recomputable derivations, so eviction only costs a
-# recomputation, never correctness.  The bound comfortably covers every
-# batch size up to the default max_batch of 32.
-_MEMO_CACHE_SIZE = 64
+@dataclass(frozen=True)
+class InvokeResult:
+    """Output and timing of one device invocation.
+
+    Attributes:
+        outputs: Raw output of the last *TPU* op (int8 activations; any
+            CPU-fallback ops run on the host afterwards, see
+            :func:`~repro.runtime.executor.run_host_tail`); ``None`` for
+            a timing-only charge (:meth:`CompiledModel.invoke_cost`).
+        elapsed_s: Modeled seconds for this invocation.
+        breakdown: Per-term seconds: ``overhead``, ``input_transfer``,
+            ``weight_streaming``, ``compute``, ``output_transfer``.
+        bytes_in: Activation bytes shipped to the device this invoke.
+        bytes_out: Activation bytes returned by the device this invoke.
+    """
+
+    outputs: np.ndarray | None
+    elapsed_s: float
+    breakdown: dict
+    bytes_in: int = 0
+    bytes_out: int = 0
 
 
 def is_op_supported(op: Op) -> bool:
@@ -83,6 +100,15 @@ class CompiledModel:
     tpu_ops: list[Op]
     cpu_ops: list[Op]
     plans: list[OpPlan] = field(default_factory=list)
+    # What is derived from this model, derived once: the timing-only
+    # invoke record per batch size, and the recompilation per arch.
+    # No bound is needed: every key is a batch size an owner ran (at
+    # most a server's max_batch, or a device's largest batch) or an
+    # arch a device has.
+    _costs: dict = field(default_factory=dict, init=False, repr=False,
+                         compare=False)
+    _variants: dict = field(default_factory=dict, init=False, repr=False,
+                            compare=False)
 
     @property
     def fully_mapped(self) -> bool:
@@ -118,54 +144,56 @@ class CompiledModel:
         """MXU + vector-unit cycles for one invocation of ``batch`` rows."""
         return sum(plan.cycles(batch) for plan in self.plans)
 
-    def invoke_breakdown(self, batch: int) -> dict:
-        """Per-term modeled seconds of one ``invoke()`` with ``batch`` rows.
+    def invoke_cost(self, batch: int) -> InvokeResult:
+        """The timing-only record of one ``invoke()`` with ``batch`` rows.
 
         The arch's :meth:`~AcceleratorArch.invoke_breakdown` of this
-        model's plans, keyed (in accumulation order) ``overhead``,
+        model's plans (keyed, in accumulation order, ``overhead``,
         ``input_transfer``, ``weight_streaming``, ``compute``,
-        ``output_transfer``.  This is the *shared* latency-plan cache —
-        every device in a pool invokes through it, so loading the same
-        compiled model onto eight devices derives each ``(model,
-        batch)`` plan once, not eight times.  Memoized in a small LRU
-        (the plan is immutable; evicted entries recompute
-        bit-identically).  Treat the returned dict as read-only; callers
-        that expose it must copy.
+        ``output_transfer``), its terms added left to right
+        (:meth:`~AcceleratorArch.invoke_seconds`), and the activation
+        bytes in and out; ``outputs`` is ``None``.  Memoized per batch
+        size: every device running this model charges the same record
+        object.  Treat it, breakdown included, as read-only.
         """
-        if batch < 1:
-            raise ValueError(f"batch must be >= 1, got {batch}")
-        cache: LruCache = self.__dict__.get("_breakdown_cache")
-        if cache is None:
-            cache = LruCache(_MEMO_CACHE_SIZE)
-            self.__dict__["_breakdown_cache"] = cache
-        breakdown = cache.get(batch)
-        if breakdown is None:
-            breakdown = self.arch.invoke_breakdown(self.plans, batch)
-            cache.put(batch, breakdown)
-        return breakdown
+        cost = self._costs.get(batch)
+        if cost is None:
+            if batch < 1:
+                raise ValueError(f"batch must be >= 1, got {batch}")
+            cost = self._costs[batch] = InvokeResult(
+                outputs=None,
+                elapsed_s=self.arch.invoke_seconds(self.plans, batch),
+                breakdown=self.arch.invoke_breakdown(self.plans, batch),
+                bytes_in=batch * self.tpu_input_bytes,
+                bytes_out=batch * self.tpu_output_bytes,
+            )
+        return cost
+
+    def invoke_breakdown(self, batch: int) -> dict:
+        """Per-term modeled seconds of one ``invoke()`` with ``batch``
+        rows (:meth:`invoke_cost`'s; treat as read-only)."""
+        return self.invoke_cost(batch).breakdown
 
     def invoke_seconds(self, batch: int) -> float:
-        """Modeled wall time of one ``invoke()`` with ``batch`` rows.
+        """Modeled wall time of one ``invoke()`` with ``batch`` rows:
+        :meth:`invoke_cost`'s, which every device charge reads."""
+        return self.invoke_cost(batch).elapsed_s
 
-        The arch's :meth:`~AcceleratorArch.invoke_seconds` of this
-        model's plans: the sum of :meth:`invoke_breakdown`'s terms,
-        added left to right.  Every device charge reads this value.
-        Memoized per batch size in a bounded LRU — the plan is
-        immutable — so per-batch callers (the device simulator, the
-        serving event loop's ``service_estimate``) stop re-deriving the
-        latency plan on every call.
+    def variant(self, arch: AcceleratorArch) -> "CompiledModel":
+        """This model compiled for ``arch``.
+
+        Itself when ``arch`` equals its own; otherwise
+        :func:`compile_model` of the same flat model, compiled once per
+        arch, so every pool and placement on a mixed fleet shares one
+        variant (and its cost records).  Variants share the flat
+        model's kernels: predictions are bit-identical across backends.
         """
-        if batch < 1:
-            raise ValueError(f"batch must be >= 1, got {batch}")
-        cache: LruCache = self.__dict__.get("_invoke_seconds_cache")
-        if cache is None:
-            cache = LruCache(_MEMO_CACHE_SIZE)
-            self.__dict__["_invoke_seconds_cache"] = cache
-        seconds = cache.get(batch)
-        if seconds is None:
-            seconds = self.arch.invoke_seconds(self.plans, batch)
-            cache.put(batch, seconds)
-        return seconds
+        if self.arch == arch:
+            return self
+        variant = self._variants.get(arch)
+        if variant is None:
+            variant = self._variants[arch] = compile_model(self.model, arch)
+        return variant
 
     def load_seconds(self) -> float:
         """Modeled one-time cost of pushing the model to the device."""

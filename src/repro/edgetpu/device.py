@@ -10,38 +10,16 @@ transfers and MXU/vector compute.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from repro.edgetpu.arch import EdgeTpuArch
 from repro.edgetpu.backend import AcceleratorArch
-from repro.edgetpu.compiler import CompiledModel
+from repro.edgetpu.compiler import CompiledModel, InvokeResult
 from repro.runtime.plan import fit_plan
 
 __all__ = ["EdgeTpuDevice", "InvokeResult"]
-
-
-@dataclass(frozen=True)
-class InvokeResult:
-    """Output and timing of one device invocation.
-
-    Attributes:
-        outputs: Raw output of the last *TPU* op (int8 activations; any
-            CPU-fallback ops run on the host afterwards, see
-            :func:`~repro.runtime.executor.run_host_tail`).
-        elapsed_s: Modeled seconds for this invocation.
-        breakdown: Per-term seconds: ``overhead``, ``input_transfer``,
-            ``weight_streaming``, ``compute``, ``output_transfer``.
-        bytes_in: Activation bytes shipped to the device this invoke.
-        bytes_out: Activation bytes returned by the device this invoke.
-    """
-
-    outputs: np.ndarray
-    elapsed_s: float
-    breakdown: dict
-    bytes_in: int = 0
-    bytes_out: int = 0
 
 
 @dataclass
@@ -54,7 +32,6 @@ class DeviceStats:
     bytes_in: int = 0
     bytes_out: int = 0
     samples: int = 0
-    breakdown: dict = field(default_factory=dict)
 
 
 class EdgeTpuDevice:
@@ -82,14 +59,6 @@ class EdgeTpuDevice:
         # This device's own arenas, per model it ran without an
         # executor, sized to the largest batch it has run.
         self._plans: dict = {}
-        # invoke_cost results per (model identity, batch): the modeled
-        # cost is a pure function of both, so the cluster fast path's
-        # per-batch charge reduces to stats accounting plus a dict hit.
-        # The cached tuple pins the compiled model, keeping id() stable.
-        self._cost_cache: dict[
-            tuple[int, int],
-            tuple[CompiledModel, "InvokeResult", tuple],
-        ] = {}
 
     def load_model(self, compiled: CompiledModel) -> float:
         """Load a compiled model; returns the modeled load time in seconds.
@@ -108,11 +77,7 @@ class EdgeTpuDevice:
         if previous is not None and id(previous) not in self._resident:
             self._plans.pop(id(previous), None)
         self.compiled = compiled
-        seconds = compiled.load_seconds()
-        self.stats.models_loaded += 1
-        self.stats.busy_seconds += seconds
-        self.stats.bytes_in += compiled.model.size_bytes()
-        return seconds
+        return self._charge_load(compiled)
 
     def load_resident(self, compiled: CompiledModel) -> float:
         """Co-load a second model next to the primary; returns load time.
@@ -131,11 +96,7 @@ class EdgeTpuDevice:
         if id(compiled) in self._resident:
             return 0.0
         self._resident[id(compiled)] = compiled
-        seconds = compiled.load_seconds()
-        self.stats.models_loaded += 1
-        self.stats.busy_seconds += seconds
-        self.stats.bytes_in += compiled.model.size_bytes()
-        return seconds
+        return self._charge_load(compiled)
 
     def invoke(self, x: np.ndarray,
                compiled: CompiledModel | None = None,
@@ -184,18 +145,11 @@ class EdgeTpuDevice:
         else:
             out = fit_plan(self._plans, compiled, batch).run_device(x).copy()
 
-        # Callers receive a private copy (InvokeResult exposes the dict);
-        # the latency plan itself is memoized on the compiled model and
-        # shared by every device running it.
-        breakdown = dict(compiled.invoke_breakdown(batch))
-        elapsed = compiled.invoke_seconds(batch)
-
-        result = InvokeResult(
-            outputs=out, elapsed_s=elapsed, breakdown=breakdown,
-            bytes_in=batch * compiled.tpu_input_bytes,
-            bytes_out=batch * compiled.tpu_output_bytes,
-        )
-        self._charge(batch, result, breakdown.items())
+        # The timing is the compiled model's shared record; callers get
+        # it with their outputs and a private copy of its breakdown.
+        cost = compiled.invoke_cost(batch)
+        result = replace(cost, outputs=out, breakdown=dict(cost.breakdown))
+        self._charge(batch, result)
         return result
 
     def invoke_cost(self, batch: int,
@@ -205,30 +159,18 @@ class EdgeTpuDevice:
         The timing-only twin of :meth:`invoke` for callers that do the
         arithmetic elsewhere (the cluster fast path predicts each row
         when it is routed): the modeled latency depends only on the
-        batch size — ``invoke_breakdown`` is memoized per compiled
-        model — so the elapsed time, byte counts and device stats here
-        are bit-identical to running :meth:`invoke` on a real ``(batch,
-        input_dim)`` int8 array.  ``outputs`` is ``None``.
+        batch size, so the elapsed time, byte counts and device stats
+        here are bit-identical to running :meth:`invoke` on a real
+        ``(batch, input_dim)`` int8 array.  Returns the compiled
+        model's shared, read-only
+        :meth:`~repro.edgetpu.compiler.CompiledModel.invoke_cost`
+        record (``outputs`` is ``None``).
         """
         compiled = self._resolve(compiled)
         if batch < 1:
             raise ValueError("cannot invoke with an empty batch")
-
-        cached = self._cost_cache.get((id(compiled), batch))
-        if cached is None:
-            breakdown = dict(compiled.invoke_breakdown(batch))
-            elapsed = compiled.invoke_seconds(batch)
-            result = InvokeResult(
-                outputs=None, elapsed_s=elapsed, breakdown=breakdown,
-                bytes_in=batch * compiled.tpu_input_bytes,
-                bytes_out=batch * compiled.tpu_output_bytes,
-            )
-            cached = (compiled, result, tuple(breakdown.items()))
-            self._cost_cache[(id(compiled), batch)] = cached
-        _, result, items = cached
-        self._charge(batch, result, items)
-        # The same (shared, treat-as-read-only) InvokeResult is handed
-        # back on every repeat charge.
+        result = compiled.invoke_cost(batch)
+        self._charge(batch, result)
         return result
 
     def _resolve(self, compiled: CompiledModel | None) -> CompiledModel:
@@ -247,18 +189,23 @@ class EdgeTpuDevice:
             )
         return compiled
 
-    def _charge(self, batch: int, result: InvokeResult, items) -> None:
-        """Add one invoke of ``batch`` rows to the device counters;
-        ``items`` are its per-term breakdown seconds."""
+    def _charge_load(self, compiled: CompiledModel) -> float:
+        """Add one load of ``compiled`` to the device counters; returns
+        its modeled seconds."""
+        seconds = compiled.load_seconds()
+        self.stats.models_loaded += 1
+        self.stats.busy_seconds += seconds
+        self.stats.bytes_in += compiled.model.size_bytes()
+        return seconds
+
+    def _charge(self, batch: int, result: InvokeResult) -> None:
+        """Add one invoke of ``batch`` rows to the device counters."""
         stats = self.stats
         stats.invocations += 1
         stats.samples += batch
         stats.busy_seconds += result.elapsed_s
         stats.bytes_in += result.bytes_in
         stats.bytes_out += result.bytes_out
-        breakdown = stats.breakdown
-        for key, value in items:
-            breakdown[key] = breakdown.get(key, 0.0) + value
 
     def energy_joules(self) -> float:
         """Energy consumed while busy (active power x busy time)."""

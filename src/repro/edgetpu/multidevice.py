@@ -29,7 +29,7 @@ import numpy as np
 
 from repro.edgetpu.arch import EdgeTpuArch
 from repro.edgetpu.backend import AcceleratorArch
-from repro.edgetpu.compiler import CompiledModel, compile_model
+from repro.edgetpu.compiler import CompiledModel
 from repro.edgetpu.device import EdgeTpuDevice
 
 __all__ = [
@@ -112,11 +112,13 @@ class DevicePool:
 
     Homogeneous by default (every device shares ``arch``); pass
     ``archs=`` for a mixed-backend pool — model-loading entry points
-    then compile a per-architecture *variant* of each model on demand
-    (cached, and the identity compile when architectures match, so
-    homogeneous pools behave bit-identically to before).  Every variant
-    shares the source flat model's kernels: predictions are
-    bit-identical across backends, only modeled time/energy differs.
+    then load each device the model's per-architecture variant
+    (:meth:`CompiledModel.variant
+    <repro.edgetpu.compiler.CompiledModel.variant>`: the model itself
+    when architectures match, so homogeneous pools load the model they
+    were given).  Every variant shares the source flat model's kernels:
+    predictions are bit-identical across backends, only modeled
+    time/energy differs.
 
     Args:
         num_devices: Pool size.
@@ -148,10 +150,6 @@ class DevicePool:
         self.failed: set[int] = set()
         self.retired: set[int] = set()
         self._failure_plans: dict[int, FailurePlan] = {}
-        # (id(source compiled), device arch) -> per-arch variant.  The
-        # source is pinned in the value so id() stays valid.
-        self._variants: dict[tuple[int, AcceleratorArch],
-                             tuple[CompiledModel, CompiledModel]] = {}
 
     @property
     def num_devices(self) -> int:
@@ -162,24 +160,6 @@ class DevicePool:
     def homogeneous(self) -> bool:
         """True when every device shares one architecture."""
         return all(d.arch == self.arch for d in self.devices)
-
-    def _variant_for(self, compiled: CompiledModel,
-                     arch: AcceleratorArch) -> CompiledModel:
-        """The per-architecture twin of ``compiled``.
-
-        Identity when the architectures already match (the homogeneous
-        fast path — no recompile, no cache entry); otherwise compiled
-        once per (model, arch) and reused, so a mixed pool with eight
-        small-TPU devices derives the 32x32 variant a single time.
-        """
-        if compiled.arch == arch:
-            return compiled
-        key = (id(compiled), arch)
-        entry = self._variants.get(key)
-        if entry is None:
-            entry = (compiled, compile_model(compiled.model, arch))
-            self._variants[key] = entry
-        return entry[1]
 
     # ------------------------------------------------------------------
     # Elastic capacity (the cluster autoscaler's device-level knob)
@@ -302,7 +282,7 @@ class DevicePool:
         if self.models[index] is None:
             raise RuntimeError(f"device {index} has no model loaded")
         if model is not None:
-            model = self._variant_for(model, self.devices[index].arch)
+            model = model.variant(self.devices[index].arch)
         return self.devices[index], model
 
     # ------------------------------------------------------------------
@@ -328,7 +308,7 @@ class DevicePool:
             raise ValueError(f"device index {index} out of range")
         if index in self.failed:
             raise RuntimeError(f"device {index} has failed; cannot reload")
-        compiled = self._variant_for(compiled, self.devices[index].arch)
+        compiled = compiled.variant(self.devices[index].arch)
         seconds = self.devices[index].load_model(compiled)
         self.models[index] = compiled
         self.load_seconds[index] = seconds
@@ -346,7 +326,7 @@ class DevicePool:
         for index, device in enumerate(self.devices):
             if index in self.failed or index in self.retired:
                 continue
-            variant = self._variant_for(compiled, device.arch)
+            variant = compiled.variant(device.arch)
             seconds = device.load_model(variant)
             self.models[index] = variant
             self.load_seconds[index] = seconds
@@ -366,6 +346,6 @@ class DevicePool:
         for index, device in enumerate(self.devices):
             if index in self.failed or index in self.retired:
                 continue
-            variant = self._variant_for(compiled, device.arch)
-            slowest = max(slowest, device.load_resident(variant))
+            slowest = max(slowest,
+                          device.load_resident(compiled.variant(device.arch)))
         return slowest

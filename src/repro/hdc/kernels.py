@@ -6,13 +6,7 @@ should not be an interpreter-bound Python loop.  This module collects
 the update-phase kernels in one place with explicit numerical contracts:
 
 - :func:`loop_class_update` — the seed per-sample loop.  Reference
-  semantics: every other kernel is tested against it.
-- :func:`scatter_class_update` — ``np.add.at`` over an interleaved
-  (bundle, detach) index/delta stream.  **Bit-identical** to the loop
-  for any input (``ufunc.at`` applies duplicate indices sequentially in
-  stream order, and IEEE-754 guarantees ``c - x == c + (-x)``), but the
-  2-D row-indexed ``add.at`` has no fast path in numpy and is slower
-  than the loop on most builds — it is kept as a verification oracle.
+  semantics: the matmul kernel is tested against it.
 - :func:`matmul_class_update` — the fast path: scatter the signed
   per-sample learning rates into a ``(num_classes, wrong)`` one-hot
   matrix and apply all updates as one BLAS matmul,
@@ -29,9 +23,9 @@ the update-phase kernels in one place with explicit numerical contracts:
   per-row loop (each output row is the same ``sum`` over the feature
   axis, association order unchanged).
 
-:func:`class_update` dispatches between them: tiny mistake counts go to
-the loop (two row-ops beat a full ``(k, d)`` matmul), everything else
-to the matmul kernel.
+:func:`class_update` picks between them: tiny mistake counts go to the
+loop (two row-ops beat a full ``(k, d)`` matmul), everything else to
+the matmul kernel.
 """
 
 from __future__ import annotations
@@ -43,7 +37,6 @@ __all__ = [
     "id_level_encode",
     "loop_class_update",
     "matmul_class_update",
-    "scatter_class_update",
 ]
 
 # Columns per matmul block.  Small enough that the (wrong, block) operand
@@ -81,31 +74,6 @@ def loop_class_update(classes: np.ndarray, hypervectors: np.ndarray,
         classes[predicted] -= learning_rate * hv
 
 
-def scatter_class_update(classes: np.ndarray, hypervectors: np.ndarray,
-                         true_labels: np.ndarray,
-                         predicted_labels: np.ndarray,
-                         learning_rate: float) -> None:
-    """Exact-order vectorized update via ``np.add.at``.
-
-    Builds the interleaved stream ``(+lr*hv_0 -> true_0,
-    -lr*hv_0 -> pred_0, +lr*hv_1 -> true_1, ...)`` and scatter-adds it
-    in one call.  ``ufunc.at`` applies duplicate row indices
-    sequentially in stream order, so the result is bit-identical to
-    :func:`loop_class_update`.
-    """
-    wrong = len(true_labels)
-    if wrong == 0:
-        return
-    scaled = learning_rate * np.asarray(hypervectors, dtype=classes.dtype)
-    rows = np.empty(2 * wrong, dtype=np.intp)
-    rows[0::2] = true_labels
-    rows[1::2] = predicted_labels
-    deltas = np.empty((2 * wrong, classes.shape[1]), dtype=classes.dtype)
-    deltas[0::2] = scaled
-    np.negative(scaled, out=deltas[1::2])
-    np.add.at(classes, rows, deltas)
-
-
 def matmul_class_update(classes: np.ndarray, hypervectors: np.ndarray,
                         true_labels: np.ndarray,
                         predicted_labels: np.ndarray,
@@ -141,29 +109,15 @@ def matmul_class_update(classes: np.ndarray, hypervectors: np.ndarray,
 
 def class_update(classes: np.ndarray, hypervectors: np.ndarray,
                  true_labels: np.ndarray, predicted_labels: np.ndarray,
-                 learning_rate: float, kernel: str = "auto") -> None:
-    """Apply one chunk of mistake-driven updates with the chosen kernel.
-
-    Args:
-        kernel: ``"auto"`` (loop for tiny chunks, matmul otherwise),
-            ``"loop"``, ``"scatter"``, or ``"matmul"``.
-    """
-    if kernel == "auto":
-        kernel = "loop" if len(true_labels) <= _LOOP_CUTOVER else "matmul"
-    if kernel == "loop":
+                 learning_rate: float) -> None:
+    """Apply one chunk of mistake-driven updates: the loop for at most
+    ``_LOOP_CUTOVER`` mistakes, the matmul kernel otherwise."""
+    if len(true_labels) <= _LOOP_CUTOVER:
         loop_class_update(classes, hypervectors, true_labels,
                           predicted_labels, learning_rate)
-    elif kernel == "scatter":
-        scatter_class_update(classes, hypervectors, true_labels,
-                             predicted_labels, learning_rate)
-    elif kernel == "matmul":
+    else:
         matmul_class_update(classes, hypervectors, true_labels,
                             predicted_labels, learning_rate)
-    else:
-        raise ValueError(
-            f"unknown update kernel {kernel!r}; choose from "
-            f"'auto', 'loop', 'scatter', 'matmul'"
-        )
 
 
 def id_level_encode(id_hypervectors: np.ndarray,

@@ -89,13 +89,6 @@ class HDCClassifier:
             against momentarily-stale class hypervectors and then apply
             the per-sample updates, which is dramatically faster and
             converges indistinguishably in practice.
-        update_kernel: How a chunk's updates are applied — one of
-            :func:`repro.hdc.kernels.class_update`'s kernels (``"auto"``,
-            ``"loop"``, ``"scatter"``, ``"matmul"``).  All preserve the
-            chunked stale-scores semantics and the ``updates`` /
-            ``train_accuracy`` bookkeeping; ``"loop"`` and ``"scatter"``
-            are bit-identical, ``"matmul"`` (the ``"auto"`` fast path)
-            matches up to float association order.
         seed: Seed for the lazily-built encoder and per-epoch shuffling.
 
     Attributes:
@@ -105,15 +98,10 @@ class HDCClassifier:
 
     def __init__(self, dimension: int = 10_000, encoder: Encoder | None = None,
                  learning_rate: float = 0.035, similarity: str = "dot",
-                 chunk_size: int = 64, update_kernel: str = "auto",
+                 chunk_size: int = 64,
                  seed: np.random.Generator | int | None = None):
         if similarity not in ("dot", "cosine"):
             raise ValueError(f"similarity must be 'dot' or 'cosine', got {similarity!r}")
-        if update_kernel not in ("auto", "loop", "scatter", "matmul"):
-            raise ValueError(
-                f"update_kernel must be 'auto', 'loop', 'scatter' or "
-                f"'matmul', got {update_kernel!r}"
-            )
         if chunk_size < 1:
             raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
         if learning_rate <= 0:
@@ -128,7 +116,6 @@ class HDCClassifier:
         self.learning_rate = float(learning_rate)
         self.similarity = similarity
         self.chunk_size = int(chunk_size)
-        self.update_kernel = update_kernel
         self._rng = seed if isinstance(seed, np.random.Generator) \
             else np.random.default_rng(seed)
         self.class_hypervectors: np.ndarray | None = None
@@ -241,10 +228,8 @@ class HDCClassifier:
             # Apply the paper's bundling/detaching for each misclassified
             # sample in the chunk (vectorized; see repro.hdc.kernels).
             if len(wrong):
-                kernels.class_update(
-                    classes, chunk[wrong], labels[wrong], predictions[wrong],
-                    lr, kernel=self.update_kernel,
-                )
+                kernels.class_update(classes, chunk[wrong], labels[wrong],
+                                     predictions[wrong], lr)
                 updates += len(wrong)
         return correct, updates
 

@@ -37,7 +37,6 @@ _EXPORTS = {
     "InferencePipeline": "repro.runtime.pipeline",
     "InferenceResult": "repro.runtime.pipeline",
     "LatencyTracker": "repro.runtime.profiler",
-    "LruCache": "repro.runtime.cache",
     "ModelPlan": "repro.runtime.plan",
     "ParallelReport": "repro.runtime.executor",
     "PhaseBreakdown": "repro.runtime.costs",

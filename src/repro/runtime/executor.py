@@ -43,6 +43,7 @@ __all__ = [
     "ParallelReport",
     "WorkerPool",
     "cpu_op_seconds",
+    "host_ops_seconds",
     "host_tail_seconds",
     "run_host_tail",
     "simulate_makespan",
@@ -232,23 +233,34 @@ def cpu_op_seconds(host: Platform, op, rows: int, width: int) -> float:
     return host.elementwise_seconds(rows * width)
 
 
-def host_tail_seconds(host: Platform, compiled, rows: int) -> float:
-    """Modeled host seconds of a compiled model's CPU tail on ``rows``.
+def host_ops_seconds(host: Platform, compiled, ops, width: int,
+                     rows: int) -> float:
+    """Modeled host seconds of running ``ops``, fed ``width`` wide, on
+    ``rows`` rows of a compiled model.
 
-    The one host-tail cost model: each trailing ``cpu_op`` charged by
-    its kind (:func:`cpu_op_seconds`), plus the final argmax for models
-    whose last op emits scores instead of a class index.  The server's
-    batch trigger and dispatch, and :func:`run_host_tail`, all charge
-    this sum.
+    The one host cost loop: each op charged by its kind
+    (:func:`cpu_op_seconds`), added in chain order, then the final
+    argmax for models whose last op emits scores instead of a class
+    index.  It prices both the CPU tail (:func:`host_tail_seconds`)
+    and the server's CPU fallback of the whole chain.
     """
-    width = compiled.plans[-1].output_dim
     seconds = 0.0
-    for op in compiled.cpu_ops:
+    for op in ops:
         seconds += cpu_op_seconds(host, op, rows, width)
         width = op.output_dim(width)
     if not compiled.model.output_is_index:
         seconds += host.argmax_seconds(rows, width)
     return seconds
+
+
+def host_tail_seconds(host: Platform, compiled, rows: int) -> float:
+    """Modeled host seconds of a compiled model's CPU tail on ``rows``:
+    :func:`host_ops_seconds` of its ``cpu_ops``, fed the device's
+    output width.  The server's batch trigger and dispatch, and
+    :func:`run_host_tail`, all charge this sum.
+    """
+    return host_ops_seconds(host, compiled, compiled.cpu_ops,
+                            compiled.plans[-1].output_dim, rows)
 
 
 def run_host_tail(compiled, outputs: np.ndarray,

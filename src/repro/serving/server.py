@@ -56,8 +56,7 @@ from repro.edgetpu.multidevice import DeviceFailedError, DevicePool
 from repro.observability.metrics import MetricsRegistry, sum_left_to_right
 from repro.observability.trace import Tracer
 from repro.platforms.base import Platform
-from repro.runtime.cache import LruCache
-from repro.runtime.executor import cpu_op_seconds, host_tail_seconds
+from repro.runtime.executor import host_ops_seconds, host_tail_seconds
 from repro.runtime.plan import ModelPlan, fit_plan
 from repro.runtime.profiler import LatencyTracker
 from repro.serving.swap import ModelSwapper, SwapRecord
@@ -358,8 +357,8 @@ class InferenceServer:
             raise RuntimeError("no models loaded; load the pool first")
         for other in loaded[1:]:
             # Heterogeneous pools hold per-backend recompilations of the
-            # same flat model (see DevicePool._variant_for); that still
-            # counts as replicated — every device answers every request.
+            # same flat model (CompiledModel.variant); that still counts
+            # as replicated — every device answers every request.
             if other is not loaded[0] and other.model is not loaded[0].model:
                 raise ValueError(
                     "serving requires the replicated placement; use "
@@ -382,24 +381,17 @@ class InferenceServer:
         # batcher's max_batch; keyed by identity (the plan pins the
         # model).  A hot swap drops the old primary's.
         self._plans: dict[int, ModelPlan] = {}
-        # Per-batch-size service estimates are pure in (compiled model,
-        # batch); the event loop re-evaluates the batch trigger after
-        # every arrival, so memoize instead of re-deriving the latency
-        # plan each time.  Bounded LRUs (evicted entries recompute
-        # identically); invalidated on hot swap.
-        self._estimate_cache: LruCache = LruCache(128)
-        # Host-tail seconds per (model identity, charged rows) on the
-        # deferred-dispatch path.  Safe unbounded: keys are the few
-        # resident models x batch sizes up to max_batch; keyed by id()
-        # because the fast path forbids hot swaps, so every compiled
-        # model here is pinned for the server's lifetime.
-        self._tail_cache: dict[tuple[int, int], float] = {}
+        # The batch trigger reads the primary's service estimate after
+        # every arrival: memoized per batch size (at most max_batch
+        # keys), reset on hot swap.
+        self._estimates: dict[int, float] = {}
+        # Host-tail seconds per (model identity, rows), the model
+        # pinned in the entry: a hot-swapped primary stays alive, so
+        # its id() is never reused by another model.
+        self._tails: dict[tuple[int, int], tuple[CompiledModel, float]] = {}
         self._tiers = None
         self._tier_policy: TierPolicy | None = None
         self.tier_load_s = 0.0
-        # Degraded-tier estimates never invalidate: a hot swap replaces
-        # only the primary (tier 0), the ladder stays resident.
-        self._degraded_estimates: LruCache = LruCache(256)
         self._active_tier = 0
         if tiers is not None:
             tier_list = list(tiers)
@@ -435,12 +427,12 @@ class InferenceServer:
 
     def service_estimate(self, batch_size: int) -> float:
         """Modeled device invoke + host tail for one batch (memoized)."""
-        if batch_size < 1:
-            raise ValueError(
-                f"batch_size must be >= 1, got {batch_size}"
-            )
-        estimate = self._estimate_cache.get(batch_size)
+        estimate = self._estimates.get(batch_size)
         if estimate is None:
+            if batch_size < 1:
+                raise ValueError(
+                    f"batch_size must be >= 1, got {batch_size}"
+                )
             # A heterogeneous pool serves per-backend variants of the
             # primary; the batch trigger must plan for the slowest one
             # (it cannot know which device a batch will land on).  On a
@@ -450,26 +442,30 @@ class InferenceServer:
             for model in self.pool.models:
                 if model is not None and model.model is self._compiled.model:
                     variants.setdefault(id(model), model)
-            estimate = max(
-                compiled.invoke_seconds(batch_size)
-                + host_tail_seconds(self.host, compiled, batch_size)
+            estimate = self._estimates[batch_size] = max(
+                self._estimate(compiled, batch_size)
                 for compiled in variants.values()
             )
-            self._estimate_cache.put(batch_size, estimate)
         return estimate
 
+    def _estimate(self, compiled: CompiledModel, rows: int) -> float:
+        """Modeled device invoke + host tail of ``rows`` on ``compiled``."""
+        return compiled.invoke_seconds(rows) + self._tail_seconds(compiled,
+                                                                  rows)
+
+    def _tail_seconds(self, compiled: CompiledModel, rows: int) -> float:
+        """Host-tail seconds of ``rows`` on ``compiled`` (memoized)."""
+        entry = self._tails.get((id(compiled), rows))
+        if entry is None:
+            entry = self._tails[(id(compiled), rows)] = (
+                compiled, host_tail_seconds(self.host, compiled, rows))
+        return entry[1]
+
     def _tier_estimate(self, tier_index: int, batch_size: int) -> float:
-        """Service estimate on tier ``tier_index`` (memoized)."""
+        """Service estimate on tier ``tier_index``."""
         if tier_index == 0:
             return self.service_estimate(batch_size)
-        key = (tier_index, batch_size)
-        estimate = self._degraded_estimates.get(key)
-        if estimate is None:
-            compiled = self._tiers[tier_index].compiled
-            estimate = (compiled.invoke_seconds(batch_size)
-                        + host_tail_seconds(self.host, compiled, batch_size))
-            self._degraded_estimates.put(key, estimate)
-        return estimate
+        return self._estimate(self._tiers[tier_index].compiled, batch_size)
 
     def _select_tier(self, deadlines, dispatch_t, device_free,
                      queue_depth) -> int:
@@ -593,7 +589,7 @@ class InferenceServer:
                 # keep theirs (a swap replaces only tier 0).
                 self._plans.pop(id(self._compiled), None)
                 self._compiled = swapped
-                self._estimate_cache = LruCache(128)
+                self._estimates = {}
                 # The commit's device load blocks every reloaded device.
                 load = self.swapper.records[-1].load_seconds
                 for i in self.pool.healthy_indices():
@@ -698,19 +694,11 @@ class InferenceServer:
             device_done = start + invoke.elapsed_s
             device_free[chosen] = device_done
             device_busy[chosen] += invoke.elapsed_s
-            if defer is not None:
-                # The host tail is charged by the same per-op sum the
-                # plan's tail would have run.
-                key = (id(compiled), rows)
-                tail_cost = self._tail_cache.get(key)
-                if tail_cost is None:
-                    tail_cost = host_tail_seconds(self.host, compiled, rows)
-                    self._tail_cache[key] = tail_cost
-            else:
+            if defer is None:
                 # Arena tail on the device-output view (bit-identical
                 # to run_host_tail; both charge host_tail_seconds).
                 predictions = plan.run_tail(invoke.outputs)
-                tail_cost = host_tail_seconds(self.host, compiled, rows)
+            tail_cost = self._tail_seconds(compiled, rows)
             tail_start = max(host_free, device_done)
             host_free = tail_start + tail_cost
             report.host_seconds += tail_cost
@@ -737,13 +725,8 @@ class InferenceServer:
             # path — the same plan runs the whole chain on the host,
             # bit-identical.  Modeled cost stays per-op (fusion is
             # execution dispatch, not a timing change).
-            width = compiled.model.input_spec.size
-            cost = 0.0
-            for op in list(compiled.tpu_ops) + list(compiled.cpu_ops):
-                cost += cpu_op_seconds(self.host, op, rows, width)
-                width = op.output_dim(width)
-            if not compiled.model.output_is_index:
-                cost += self.host.argmax_seconds(rows, width)
+            cost = host_ops_seconds(self.host, compiled, compiled.model.ops,
+                                    compiled.model.input_spec.size, rows)
             if defer is None:
                 predictions = plan.run_host(quantized)
             fallback_start = max(host_free, detect_t)

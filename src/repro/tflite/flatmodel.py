@@ -87,6 +87,10 @@ def _read_array(buf: io.BytesIO) -> np.ndarray:
 class FlatModel:
     """A quantized model: ordered op list plus input/output tensor specs.
 
+    A model is read-only once built: its ops, their weights and its
+    specs are not changed in place, so its serialized size is computed
+    once (:meth:`size_bytes`).
+
     Args:
         name: Model name.
         input_spec: Quantized input tensor metadata.
@@ -113,6 +117,7 @@ class FlatModel:
             name=output_name, shape=(width,),
             qparams=self.ops[-1].output_qparams,
         )
+        self._size_bytes: int | None = None
 
     @property
     def output_is_index(self) -> bool:
@@ -210,8 +215,11 @@ class FlatModel:
         return cls(name=name, input_spec=input_spec, ops=ops)
 
     def size_bytes(self) -> int:
-        """Serialized size — what travels over USB at model-load time."""
-        return len(self.to_bytes())
+        """Serialized size — what travels over USB at model-load time
+        (serialized on the first call only)."""
+        if self._size_bytes is None:
+            self._size_bytes = len(self.to_bytes())
+        return self._size_bytes
 
     def save(self, path) -> None:
         """Write the serialized model to ``path``."""

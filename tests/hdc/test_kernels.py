@@ -1,17 +1,25 @@
 """Equivalence tests for the vectorized update/encode kernels.
 
-The contract (see ``repro.hdc.kernels``): the scatter kernel is
-bit-identical to the reference loop on any input; the matmul kernel is
-bit-identical on exact-arithmetic inputs (bipolar hypervectors with a
-power-of-two learning rate, or at most one mistake per chunk) and
-association-order close otherwise.
+The contract (see ``repro.hdc.kernels``): the matmul kernel is
+bit-identical to the reference loop on exact-arithmetic inputs (bipolar
+hypervectors with a power-of-two learning rate, or at most one mistake
+per chunk) and association-order close otherwise.  Training runs
+``kernels.class_update``; the fit tests pin one kernel by patching it.
 """
 
 import numpy as np
-import pytest
 
 from repro.hdc import kernels
 from repro.hdc.model import HDCClassifier
+
+
+# The update kernels training can run, by name: ``auto`` is the
+# production selector itself.
+_KERNELS = {
+    "loop": kernels.loop_class_update,
+    "matmul": kernels.matmul_class_update,
+    "auto": kernels.class_update,
+}
 
 
 def _random_updates(rng, wrong=64, dimension=512, num_classes=10):
@@ -40,26 +48,6 @@ def _apply(kernel, hypervectors, true_labels, predicted, lr=0.035,
 
 
 class TestClassUpdateKernels:
-    def test_scatter_bit_identical_to_loop(self):
-        rng = np.random.default_rng(0)
-        args = _random_updates(rng)
-        expected = _apply(kernels.loop_class_update, *args)
-        actual = _apply(kernels.scatter_class_update, *args)
-        np.testing.assert_array_equal(actual, expected)
-
-    def test_scatter_bit_identical_with_repeated_classes(self):
-        # Many samples hitting the same two classes exercises the
-        # sequential-duplicate-index guarantee of ufunc.at.
-        rng = np.random.default_rng(1)
-        hypervectors = rng.standard_normal((40, 256)).astype(np.float32)
-        true_labels = np.zeros(40, dtype=np.int64)
-        predicted = np.ones(40, dtype=np.int64)
-        expected = _apply(kernels.loop_class_update, hypervectors,
-                          true_labels, predicted, num_classes=3)
-        actual = _apply(kernels.scatter_class_update, hypervectors,
-                        true_labels, predicted, num_classes=3)
-        np.testing.assert_array_equal(actual, expected)
-
     def test_matmul_bit_identical_on_exact_arithmetic(self):
         # Bipolar +/-1 hypervectors with a power-of-two learning rate
         # keep every partial sum exactly representable, so any summation
@@ -107,18 +95,9 @@ class TestClassUpdateKernels:
         classes = np.ones((4, 16), dtype=np.float32)
         empty_hv = np.empty((0, 16), dtype=np.float32)
         empty_idx = np.empty(0, dtype=np.int64)
-        for kernel in (kernels.scatter_class_update,
-                       kernels.matmul_class_update):
+        for kernel in _KERNELS.values():
             kernel(classes, empty_hv, empty_idx, empty_idx, 0.035)
         np.testing.assert_array_equal(classes, np.ones((4, 16)))
-
-    def test_dispatcher_rejects_unknown_kernel(self):
-        rng = np.random.default_rng(6)
-        hv, true_labels, predicted = _random_updates(rng, wrong=4)
-        classes = np.zeros((10, 512), dtype=np.float32)
-        with pytest.raises(ValueError, match="unknown update kernel"):
-            kernels.class_update(classes, hv, true_labels, predicted,
-                                 0.035, kernel="einsum")
 
 
 class TestTrainPassEquivalence:
@@ -137,22 +116,25 @@ class TestTrainPassEquivalence:
         ).astype(np.float32)
         return hypervectors, labels
 
-    def _fit(self, kernel, hypervectors, labels, lr):
+    @staticmethod
+    def _fit(monkeypatch, kernel, hypervectors, labels, lr):
+        monkeypatch.setattr(kernels, "class_update", _KERNELS[kernel])
         model = HDCClassifier(
-            dimension=hypervectors.shape[1], learning_rate=lr,
-            update_kernel=kernel, seed=7,
+            dimension=hypervectors.shape[1], learning_rate=lr, seed=7,
         )
         model.fit(hypervectors, labels, iterations=5, num_classes=5,
                   encoded=True)
         return model
 
-    def test_full_fit_identical_across_kernels(self):
+    def test_full_fit_identical_across_kernels(self, monkeypatch):
         # On exact-arithmetic data every kernel must reproduce the loop's
         # class_hypervectors, train_accuracy and updates bit for bit.
         hypervectors, labels = self._bipolar_dataset()
-        reference = self._fit("loop", hypervectors, labels, lr=0.03125)
-        for kernel in ("scatter", "matmul", "auto"):
-            model = self._fit(kernel, hypervectors, labels, lr=0.03125)
+        reference = self._fit(monkeypatch, "loop", hypervectors, labels,
+                              lr=0.03125)
+        for kernel in ("matmul", "auto"):
+            model = self._fit(monkeypatch, kernel, hypervectors, labels,
+                              lr=0.03125)
             np.testing.assert_array_equal(
                 model.class_hypervectors, reference.class_hypervectors
             )
@@ -160,20 +142,7 @@ class TestTrainPassEquivalence:
                 reference.history.train_accuracy
             assert model.history.updates == reference.history.updates
 
-    def test_full_fit_scatter_identical_on_float_data(self):
-        rng = np.random.default_rng(8)
-        hypervectors = np.tanh(
-            rng.standard_normal((300, 200))
-        ).astype(np.float32)
-        labels = rng.integers(0, 5, size=300)
-        reference = self._fit("loop", hypervectors, labels, lr=0.035)
-        model = self._fit("scatter", hypervectors, labels, lr=0.035)
-        np.testing.assert_array_equal(
-            model.class_hypervectors, reference.class_hypervectors
-        )
-        assert model.history.updates == reference.history.updates
-
-    def test_chunk_size_one_identical_for_all_kernels(self):
+    def test_chunk_size_one_identical_for_all_kernels(self, monkeypatch):
         # chunk_size=1 chunks carry at most one mistake, where even the
         # matmul kernel is exact -- the strictly-online rule is preserved
         # bit for bit on arbitrary float data.
@@ -181,19 +150,14 @@ class TestTrainPassEquivalence:
         hypervectors = rng.standard_normal((120, 128)).astype(np.float32)
         labels = rng.integers(0, 4, size=120)
         results = []
-        for kernel in ("loop", "scatter", "matmul", "auto"):
-            model = HDCClassifier(
-                dimension=128, chunk_size=1, update_kernel=kernel, seed=3,
-            )
+        for update in _KERNELS.values():
+            monkeypatch.setattr(kernels, "class_update", update)
+            model = HDCClassifier(dimension=128, chunk_size=1, seed=3)
             model.fit(hypervectors, labels, iterations=3, num_classes=4,
                       encoded=True)
             results.append(model.class_hypervectors)
         for other in results[1:]:
             np.testing.assert_array_equal(other, results[0])
-
-    def test_invalid_kernel_rejected_at_construction(self):
-        with pytest.raises(ValueError, match="update_kernel"):
-            HDCClassifier(dimension=64, update_kernel="nope")
 
 
 class TestIdLevelEncodeKernel:

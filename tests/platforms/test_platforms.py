@@ -85,7 +85,7 @@ class TestCpuPlatform:
             pytest.approx(10 * cpu.spec.per_call_overhead_s)
 
 
-class TestEdgeTpuPlatform:
+class TestCostModelTpuPricing:
     """The Edge TPU as the analytic figures price it: ``CostModel``'s
     shape-only HDC stacks through the arch's latency model."""
 

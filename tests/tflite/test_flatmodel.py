@@ -8,16 +8,19 @@ from repro.tflite.ops import ArgmaxOp, FullyConnectedOp, TanhOp
 from repro.tflite.quantization import qparams_asymmetric, qparams_symmetric
 
 
-def _tiny_model(rng, with_argmax=True, with_bias=False, n=6, d=16, k=3):
+def _tiny_model(rng, with_argmax=True, with_bias=False, n=6, d=16, k=3,
+                per_channel=False):
     in_qp = qparams_asymmetric(-4.0, 4.0)
     hid_qp = qparams_asymmetric(-12.0, 12.0)
     out_qp = qparams_asymmetric(-8.0, 8.0)
     w1 = rng.standard_normal((n, d)).astype(np.float32)
     w2 = rng.standard_normal((d, k)).astype(np.float32)
     bias = rng.standard_normal(d).astype(np.float32) if with_bias else None
-    fc1 = FullyConnectedOp.from_float(w1, in_qp, hid_qp, bias=bias, name="fc1")
+    fc1 = FullyConnectedOp.from_float(w1, in_qp, hid_qp, bias=bias,
+                                      per_channel=per_channel, name="fc1")
     tanh = TanhOp(hid_qp, name="tanh")
-    fc2 = FullyConnectedOp.from_float(w2, tanh.output_qparams, out_qp, name="fc2")
+    fc2 = FullyConnectedOp.from_float(w2, tanh.output_qparams, out_qp,
+                                      per_channel=per_channel, name="fc2")
     ops = [fc1, tanh, fc2]
     if with_argmax:
         ops.append(ArgmaxOp(out_qp, name="argmax"))
@@ -97,6 +100,23 @@ class TestSerialization:
         weights = 6 * 16 + 16 * 3
         assert model.size_bytes() >= weights
         assert model.size_bytes() < weights + 1024  # small header overhead
+
+    @pytest.mark.parametrize("kwargs", [
+        dict(with_argmax=False),
+        dict(with_argmax=False, per_channel=True),
+        dict(with_argmax=False, with_bias=True),
+        dict(with_argmax=False, with_bias=True, per_channel=True),
+        dict(with_argmax=True),
+    ], ids=["per-tensor", "per-channel", "biased", "biased-per-channel",
+            "argmax"])
+    def test_size_bytes_is_serialized_length(self, rng, kwargs):
+        # size_bytes() is computed once; it must stay the length of
+        # what save() writes.
+        model = _tiny_model(rng, **kwargs)
+        assert model.size_bytes() == len(model.to_bytes())
+        assert model.size_bytes() == len(model.to_bytes())
+        restored = FlatModel.from_bytes(model.to_bytes())
+        assert restored.size_bytes() == model.size_bytes()
 
     def test_bad_magic_rejected(self):
         with pytest.raises(ValueError, match="magic"):
