@@ -10,6 +10,17 @@ bit-identical to the reference interpreter (``vpdpbusd`` accumulates
 exactly in int32; the epilogue reproduces the float64 rounding of the
 numpy path instruction for instruction).
 
+The kernel, ``fc_fused_i8``, walks the weights one 64-column panel at a
+time and runs every row tile against a panel while it sits in L1/L2, so
+the weights come from L3 or memory once per call. Each tile is one routine
+whose row count (1–6) and 16-column block count (1–4) are compile-time
+constants, instantiated for all 24 shapes: full, remainder-row and
+narrow-output tiles alike keep their accumulators in zmm registers. The
+requantize → lookup epilogue is vectorized too: one ``vpgatherdd`` per
+16 outputs from an int32 copy of the table built once per call (gathers
+are slower, not wrong, on CPUs with the Gather Data Sampling
+mitigation).
+
 This module is *strictly optional* and fails closed:
 
 - it activates only on Linux/x86-64 machines whose ``/proc/cpuinfo``
@@ -142,23 +153,34 @@ def _bind(lib: ctypes.CDLL) -> None:
 
 
 def _smoke_test(lib: ctypes.CDLL) -> bool:
-    """Bit-exactness check against a pure-numpy oracle on a tiny op."""
+    """Bit-exactness check against a pure-numpy oracle on a tiny op.
+
+    13 rows by 80 columns reach every kind of tile a production batch
+    runs: row tiles of 6, 6 and 1, and column groups of 4 blocks and 1.
+    The table is random, the multiplier drives codes to both clamps, and
+    a canary row after the last must come back untouched, so a wrong or
+    miscompiled tile, lookup or clamp fails closed to the numpy arena
+    before its first use.
+    """
     rng = np.random.default_rng(0)
-    m, k, n = 5, 23, 48
+    m, k, n = 13, 23, 80
     x = rng.integers(-128, 128, size=(m, k), dtype=np.int8)
     w = rng.integers(-128, 128, size=(k, n), dtype=np.int8)
     offset = rng.integers(-500, 500, size=n, dtype=np.int64)
-    mult, zp, qmin, qmax = 0.0125, 3, -128, 127
-    lut = IDENTITY_LUT
+    mult, zp, qmin, qmax = 0.004, 3, -128, 127
+    lut = rng.integers(-128, 128, size=256, dtype=np.int8)
     packed = pack_fc(w, offset)
-    a = _shift_u8(x, packed.k4)
-    out = np.empty((m, packed.n_pad), dtype=np.int8)
-    lib.fc_fused_i8(*fc_fused_i8_args(a, packed, mult, zp, qmin, qmax,
-                                      lut, out))
+    # One canary row past the call in both buffers, as in a plan's arena.
+    a = np.full((m + 1, packed.k4 * 4), 255, dtype=np.uint8)
+    a[:m] = _shift_u8(x, packed.k4)
+    out = np.full((m + 1, packed.n_pad), 99, dtype=np.int8)
+    lib.fc_fused_i8(*fc_fused_i8_args(a[:m], packed, mult, zp, qmin, qmax,
+                                      lut, out[:m]))
     acc = x.astype(np.int64) @ w.astype(np.int64) + offset
     codes = np.clip(np.round(acc.astype(np.float64) * mult) + zp, qmin, qmax)
     expected = lut[codes.astype(np.intp) + 128]
-    return bool(np.array_equal(out[:, :n], expected))
+    return bool(np.array_equal(out[:m, :n], expected)
+                and (out[m] == 99).all())
 
 
 def library() -> ctypes.CDLL | None:
