@@ -1,4 +1,4 @@
-"""Optional native AVX-512 VNNI kernels for the int8 executor.
+"""Optional native AVX-512 VNNI and AMX-INT8 kernels for the int8 executor.
 
 The numpy arena of :mod:`repro.runtime.plan` is bit-exact but pays for
 generality: the int8 GEMM runs through float64 (or float32) matrix
@@ -10,16 +10,30 @@ bit-identical to the reference interpreter (``vpdpbusd`` accumulates
 exactly in int32; the epilogue reproduces the float64 rounding of the
 numpy path instruction for instruction).
 
-The kernel, ``fc_fused_i8``, walks the weights one 64-column panel at a
-time and runs every row tile against a panel while it sits in L1/L2, so
-the weights come from L3 or memory once per call. Each tile is one routine
-whose row count (1–6) and 16-column block count (1–4) are compile-time
-constants, instantiated for all 24 shapes: full, remainder-row and
-narrow-output tiles alike keep their accumulators in zmm registers. The
-requantize → lookup epilogue is vectorized too: one ``vpgatherdd`` per
-16 outputs from an int32 copy of the table built once per call (gathers
-are slower, not wrong, on CPUs with the Gather Data Sampling
-mitigation).
+The kernel, ``fc_fused_i8``, has two engines on the same packed weights
+and the same requantize → lookup epilogue (see ``kernels.c``):
+
+- **VNNI** walks the weights one 64-column panel at a time and runs
+  every row tile against a panel while it sits in L1/L2.  Each tile is
+  one routine whose row count (1–6) and 16-column block count (1–4) are
+  compile-time constants, instantiated for all 24 shapes, so every tile
+  keeps its accumulators in zmm registers.
+- **AMX** (``fc_fused_i8_amx``) runs the product on the CPU's own
+  systolic tile unit, Intel's Advanced Matrix Extensions: 32×32 blocks
+  of int32 C tiles fed by 16-row activation tiles and 16 k-quad × 64
+  byte weight tiles read straight from the packed blocks, with the
+  epilogue of one block overlapped with the next block's tile work.
+  Its weights pad the input depth to a multiple of 64 (16 quads) with
+  zero rows, and the plan's activation buffer carries the matching zero
+  columns (:func:`pack_fc` with ``amx=True``).  It serves a plan stage
+  whose input depth is at least :data:`AMX_MIN_DEPTH` at a batch of at
+  least :data:`AMX_MIN_ROWS` rows, where it was measured no slower than
+  VNNI.
+
+The epilogue looks codes up with ``vpermi2b`` in the AMX build (whose
+CPUs all have AVX-512 VBMI) and with one ``vpgatherdd`` per 16 outputs
+otherwise (gathers are slower, not wrong, on CPUs with the Gather Data
+Sampling mitigation).
 
 This module is *strictly optional* and fails closed:
 
@@ -28,11 +42,18 @@ This module is *strictly optional* and fails closed:
   check runs *before* any native code loads — an illegal instruction
   cannot be caught after the fact);
 - the kernel source ships with the package (``kernels.c``) and is
-  compiled on first use with the system C compiler into a content-
-  addressed cache (``~/.cache/repro-native`` or
-  ``$REPRO_NATIVE_CACHE``); no compiler, no native path;
+  compiled on first use with the system C compiler into a cache
+  (``~/.cache/repro-native`` or ``$REPRO_NATIVE_CACHE``) addressed by
+  the source, the compiler and its flags; no compiler, no native path;
+- where the CPU also advertises ``amx_tile``, ``amx_int8`` and
+  ``avx512vbmi``, the build adds the AMX engine; a compiler without AMX
+  support builds the VNNI engine alone;
 - the compiled library must pass a bit-exactness smoke test against a
   numpy oracle before it is ever used;
+- the AMX engine runs only after the kernel grants the process the
+  tile-data state (``arch_prctl(ARCH_REQ_XCOMP_PERM,
+  XFEATURE_XTILEDATA)``, asked once at load) and its own smoke test
+  passes; a failure there turns off AMX alone, and VNNI serves;
 - ``REPRO_NATIVE=0`` disables the whole module.
 
 Callers must additionally prove, per op, that the int32 accumulator
@@ -56,9 +77,14 @@ from pathlib import Path
 import numpy as np
 
 __all__ = [
+    "AMX_MIN_DEPTH",
+    "AMX_MIN_ROWS",
     "IDENTITY_LUT",
     "PackedFc",
+    "aligned_zeros",
+    "amx_available",
     "available",
+    "engines",
     "fc_fused_i8_args",
     "library",
     "pack_fc",
@@ -67,6 +93,16 @@ __all__ = [
 
 _INT32_MAX = 2**31 - 1
 _REQUIRED_FLAGS = {"avx512f", "avx512bw", "avx512_vnni"}
+_AMX_FLAGS = {"amx_tile", "amx_int8", "avx512vbmi"}
+_CFLAGS = ("-O3", "-fno-math-errno", "-mavx512f", "-mavx512bw",
+           "-mavx512vnni", "-shared", "-fPIC")
+_AMX_CFLAGS = _CFLAGS + ("-mavx512vbmi", "-mamx-tile", "-mamx-int8")
+
+#: Shallowest stage (input depth ``k``) the AMX engine serves: at 64
+#: its stored-and-reloaded accumulators cost more than its tiles save.
+AMX_MIN_DEPTH = 128
+#: Smallest batch the AMX engine serves; VNNI runs smaller ones faster.
+AMX_MIN_ROWS = 16
 
 #: LUT mapping ``code + 128 -> code``: running the fused FC kernel with
 #: it yields the bare requantized int8 codes (a fully-connected op with
@@ -76,6 +112,22 @@ IDENTITY_LUT.setflags(write=False)
 
 # Tri-state module cache: None = undecided, else (lib | False).
 _LIB: ctypes.CDLL | bool | None = None
+# Whether the loaded library's AMX engine may run (decided at load).
+_AMX = False
+
+
+def _cpu_flags() -> set[str]:
+    """The CPU's advertised ISA flags (empty off Linux/x86-64)."""
+    if platform.system() != "Linux" or platform.machine() != "x86_64":
+        return set()
+    try:
+        text = Path("/proc/cpuinfo").read_text()
+    except OSError:
+        return set()
+    for line in text.splitlines():
+        if line.startswith("flags"):
+            return set(line.split(":", 1)[1].split())
+    return set()
 
 
 def _cpu_supported() -> bool:
@@ -85,17 +137,7 @@ def _cpu_supported() -> bool:
     cannot catch — so the gate is the advertised flag set, not
     try-and-see.
     """
-    if platform.system() != "Linux" or platform.machine() != "x86_64":
-        return False
-    try:
-        text = Path("/proc/cpuinfo").read_text()
-    except OSError:
-        return False
-    for line in text.splitlines():
-        if line.startswith("flags"):
-            flags = set(line.split(":", 1)[1].split())
-            return _REQUIRED_FLAGS <= flags
-    return False
+    return _REQUIRED_FLAGS <= _cpu_flags()
 
 
 def _cache_dir() -> Path:
@@ -105,15 +147,19 @@ def _cache_dir() -> Path:
     return Path.home() / ".cache" / "repro-native"
 
 
-def _compile(source: Path) -> Path | None:
-    """Compile ``kernels.c`` into a content-addressed shared library."""
+def _compile(source: Path, flags: tuple = _CFLAGS) -> Path | None:
+    """Compile ``kernels.c`` with ``flags`` into a shared library named
+    by the digest of the compiler's path, the flags and the source, so
+    builds with other flags or another compiler never collide."""
     compiler = shutil.which("cc") or shutil.which("gcc")
     if compiler is None:
         return None
-    data = source.read_bytes()
-    digest = hashlib.sha256(data).hexdigest()[:16]
+    digest = hashlib.sha256()
+    digest.update(compiler.encode() + b"\0")
+    digest.update(" ".join(flags).encode() + b"\0")
+    digest.update(source.read_bytes())
     cache = _cache_dir()
-    target = cache / f"kernels-{digest}.so"
+    target = cache / f"kernels-{digest.hexdigest()[:16]}.so"
     if target.exists():
         return target
     tmp = None
@@ -122,8 +168,7 @@ def _compile(source: Path) -> Path | None:
         fd, tmp = tempfile.mkstemp(suffix=".so", dir=cache)
         os.close(fd)
         result = subprocess.run(
-            [compiler, "-O3", "-fno-math-errno", "-mavx512f", "-mavx512bw",
-             "-mavx512vnni", "-shared", "-fPIC", str(source), "-o", tmp],
+            [compiler, *flags, str(source), "-o", tmp],
             capture_output=True, timeout=120,
         )
         if result.returncode != 0:
@@ -142,40 +187,53 @@ def _compile(source: Path) -> Path | None:
                 pass
 
 
+_FC_ARGTYPES = [
+    ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p,
+    ctypes.c_double, ctypes.c_double, ctypes.c_double, ctypes.c_double,
+    ctypes.c_void_p, ctypes.c_void_p,
+    ctypes.c_int64, ctypes.c_int64, ctypes.c_int64,
+]
+
+
 def _bind(lib: ctypes.CDLL) -> None:
-    lib.fc_fused_i8.restype = None
-    lib.fc_fused_i8.argtypes = [
-        ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p,
-        ctypes.c_double, ctypes.c_double, ctypes.c_double, ctypes.c_double,
-        ctypes.c_void_p, ctypes.c_void_p,
-        ctypes.c_int64, ctypes.c_int64, ctypes.c_int64,
-    ]
+    kernels = [lib.fc_fused_i8]
+    if hasattr(lib, "fc_fused_i8_amx"):
+        kernels.append(lib.fc_fused_i8_amx)
+        lib.fc_amx_request.restype = ctypes.c_long
+        lib.fc_amx_request.argtypes = []
+    for kernel in kernels:
+        kernel.restype = None
+        kernel.argtypes = _FC_ARGTYPES
 
 
-def _smoke_test(lib: ctypes.CDLL) -> bool:
-    """Bit-exactness check against a pure-numpy oracle on a tiny op.
+def _smoke_test(lib: ctypes.CDLL, amx: bool = False) -> bool:
+    """Bit-exactness check of one engine against a pure-numpy oracle.
 
-    13 rows by 80 columns reach every kind of tile a production batch
-    runs: row tiles of 6, 6 and 1, and column groups of 4 blocks and 1.
-    The table is random, the multiplier drives codes to both clamps, and
-    a canary row after the last must come back untouched, so a wrong or
-    miscompiled tile, lookup or clamp fails closed to the numpy arena
-    before its first use.
+    VNNI runs 13 rows by 80 columns, which reach every kind of tile a
+    production batch runs: row tiles of 6, 6 and 1, and column groups of
+    4 blocks and 1.  AMX runs 53 rows by 80 columns at depth 70: a full
+    32-row group, then a 21-row remainder across the 16-row tile
+    boundary, two 2-block panels and a 1-block one, and a depth padded
+    from 18 quads to 32 (two k-steps).  The table is random, the
+    multiplier drives codes to both clamps, and a canary row after the
+    last must come back untouched, so a wrong or miscompiled tile,
+    lookup or clamp fails closed before its first use.
     """
     rng = np.random.default_rng(0)
-    m, k, n = 13, 23, 80
+    m, k, n = (53, 70, 80) if amx else (13, 23, 80)
     x = rng.integers(-128, 128, size=(m, k), dtype=np.int8)
     w = rng.integers(-128, 128, size=(k, n), dtype=np.int8)
     offset = rng.integers(-500, 500, size=n, dtype=np.int64)
-    mult, zp, qmin, qmax = 0.004, 3, -128, 127
+    mult, zp, qmin, qmax = 0.002 if amx else 0.004, 3, -128, 127
     lut = rng.integers(-128, 128, size=256, dtype=np.int8)
-    packed = pack_fc(w, offset)
+    packed = pack_fc(w, offset, amx=amx)
     # One canary row past the call in both buffers, as in a plan's arena.
     a = np.full((m + 1, packed.k4 * 4), 255, dtype=np.uint8)
     a[:m] = _shift_u8(x, packed.k4)
     out = np.full((m + 1, packed.n_pad), 99, dtype=np.int8)
-    lib.fc_fused_i8(*fc_fused_i8_args(a[:m], packed, mult, zp, qmin, qmax,
-                                      lut, out[:m]))
+    kernel = lib.fc_fused_i8_amx if amx else lib.fc_fused_i8
+    kernel(*fc_fused_i8_args(a[:m], packed, mult, zp, qmin, qmax, lut,
+                             out[:m]))
     acc = x.astype(np.int64) @ w.astype(np.int64) + offset
     codes = np.clip(np.round(acc.astype(np.float64) * mult) + zp, qmin, qmax)
     expected = lut[codes.astype(np.intp) + 128]
@@ -186,8 +244,8 @@ def _smoke_test(lib: ctypes.CDLL) -> bool:
 def library() -> ctypes.CDLL | None:
     """The loaded kernel library, or ``None`` when unavailable.
 
-    The first call decides (flag gate, compile, smoke test) and the
-    decision is cached for the process lifetime.
+    The first call decides (flag gate, compile, smoke tests, tile
+    permission) and the decision is cached for the process lifetime.
     """
     global _LIB
     if _LIB is None:
@@ -196,14 +254,22 @@ def library() -> ctypes.CDLL | None:
 
 
 def _load() -> ctypes.CDLL | bool:
+    """Build, load and check the library; decides :data:`_AMX` too."""
+    global _AMX
+    _AMX = False
     if os.environ.get("REPRO_NATIVE", "1") == "0":
         return False
-    if not _cpu_supported():
+    flags = _cpu_flags()
+    if not _REQUIRED_FLAGS <= flags:
         return False
     source = Path(__file__).with_name("kernels.c")
     if not source.exists():
         return False
-    target = _compile(source)
+    target = None
+    if _AMX_FLAGS <= flags:
+        target = _compile(source, _AMX_CFLAGS)
+    if target is None:
+        target = _compile(source)
     if target is None:
         return False
     try:
@@ -216,12 +282,37 @@ def _load() -> ctypes.CDLL | bool:
             return False
     except Exception:
         return False
+    _AMX = _amx_ready(lib)
     return lib
+
+
+def _amx_ready(lib: ctypes.CDLL) -> bool:
+    """Whether the AMX engine may run: built, granted the tile-data
+    state by the kernel, and bit-exact on its smoke test."""
+    if not hasattr(lib, "fc_fused_i8_amx"):
+        return False
+    try:
+        return lib.fc_amx_request() == 0 and _smoke_test(lib, amx=True)
+    except Exception:
+        return False
 
 
 def available() -> bool:
     """Whether the native kernels are usable on this machine."""
     return library() is not None
+
+
+def amx_available() -> bool:
+    """Whether the loaded kernels' AMX engine is usable."""
+    return library() is not None and _AMX
+
+
+def engines() -> list[str]:
+    """The native engines that loaded: ``[]``, ``["vnni"]`` or
+    ``["vnni", "amx"]``."""
+    if library() is None:
+        return []
+    return ["vnni", "amx"] if _AMX else ["vnni"]
 
 
 class PackedFc:
@@ -235,20 +326,24 @@ class PackedFc:
         offsets: Folded int32 per-column accumulator init:
             ``offset - 128 * column_sum`` (the +128 activation shift
             pre-subtracted).
-        k4: Input depth in packed quads (``ceil(k / 4)``).
+        k4: Input depth in packed quads (``ceil(k / 4)``, rounded up
+            to a multiple of 16 for the AMX engine).
         n_pad: Padded output width (multiple of 16).
         n: True output width.
+        amx: Whether the depth is padded for the AMX engine's 16-quad
+            tiles (any engine runs the layout; zero rows add nothing).
     """
 
-    __slots__ = ("weights", "offsets", "k4", "n_pad", "n")
+    __slots__ = ("weights", "offsets", "k4", "n_pad", "n", "amx")
 
     def __init__(self, weights: np.ndarray, offsets: np.ndarray,
-                 k4: int, n_pad: int, n: int):
+                 k4: int, n_pad: int, n: int, amx: bool = False):
         self.weights = weights
         self.offsets = offsets
         self.k4 = k4
         self.n_pad = n_pad
         self.n = n
+        self.amx = amx
 
 
 def vnni_accumulator_bound(weights_int8: np.ndarray,
@@ -269,22 +364,24 @@ def vnni_accumulator_bound(weights_int8: np.ndarray,
     return int(bound.max(initial=0))
 
 
-def pack_fc(weights_int8: np.ndarray, offset_int64: np.ndarray) -> PackedFc:
+def pack_fc(weights_int8: np.ndarray, offset_int64: np.ndarray,
+            amx: bool = False) -> PackedFc:
     """Pack an op's weights + folded offset into the kernel layout.
 
-    The packed arrays are read-only: one packing is shared by every
-    plan running the op.
+    ``amx`` pads the depth to a multiple of 16 quads (64 inputs) with
+    zero weight rows, the AMX engine's k-step.  The packed arrays are
+    read-only: one packing is shared by every plan running the op.
     """
     w = np.ascontiguousarray(weights_int8, dtype=np.int8)
     k, n = w.shape
-    k4 = -(-k // 4)
+    k4 = -(-k // 64) * 16 if amx else -(-k // 4)
     n_pad = -(-n // 16) * 16
     wpad = np.zeros((k4 * 4, n_pad), dtype=np.int8)
     wpad[:k, :n] = w
     # [nb][k4][16 cols][4 k] contiguous — the order fc_fused_i8 streams.
-    packed = np.ascontiguousarray(
-        wpad.reshape(k4, 4, n_pad // 16, 16).transpose(2, 0, 3, 1)
-    )
+    packed = aligned_zeros((n_pad // 16, k4, 16, 4), np.int8)
+    np.copyto(packed,
+              wpad.reshape(k4, 4, n_pad // 16, 16).transpose(2, 0, 3, 1))
     col_sum = w.sum(axis=0, dtype=np.int64)
     offs = np.zeros(n_pad, dtype=np.int64)
     offs[:n] = np.asarray(offset_int64, dtype=np.int64) - 128 * col_sum
@@ -293,7 +390,17 @@ def pack_fc(weights_int8: np.ndarray, offset_int64: np.ndarray) -> PackedFc:
     offs = offs.astype(np.int32)
     packed.setflags(write=False)
     offs.setflags(write=False)
-    return PackedFc(packed, offs, k4, n_pad, n)
+    return PackedFc(packed, offs, k4, n_pad, n, amx)
+
+
+def aligned_zeros(shape, dtype) -> np.ndarray:
+    """A zeroed array whose data starts on a 64-byte cache line, so no
+    64-byte kernel row (a tile row, a zmm load) straddles two lines."""
+    dtype = np.dtype(dtype)
+    nbytes = int(np.prod(shape)) * dtype.itemsize
+    raw = np.zeros(nbytes + 64, dtype=np.uint8)
+    start = -raw.ctypes.data % 64
+    return raw[start:start + nbytes].view(dtype).reshape(shape)
 
 
 def _shift_u8(x_int8: np.ndarray, k4: int,
@@ -301,7 +408,7 @@ def _shift_u8(x_int8: np.ndarray, k4: int,
     """``x + 128`` as uint8, zero-padded to ``k4 * 4`` columns."""
     m, k = x_int8.shape
     if out is None:
-        out = np.zeros((m, k4 * 4), dtype=np.uint8)
+        out = aligned_zeros((m, k4 * 4), np.uint8)
     # uint8 wraparound: (x mod 256) + 128 mod 256 == x + 128 for int8 x.
     np.add(x_int8.view(np.uint8), 128, out=out[:, :k])
     return out

@@ -323,8 +323,10 @@ class FullyConnectedOp(Op):
         per-channel multiplier, or an int32 bound the static check
         cannot prove (see :func:`repro.native.vnni_accumulator_bound`).
         Packed once per op and read-only, so every plan — on any
-        thread — shares it.  Callers check :func:`repro.native.available`
-        first; packing itself needs no native code.
+        thread — shares it; the depth is padded for the AMX engine when
+        it loaded and the op is at least
+        :data:`~repro.native.AMX_MIN_DEPTH` deep.  Callers check
+        :func:`repro.native.available` first.
         """
         try:
             return self.__dict__["_vnni_packed"]
@@ -334,8 +336,11 @@ class FullyConnectedOp(Op):
         if (isinstance(self._multiplier, float)
                 and native.vnni_accumulator_bound(
                     self.weights, self._offset_i64) <= _INT32_MAX):
+            amx = (self.weights.shape[0] >= native.AMX_MIN_DEPTH
+                   and native.amx_available())
             try:
-                packed = native.pack_fc(self.weights, self._offset_i64)
+                packed = native.pack_fc(self.weights, self._offset_i64,
+                                        amx=amx)
             except OverflowError:
                 packed = None
         self.__dict__["_vnni_packed"] = packed

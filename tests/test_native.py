@@ -1,10 +1,12 @@
 """The optional native kernels: build hygiene, packing memory, tiles."""
 
 import ctypes
+import functools
 import os
 import shutil
 import subprocess
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -42,6 +44,29 @@ def _transient_bytes(fn, *args):
 
 
 class TestCompileCleanup:
+    def test_flag_sets_build_distinct_libraries(self, tmp_path, monkeypatch):
+        """The cache name covers the compiler and its flags: the AMX
+        build and the VNNI-only build of one source never collide."""
+        class Done:
+            returncode = 0
+
+        def compile_(command, **kwargs):
+            Path(command[-1]).write_bytes(b"built")
+            return Done()
+
+        monkeypatch.setenv("REPRO_NATIVE_CACHE", str(tmp_path / "cache"))
+        monkeypatch.setattr(native.shutil, "which", lambda name: "/bin/cc")
+        monkeypatch.setattr(native.subprocess, "run", compile_)
+        source = tmp_path / "kernels.c"
+        source.write_text("int x;\n")
+        base = native._compile(source)
+        amx = native._compile(source, native._AMX_CFLAGS)
+        assert base is not None and amx is not None and base != amx
+        assert native._compile(source) == base
+        monkeypatch.setattr(native.shutil, "which", lambda name: "/opt/cc")
+        assert native._compile(source) not in (base, amx)
+        assert len(list((tmp_path / "cache").iterdir())) == 3
+
     def test_timeout_leaves_no_temp_file(self, tmp_path, monkeypatch):
         def timeout(*args, **kwargs):
             raise subprocess.TimeoutExpired(args[0], 120)
@@ -127,28 +152,45 @@ class TestPackingMemory:
             _run_kernel(op, x, native.IDENTITY_LUT), op.run_reference(x))
 
 
-def _run_kernel(op, x, lut, canary=77):
-    """Run ``fc_fused_i8`` for ``op`` on ``x`` with a canary row after it.
+def _run_kernel(op, x, lut, engine="vnni", canary=77):
+    """Run one engine of ``fc_fused_i8`` for ``op`` on ``x`` with a
+    canary row after it.
 
-    The activation and output buffers hold one row more than the call
-    covers, as a plan's arena does for a smaller batch: the canary
-    input row must not leak into the result, and the canary output row
-    must come back untouched.
+    ``engine`` is ``"vnni"`` on the op's plain layout, or, where the AMX
+    engine loaded, ``"vnni-amx-layout"`` (VNNI on the depth padded for
+    AMX) or ``"amx"``.  The activation and output buffers hold one row
+    more than the call covers, as a plan's arena does for a smaller
+    batch: the canary input row must not leak into the result, and the
+    canary output row must come back untouched.
     """
-    packed = op.vnni_packed()
+    packed = native.pack_fc(op.weights, op._offset_i64,
+                            amx=engine != "vnni")
+    kernel = (native.library().fc_fused_i8_amx if engine == "amx"
+              else native.library().fc_fused_i8)
     rows = x.shape[0]
     a = np.full((rows + 1, packed.k4 * 4), 255, dtype=np.uint8)
     a[:rows] = native._shift_u8(x, packed.k4)
     out = np.full((rows + 1, packed.n_pad), canary, dtype=np.int8)
     qparams = op.output_qparams
-    native.library().fc_fused_i8(*native.fc_fused_i8_args(
+    kernel(*native.fc_fused_i8_args(
         a[:rows], packed, op._multiplier, qparams.zero_point,
         qparams.qmin, qparams.qmax, lut, out[:rows]))
     assert (out[rows] == canary).all(), "wrote past its last row"
     return out[:rows, :op.weights.shape[1]]
 
 
-def _sweep_op(kind, k, n, seed):
+ENGINES = ["vnni", "vnni-amx-layout", "amx"]
+
+
+def _need_engine(engine):
+    if not native.available():
+        pytest.skip("native kernels unavailable")
+    if engine != "vnni" and not native.amx_available():
+        pytest.skip("no AMX-INT8 engine loaded (CPU, kernel or compiler "
+                    "without AMX)")
+
+
+def _sweep_op(kind, k, n, seed, rows=13):
     """One op per multiplier kind, with inputs that exercise it.
 
     ``tie`` has multiplier 0.5 on small codes, so about half the
@@ -175,36 +217,53 @@ def _sweep_op(kind, k, n, seed):
     weights[0, 0] = -span
     bias = rng.integers(-16 * span, 16 * span, size=n, dtype=np.int32)
     op = FullyConnectedOp(weights, in_qp, weight_qp, out_qp, bias=bias)
-    x = rng.integers(-span, span, size=(13, k), dtype=np.int8)
+    x = rng.integers(-span, span, size=(rows, k), dtype=np.int8)
     return op, x
 
 
-@needs_native
-class TestTileShapes:
-    """``fc_fused_i8`` equals the reference on every tile shape.
+# Rows across every VNNI row-tile remainder and the AMX engine's 16- and
+# 32-row boundaries; depths in every class of K4 mod 16 near 64 (which
+# also covers every k mod 4), plus the paper's 617 and 10,000; widths of
+# 1, 2, 3 and 5 column blocks, with and without padded columns.
+SWEEP_ROWS = [1, 15, 16, 17, 31, 32, 33, 47, 255, 256, 257]
+SWEEP_K = [4 * q - q % 4 for q in range(16, 32)] + [617, 10_000]
+SWEEP_N = [3, 16, 26, 48, 80]
 
-    Rows 1-13 reach every row tile (6, 6 and 1-6 remainders), ``k`` mod 4
-    every zero-padded input quad, and ``n`` every column group (1-4
-    blocks, with and without padded columns).  Each case runs with the
-    identity and a TANH table, and is compared with
+
+@functools.lru_cache(maxsize=len(ENGINES))
+def _sweep_case(kind, k, n):
+    """The op, its inputs and both tables' expected outputs, shared by
+    the engines (whose cases run one after another)."""
+    op, x = _sweep_op(kind, k, n, seed=k * 100 + n, rows=max(SWEEP_ROWS))
+    tanh = TanhOp(op.output_qparams)
+    codes = op.run_reference(x)
+    return op, x, {"identity": (native.IDENTITY_LUT, codes),
+                   "tanh": (tanh.lut, tanh.run(codes))}
+
+
+class TestTileShapes:
+    """Every engine of ``fc_fused_i8`` equals the reference on every
+    tile shape.
+
+    Each case runs on every engine present (VNNI on both layouts and,
+    where it loaded, AMX), with the identity and a TANH table, at every
+    row count of :data:`SWEEP_ROWS`, and is compared with
     ``FullyConnectedOp.run_reference`` followed by ``TanhOp``'s table.
     """
 
-    @pytest.mark.parametrize("n", [3, 16, 26, 48, 64, 80])
-    @pytest.mark.parametrize("k", [20, 21, 22, 23])
+    @pytest.mark.parametrize("engine", ENGINES)
+    @pytest.mark.parametrize("n", SWEEP_N)
+    @pytest.mark.parametrize("k", SWEEP_K)
     @pytest.mark.parametrize("kind",
                              ["tie", "tie256", "saturate", "generic"])
-    def test_every_tile_shape_is_bit_identical(self, kind, k, n):
-        op, x = _sweep_op(kind, k, n, seed=k * 100 + n)
+    def test_every_tile_shape_is_bit_identical(self, kind, k, n, engine):
+        _need_engine(engine)
+        op, x, tables = _sweep_case(kind, k, n)
         assert op.vnni_packed() is not None
-        tanh = TanhOp(op.output_qparams)
-        codes = op.run_reference(x)
-        tables = {"identity": (native.IDENTITY_LUT, codes),
-                  "tanh": (tanh.lut, tanh.run(codes))}
-        for rows in range(1, 14):
+        for rows in SWEEP_ROWS:
             for name, (lut, expected) in tables.items():
                 np.testing.assert_array_equal(
-                    _run_kernel(op, x[:rows], lut),
+                    _run_kernel(op, x[:rows], lut, engine),
                     expected[:rows], err_msg=f"{rows} rows, {name}")
 
     @pytest.mark.parametrize("kind", ["tie", "tie256", "saturate"])
@@ -224,17 +283,23 @@ class TestTileShapes:
 
 
 class _CorruptingKernel:
-    """Wraps the loaded kernel and damages one region of its output.
+    """Wraps the loaded library and damages one region of one engine's
+    output; every other attribute is the library's.
 
     The region may include the smoke test's canary row past the call.
     """
 
-    def __init__(self, rows, cols):
+    def __init__(self, rows, cols, engine="fc_fused_i8"):
+        self.lib = native.library()
         self.rows = rows
         self.cols = cols
+        setattr(self, engine, functools.partial(self._damaged, engine))
 
-    def fc_fused_i8(self, *args):
-        native.library().fc_fused_i8(*args)
+    def __getattr__(self, name):
+        return getattr(self.lib, name)
+
+    def _damaged(self, engine, *args):
+        getattr(self.lib, engine)(*args)
         m, n_pad = args[-3].value, args[-1].value
         out = np.ctypeslib.as_array(
             ctypes.cast(args[8].value, ctypes.POINTER(ctypes.c_int8)),
@@ -242,8 +307,14 @@ class _CorruptingKernel:
         out[self.rows, self.cols] += 1
 
 
+needs_amx = pytest.mark.skipif(
+    not native.amx_available(),
+    reason="no AMX-INT8 engine loaded (CPU, kernel or compiler without "
+           "AMX)")
+
+
 class TestSmokeTest:
-    """The load-time smoke test reaches every kind of production tile."""
+    """The load-time smoke tests reach every kind of production tile."""
 
     def test_kernel_loads_where_the_cpu_supports_it(self):
         """A kernel that fails its smoke test fails here, not silently."""
@@ -253,9 +324,25 @@ class TestSmokeTest:
             pytest.skip("no AVX-512 VNNI CPU or no C compiler")
         assert native.available()
 
+    def test_amx_loads_where_the_cpu_supports_it(self):
+        """An AMX engine that fails its smoke test fails here."""
+        if (not native.available()
+                or not native._AMX_FLAGS <= native._cpu_flags()):
+            pytest.skip("no kernels, or no AMX-INT8 and AVX-512 VBMI CPU")
+        if not hasattr(native.library(), "fc_fused_i8_amx"):
+            pytest.skip("the C compiler cannot build AMX code")
+        if native.library().fc_amx_request() != 0:
+            pytest.skip("the kernel does not grant the AMX tile state")
+        assert native.amx_available()
+        assert native.engines() == ["vnni", "amx"]
+
     @needs_native
     def test_passes_on_the_loaded_kernel(self):
         assert native._smoke_test(native.library())
+
+    @needs_amx
+    def test_amx_passes_on_the_loaded_kernel(self):
+        assert native._smoke_test(native.library(), amx=True)
 
     @pytest.mark.parametrize("rows, cols", [
         (slice(0, 6), slice(0, 64)),     # a full 6x4 tile
@@ -266,6 +353,32 @@ class TestSmokeTest:
     @needs_native
     def test_fails_on_a_damaged_tile(self, rows, cols):
         assert not native._smoke_test(_CorruptingKernel(rows, cols))
+
+    @pytest.mark.parametrize("rows, cols", [
+        (slice(0, 16), slice(0, 16)),    # a full C tile
+        (slice(16, 32), slice(16, 32)),  # the second row and column tile
+        (slice(32, 48), slice(0, 32)),   # the remainder group's full tile
+        (slice(48, 53), slice(0, 16)),   # its 5-row tile
+        (slice(32, 53), slice(64, 80)),  # the 1-block panel's remainder
+        (slice(53, 54), slice(0, 16)),   # one row past the call
+    ])
+    @needs_amx
+    def test_amx_fails_on_a_damaged_tile(self, rows, cols):
+        damaged = _CorruptingKernel(rows, cols, engine="fc_fused_i8_amx")
+        assert native._smoke_test(damaged)
+        assert not native._smoke_test(damaged, amx=True)
+
+    @needs_amx
+    def test_a_failing_amx_engine_turns_off_only_amx(self, monkeypatch):
+        damaged = _CorruptingKernel(slice(32, 53), slice(0, 16),
+                                    engine="fc_fused_i8_amx")
+        monkeypatch.setattr(native.ctypes, "CDLL", lambda path: damaged)
+        monkeypatch.setattr(native, "_LIB", None)
+        monkeypatch.setattr(native, "_AMX", False)
+        assert native.available()
+        assert native.library() is damaged
+        assert not native.amx_available()
+        assert native.engines() == ["vnni"]
 
     @needs_native
     def test_fails_when_the_table_is_ignored(self):
