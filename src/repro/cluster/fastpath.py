@@ -44,7 +44,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.runtime.plan import ModelPlan, fit_plan
+from repro.runtime.plan import ModelPlan, block_rows, fit_plan
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.cluster.cluster import Cluster
@@ -53,10 +53,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.serving.server import ServeReport
 
 __all__ = ["DeferredPredictions", "FastArrivalPump"]
-
-# Rows per prediction slice: every plan's arena is built at this size
-# once and reused for every routed block (larger blocks run in slices).
-_PREDICT_ROWS = 4096
 
 
 class DeferredPredictions:
@@ -193,9 +189,12 @@ class FastArrivalPump:
             models += [tier.compiled for tier in server._tiers[1:]]
         predicted = np.empty((len(features), len(models)), dtype=np.int64)
         for column, compiled in enumerate(models):
-            plan = fit_plan(self._plans, compiled, _PREDICT_ROWS)
-            for start in range(0, len(features), _PREDICT_ROWS):
-                part = slice(start, start + _PREDICT_ROWS)
+            # One block-sized arena per model, reused for every routed
+            # block (larger blocks run in slices).
+            rows = block_rows(compiled)
+            plan = fit_plan(self._plans, compiled, rows)
+            for start in range(0, len(features), rows):
+                part = slice(start, start + rows)
                 predicted[part, column] = plan.predict(features[part])
         return predicted
 

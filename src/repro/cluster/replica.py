@@ -54,7 +54,11 @@ import numpy as np
 from repro.cluster.engine import Event, EventEngine
 from repro.runtime.profiler import LatencyTracker
 from repro.serving.arrivals import Request
-from repro.serving.server import InferenceServer, ServeReport
+from repro.serving.server import (
+    InferenceServer,
+    PredictionBlocks,
+    ServeReport,
+)
 
 __all__ = ["Replica"]
 
@@ -256,6 +260,8 @@ class Replica:
         self._exact_requests: list[Request] | None = None
         self._first_request: Request | None = None
         self._rows: _Rows | None = None
+        # The per-request intake's prediction sink (see _begin).
+        self._blocks: PredictionBlocks | None = None
         self._finalized = False
         # Pump state (see enable_fast); inert in scalar mode.
         self._fast = False
@@ -364,9 +370,11 @@ class Replica:
         self._begin(trace_requests=None)
 
     def _begin(self, trace_requests: int | None) -> None:
-        """The old loop's preamble: root span, tier accounting reset."""
+        """The old loop's preamble: root span, tier accounting reset,
+        and the sink that predicts the served rows in blocks."""
         server = self.server
         report = self.report
+        self._blocks = PredictionBlocks(server, report)
         tracer = server.tracer
         metrics = server.metrics
         self._root = (tracer.add("serve", 0.0, 0.0,
@@ -499,6 +507,7 @@ class Replica:
             batch, self.engine.now, self.device_free, self.device_busy,
             self.device_swap, self.host_free, self.report,
             server.tracer, self._root, queue_depth=len(queue),
+            defer=self._blocks,
         )
         self._reschedule()
 
@@ -806,13 +815,15 @@ class Replica:
     # ------------------------------------------------------------------
 
     def finalize(self) -> ServeReport:
-        """The old loop's epilogue; call once, after the engine drains."""
+        """The old loop's epilogue, after the last prediction block
+        runs; call once, after the engine drains."""
         if self._finalized:
             raise RuntimeError("replica already finalized")
         self._finalized = True
         server = self.server
         report = self.report
         now = self.engine.now
+        self._blocks.flush()
         if self._rows is not None:
             self._rows.trim()
             arrivals = self._rows.arrivals

@@ -1,9 +1,10 @@
 """The int8 executor: arena-backed, zero-allocation op-chain plans.
 
 Every int8 inference in the stack runs through a :class:`ModelPlan`:
-the server's dispatch, CPU fallback and tier sheds, the device
-simulator's :meth:`~repro.edgetpu.device.EdgeTpuDevice.invoke`, the
-cluster pump's routed blocks, the reference
+the server's prediction blocks (every served batch, CPU fallback and
+tier sheds included), the device simulator's
+:meth:`~repro.edgetpu.device.EdgeTpuDevice.invoke`, the cluster pump's
+routed blocks, the reference
 :class:`~repro.tflite.interpreter.Interpreter` and the build-time
 accuracy of compression tiers.  A plan resolves one compiled model's
 op chain once into stages with preallocated scratch buffers:
@@ -11,10 +12,10 @@ op chain once into stages with preallocated scratch buffers:
 - **Arena-backed stages** — per fused ``FC(+TANH)`` stage the widened
   input, accumulator, float64 codes, gather indices and int8 output
   live in buffers sized to the owner's largest batch.  Invokes write
-  through ``out=`` numpy kernels, or through the native AVX-512 VNNI
-  kernels of :mod:`repro.native` when the module is available and the
-  op's int32 bound allows, and perform **zero heap allocations** in
-  steady state.
+  through ``out=`` numpy kernels, or through the native AVX-512 VNNI or
+  AMX-INT8 kernels of :mod:`repro.native` when the module is available
+  and the op's int32 bound allows, and perform **zero heap
+  allocations** in steady state.
 - **Real batch sizes** — an ``n``-row batch runs on ``[:n]`` views of
   the arenas, bound on first use of that size.  Nothing is padded, so
   devices and host tails are charged exactly the rows they run.
@@ -36,7 +37,13 @@ import numpy as np
 from repro import native
 from repro.tflite.ops import ArgmaxOp, FullyConnectedOp, TanhOp
 
-__all__ = ["ModelPlan", "fit_plan"]
+__all__ = ["ModelPlan", "block_rows", "fit_plan"]
+
+# A prediction block's arena budget per stage: enough rows to fill the
+# widest stage's int8 output with this many bytes, at most
+# _BLOCK_ROWS_MAX.
+_BLOCK_BYTES = 2 << 20
+_BLOCK_ROWS_MAX = 4096
 
 
 # ----------------------------------------------------------------------
@@ -81,10 +88,12 @@ def _stage_specs(ops, width: int):
 class _FcStage:
     """Arena + kernels for one fused ``FC(+TANH)`` stage.
 
-    Dispatches to the native VNNI kernel when the module is available
-    and the op has a packed layout (per-tensor multiplier, static int32
-    bound proven); otherwise to the in-place numpy path
-    (``accumulate_into`` / ``requantize_into`` on the op).  Both are
+    Dispatches to the native kernel when the module is available and
+    the op has a packed layout (per-tensor multiplier, static int32
+    bound proven) — its AMX engine where the packing is padded for it
+    and the batch has at least :data:`~repro.native.AMX_MIN_ROWS` rows,
+    else VNNI; otherwise to the in-place numpy path
+    (``accumulate_into`` / ``requantize_into`` on the op).  All are
     bit-identical to the op's ``run`` / ``run_tanh_fused``.
     """
 
@@ -97,13 +106,18 @@ class _FcStage:
         self._packed = op.vnni_packed() if lib is not None else None
         self.native = self._packed is not None
         if self.native:
-            self._kernel = lib.fc_fused_i8
             packed = self._packed
+            self._kernel = lib.fc_fused_i8
+            self._amx_kernel = (lib.fc_fused_i8_amx
+                                if packed.amx and native.amx_available()
+                                else None)
             # Shifted-activation buffer: the zero padding in columns
-            # [k, k4*4) is written once here and never again.
-            self._a_u8 = np.zeros((max_rows, packed.k4 * 4),
-                                  dtype=np.uint8)
-            self._out = np.zeros((max_rows, packed.n_pad), dtype=np.int8)
+            # [k, k4*4) is written once here and never again.  Both
+            # buffers start on a cache line, as the tile rows want.
+            self._a_u8 = native.aligned_zeros((max_rows, packed.k4 * 4),
+                                              np.uint8)
+            self._out = native.aligned_zeros((max_rows, packed.n_pad),
+                                             np.int8)
             self._lut = tanh.lut if tanh is not None else native.IDENTITY_LUT
         else:
             dtype = op.gemm_dtype
@@ -139,7 +153,9 @@ class _FcStage:
             # are resolved here, once per batch size.
             x_u8 = x_view.view(np.uint8)
             a_cols = self._a_u8[:rows, :x_view.shape[1]]
-            kernel = self._kernel
+            kernel = (self._amx_kernel
+                      if self._amx_kernel is not None
+                      and rows >= native.AMX_MIN_ROWS else self._kernel)
             args = native.fc_fused_i8_args(
                 self._a_u8[:rows], self._packed, op._multiplier,
                 qparams.zero_point, qparams.qmin, qparams.qmax, self._lut,
@@ -354,6 +370,15 @@ class ModelPlan:
     # Steady-state API (all zero-allocation)
     # ------------------------------------------------------------------
 
+    @property
+    def inputs(self) -> np.ndarray:
+        """The ``(max_rows, in_dim)`` float64 input arena.
+
+        An owner may write rows into it in place and run the first
+        ``n`` with :meth:`predict_inputs`, with no staging copy.
+        """
+        return self._scratch
+
     def stage(self, features) -> np.ndarray:
         """Load a float batch into the arena and quantize it.
 
@@ -410,6 +435,29 @@ class ModelPlan:
         it must survive the next call.
         """
         return self.run_host(self.stage(features))
+
+    def predict_inputs(self, rows: int) -> np.ndarray:
+        """:meth:`predict` on the first ``rows`` rows already written
+        into :attr:`inputs`, which quantize there in place (so a second
+        run needs the rows written again)."""
+        views = self._bound(rows)
+        self._qparams.quantize_into(views.scratch, views.q, views.scratch)
+        return self.run_host(views.q)
+
+
+def block_rows(compiled) -> int:
+    """Rows of one prediction block of ``compiled``: as many as keep
+    its widest stage's int8 arena within a fixed 2 MiB, capped at 4096.
+
+    The standalone server's deferred predictions and the cluster pump's
+    routed rows both run in blocks of this size: about 200 rows at the
+    paper's 10,000-wide encoder, 4096 for the fleets' 256-wide models.
+    """
+    width = widest = compiled.model.input_spec.size
+    for op in compiled.model.ops:
+        width = op.output_dim(width)
+        widest = max(widest, width)
+    return max(1, min(_BLOCK_ROWS_MAX, _BLOCK_BYTES // widest))
 
 
 def fit_plan(plans: dict, compiled, rows: int) -> ModelPlan:

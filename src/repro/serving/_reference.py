@@ -9,7 +9,10 @@ reproduces this loop's :class:`~repro.serving.server.ServeReport`
 byte-for-byte — the same role the frozen ``run_reference`` kernels play
 for the int8 fast path.
 
-Do not "improve" this file: its value is that it does not change.
+Do not "improve" this file: its value is that it does not change.  Its
+one edit since: the dispatch path predicts in blocks, so the loop hands
+it a :class:`~repro.serving.server.PredictionBlocks` sink and flushes
+that at its end.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ def serve_reference(server, requests: list[Request]):
     swaps commit, failures trip, caches fill), so comparisons must
     build a fresh server per run.
     """
-    from repro.serving.server import ServeReport
+    from repro.serving.server import PredictionBlocks, ServeReport
 
     num_requests = len(requests)
     report = ServeReport(num_requests=num_requests)
@@ -64,6 +67,7 @@ def serve_reference(server, requests: list[Request]):
                                for _ in server._tiers]
         if metrics is not None:
             metrics.gauge("serve.tier_active").set(0)
+    blocks = PredictionBlocks(server, report)
     queue: deque[Request] = deque()
     device_free = [0.0] * server.pool.num_devices
     device_busy = [0.0] * server.pool.num_devices
@@ -111,9 +115,10 @@ def serve_reference(server, requests: list[Request]):
         host_free = server._dispatch_batch(
             batch, now, device_free, device_busy, device_swap,
             host_free, report, tracer, root,
-            queue_depth=len(queue),
+            queue_depth=len(queue), defer=blocks,
         )
 
+    blocks.flush()
     report.served = num_requests - report.dropped
     if report.served:
         report.makespan_s = float(

@@ -17,18 +17,19 @@ of a production serving stack:
   (every request at ``t=0``, no deadline, the fixed batcher, a queue
   as long as the trace) the rows run in order, ``max_batch`` at a
   time.
-- **One int8 executor** — every batch runs through the server's own
-  arena-backed :class:`~repro.runtime.plan.ModelPlan` per resident
-  model, sized to ``max_batch``: features quantize in place, the
-  device runs the plan's stages, the host tail reads its views, all
-  at the batch's real size (nothing is padded, so the virtual clock
-  charges exactly the rows served).
+- **Charge at dispatch, predict in blocks** — a batch's modeled device
+  and host-tail charges depend only on its row count, so dispatch
+  charges each batch at its real size (nothing is padded) and hands its
+  rows to a :class:`PredictionBlocks` sink.  The sink runs each serving
+  model's rows through one block-sized, arena-backed
+  :class:`~repro.runtime.plan.ModelPlan` when a block fills, and the
+  rest when the run finalizes; no modeled time reads a prediction.
 - **Fault tolerance** — device failures injected via
   :class:`~repro.edgetpu.multidevice.FailurePlan` are detected at
   dispatch (paying the modeled detection cost), retried once on the
   next healthy device, and finally served by the CPU-fallback path —
-  the same plan runs the whole chain on the host, so predictions stay
-  bit-identical and in request order, only slower.
+  the host runs the same chain, so its rows join the same prediction
+  block and stay bit-identical and in request order, only slower.
 - **Hot swap** — a :class:`~repro.serving.swap.ModelSwapper` commits a
   freshly retrained model atomically between batches.
 - **Tiered degradation** — given a compression tier ladder
@@ -57,11 +58,11 @@ from repro.observability.metrics import MetricsRegistry, sum_left_to_right
 from repro.observability.trace import Tracer
 from repro.platforms.base import Platform
 from repro.runtime.executor import host_ops_seconds, host_tail_seconds
-from repro.runtime.plan import ModelPlan, fit_plan
+from repro.runtime.plan import ModelPlan, block_rows, fit_plan
 from repro.runtime.profiler import LatencyTracker
 from repro.serving.swap import ModelSwapper, SwapRecord
 
-__all__ = ["InferenceServer", "ServeReport"]
+__all__ = ["InferenceServer", "PredictionBlocks", "ServeReport"]
 
 
 @dataclass
@@ -302,6 +303,87 @@ class ServeReport:
         return payload
 
 
+class _Block:
+    """One model's pending rows: the block plan whose input arena holds
+    their features, and their request ids."""
+
+    __slots__ = ("plan", "ids", "count")
+
+    def __init__(self, plan: ModelPlan):
+        self.plan = plan
+        self.ids = np.empty(plan.max_rows, dtype=np.int64)
+        self.count = 0
+
+
+class PredictionBlocks:
+    """Deferred-prediction sink of the per-request dispatch path.
+
+    No modeled time reads a prediction, so
+    :meth:`InferenceServer._dispatch_columns` only notes each served
+    batch here: its request ids, features and the model that served it
+    (the primary at that batch, a shed-to tier, or the host's CPU
+    fallback, which runs the same chain bit for bit).  Each model's rows
+    collect in the input arena of one block-sized
+    :class:`~repro.runtime.plan.ModelPlan`
+    (:func:`~repro.runtime.plan.block_rows`) and run when the block
+    fills; :meth:`flush` runs the rest.  However long the trace, at most
+    one block per model is pending.  Only the report's accuracy methods
+    read predictions, after the run's flush.
+
+    Args:
+        server: The server whose plans (``_plans``, one per model,
+            by identity) the blocks run through.
+        report: The report whose ``predictions`` column receives each
+            block (read at every write: a streamed report regrows it).
+    """
+
+    # The cluster pump's sink defers latency bookkeeping too; this one
+    # leaves it to the dispatch path.
+    full = False
+
+    def __init__(self, server: "InferenceServer", report: ServeReport):
+        self._server = server
+        self._report = report
+        self._blocks: dict[int, _Block] = {}
+
+    def add(self, ids: np.ndarray, features, compiled: CompiledModel) -> None:
+        """Queue one served batch: ``ids`` and ``features`` aligned, a
+        row list or a 2-D array."""
+        block = self._blocks.get(id(compiled))
+        if block is None:
+            block = self._blocks[id(compiled)] = _Block(fit_plan(
+                self._server._plans, compiled, block_rows(compiled)))
+        inputs = block.plan.inputs
+        size = len(block.ids)
+        done = 0
+        while done < len(ids):
+            start = block.count
+            take = min(len(ids) - done, size - start)
+            block.ids[start:start + take] = ids[done:done + take]
+            if isinstance(features, np.ndarray):
+                inputs[start:start + take] = features[done:done + take]
+            else:
+                for row in range(take):
+                    inputs[start + row] = features[done + row]
+            block.count = start + take
+            done += take
+            if block.count == size:
+                self._run(block)
+
+    def _run(self, block: _Block) -> None:
+        rows = block.count
+        self._report.predictions[block.ids[:rows]] = \
+            block.plan.predict_inputs(rows)
+        block.count = 0
+
+    def flush(self) -> None:
+        """Run every pending row; later batches start new blocks."""
+        for block in self._blocks.values():
+            if block.count:
+                self._run(block)
+        self._blocks.clear()
+
+
 class InferenceServer:
     """Event-loop server over a replicated device pool.
 
@@ -376,10 +458,10 @@ class InferenceServer:
         self.tracer = tracer
         self.metrics = metrics
         self._compiled: CompiledModel = loaded[0]
-        # The server's arenas, one ModelPlan per model it has served
-        # (primary and any shed-to tier), built on first use at the
-        # batcher's max_batch; keyed by identity (the plan pins the
-        # model).  A hot swap drops the old primary's.
+        # The prediction blocks' arenas, one block-sized ModelPlan per
+        # model it has served (primary and any shed-to tier), built on
+        # first use; keyed by identity (the plan pins the model).  A hot
+        # swap drops the old primary's.
         self._plans: dict[int, ModelPlan] = {}
         # The batch trigger reads the primary's service estimate after
         # every arrival: memoized per batch size (at most max_batch
@@ -535,14 +617,15 @@ class InferenceServer:
 
     def _dispatch_batch(self, batch, dispatch_t, device_free,
                         device_busy, device_swap, host_free, report,
-                        tracer=None, root=None, queue_depth=0) -> float:
+                        tracer=None, root=None, queue_depth=0, *,
+                        defer) -> float:
         """Serve one closed batch; returns the updated host-free time.
 
         Thin adapter over :meth:`_dispatch_columns`: splits the request
-        objects into the id/arrival/deadline columns the columnar core
-        consumes.  The signature (and behavior) is frozen — the
-        pre-engine reference oracle in :mod:`repro.serving._reference`
-        calls it directly.
+        objects into the id/arrival/deadline/feature columns the
+        columnar core consumes.  The pre-engine reference oracle in
+        :mod:`repro.serving._reference` calls it directly, with its own
+        :class:`PredictionBlocks` sink.
         """
         rows = len(batch)
         ids = np.fromiter((r.request_id for r in batch),
@@ -555,38 +638,41 @@ class InferenceServer:
         return self._dispatch_columns(
             ids, arrivals, deadlines, features, dispatch_t,
             device_free, device_busy, device_swap, host_free, report,
-            tracer, root, queue_depth=queue_depth,
+            tracer, root, queue_depth=queue_depth, defer=defer,
         )
 
     def _dispatch_columns(self, ids, arrivals, deadlines, features,
                           dispatch_t, device_free, device_busy,
                           device_swap, host_free, report, tracer=None,
-                          root=None, queue_depth=0, defer=None) -> float:
+                          root=None, queue_depth=0, *, defer) -> float:
         """Serve one closed batch given as columns; returns the updated
         host-free time.
 
         The columnar core of the dispatch path: ``ids``/``arrivals``/
         ``deadlines`` are aligned int64/float64 arrays, ``features`` a
-        row list or 2-D array (unused when deferring).  The per-request
-        report bookkeeping — prediction/latency scatter, latency
-        histograms, deadline misses, tier columns — is one vectorized
-        slice write per batch instead of a Python loop per request,
-        with float arithmetic elementwise-identical to the scalar loop
-        it replaced.
+        row list or 2-D array, or ``None`` when the caller predicted
+        the rows already (the cluster pump).  The per-request report
+        bookkeeping — latency scatter, latency histograms, deadline
+        misses, tier columns — is one vectorized slice write per batch
+        instead of a Python loop per request, with float arithmetic
+        elementwise-identical to the scalar loop it replaced.
 
-        When ``defer`` is a :class:`~repro.cluster.fastpath`
-        deferred-prediction sink, the device invoke is charged by
+        Every invoke is charged by
         :meth:`~repro.edgetpu.multidevice.DevicePool.invoke_cost`
-        (timing only) and no prediction is computed — the fast path
-        predicted every row when it was routed and resolves the served
-        tier's after the simulation, byte-identically (modeled times
-        never depend on predicted values).
+        (timing only: modeled times never depend on predicted values).
+        ``defer`` receives the predictions: a :class:`PredictionBlocks`
+        sink is handed the batch's rows with the model that served them,
+        while the cluster pump's
+        :class:`~repro.cluster.fastpath.DeferredPredictions` resolves
+        each row's served tier after the simulation.
         """
         if self.swapper is not None:
             swapped = self.swapper.poll(dispatch_t)
             if swapped is not None:
-                # The old primary's arena goes with it; degraded tiers
-                # keep theirs (a swap replaces only tier 0).
+                # The old primary's pending rows run on it before its
+                # arena goes; degraded tiers keep theirs (a swap
+                # replaces only tier 0).  The cluster pump never swaps.
+                defer.flush()
                 self._plans.pop(id(self._compiled), None)
                 self._compiled = swapped
                 self._estimates = {}
@@ -645,23 +731,11 @@ class InferenceServer:
                            to_tier=tier_index,
                            tier=self._tiers[tier_index].name)
             self._active_tier = tier_index
-        if defer is not None:
-            # Deferred path: no staging at all — modeled cost is a
-            # function of the row count alone, and the pump predicted
-            # every row when it was routed.
-            plan = quantized = executor = None
-        else:
-            # Features land in the plan's arena and quantize in place;
-            # the device runs the plan's stages on that view.
-            plan = fit_plan(self._plans, compiled, self.batcher.max_batch)
-            quantized = plan.stage(features)
-            executor = plan.run_device
 
         batch_span = (tracer.add("serve.batch", dispatch_t, dispatch_t,
                                  parent_id=root, batch=rows,
                                  tier=tier_index)
                       if tracer is not None else None)
-        predictions = None
         completion = None
         detect_t = dispatch_t
         attempts = 0
@@ -673,15 +747,8 @@ class InferenceServer:
             chosen = min(healthy, key=lambda i: (device_free[i], i))
             start = max(detect_t, device_free[chosen])
             try:
-                if defer is not None:
-                    invoke = self.pool.invoke_cost(chosen, rows,
-                                                   at_s=start,
-                                                   model=invoke_model)
-                else:
-                    invoke = self.pool.try_invoke(chosen, quantized,
-                                                  at_s=start,
-                                                  model=invoke_model,
-                                                  executor=executor)
+                invoke = self.pool.invoke_cost(chosen, rows, at_s=start,
+                                               model=invoke_model)
             except DeviceFailedError as err:
                 attempts += 1
                 failed_once = True
@@ -694,10 +761,6 @@ class InferenceServer:
             device_done = start + invoke.elapsed_s
             device_free[chosen] = device_done
             device_busy[chosen] += invoke.elapsed_s
-            if defer is None:
-                # Arena tail on the device-output view (bit-identical
-                # to run_host_tail; both charge host_tail_seconds).
-                predictions = plan.run_tail(invoke.outputs)
             tail_cost = self._tail_seconds(compiled, rows)
             tail_start = max(host_free, device_done)
             host_free = tail_start + tail_cost
@@ -722,13 +785,12 @@ class InferenceServer:
 
         if completion is None:
             # Retry exhausted or no healthy device: the CPU-fallback
-            # path — the same plan runs the whole chain on the host,
-            # bit-identical.  Modeled cost stays per-op (fusion is
-            # execution dispatch, not a timing change).
+            # path — the host runs the whole chain, bit-identical to
+            # the device's, so its rows join the same prediction block.
+            # Modeled cost stays per-op (fusion is execution dispatch,
+            # not a timing change).
             cost = host_ops_seconds(self.host, compiled, compiled.model.ops,
                                     compiled.model.input_spec.size, rows)
-            if defer is None:
-                predictions = plan.run_host(quantized)
             fallback_start = max(host_free, detect_t)
             host_free = fallback_start + cost
             report.host_seconds += cost
@@ -739,9 +801,11 @@ class InferenceServer:
                            parent_id=batch_span, phase="inference",
                            tags=("fallback",), batch=rows)
 
+        if features is not None:
+            defer.add(ids, features, compiled)
         report.num_batches += 1
         report.batch_sizes.append(rows)
-        if defer is not None and defer.full:
+        if defer.full:
             # Fully deferred bookkeeping: nothing observes per-request
             # report state mid-run (the cluster only grants ``full``
             # with no autoscaler, metrics, tiers or tracer), so one
@@ -759,8 +823,6 @@ class InferenceServer:
         # IEEE-identical to the scalar per-request subtraction, so
         # every recorded latency carries the exact same bits.
         latencies = completion - arrivals
-        if predictions is not None:
-            report.predictions[ids] = predictions
         report.latencies[ids] = latencies
         report.latency.record_many(latencies)
         if report.request_tiers is not None:

@@ -12,7 +12,7 @@ from repro.edgetpu import DevicePool, EdgeTpuDevice, compile_model
 from repro.hdc.bagging import BaggingConfig, BaggingHDCTrainer
 from repro.hdc.model import HDCClassifier
 from repro.nn import from_classifier
-from repro.runtime.plan import ModelPlan, fit_plan
+from repro.runtime.plan import ModelPlan, block_rows, fit_plan
 from repro.serving import InferenceServer
 from repro.serving.arrivals import Request
 from repro.tflite import convert
@@ -168,18 +168,30 @@ class TestDeviceArena:
 
 
 class TestZeroAllocation:
-    """Satellite: steady-state invokes allocate nothing (tracemalloc)."""
+    """Satellite: steady-state block runs allocate nothing (tracemalloc).
+
+    The plans measured are the block plans a default server predicted
+    its served rows through (``PredictionBlocks``), and each run is the
+    call the sink makes: rows written into the plan's input arena, then
+    :meth:`ModelPlan.predict_inputs`.
+    """
+
+    @staticmethod
+    def _load(plan, x):
+        plan.inputs[:len(x)] = x
+        return len(x)
 
     def _steady_state_peak(self, plan, x, repeats=20):
-        plan.predict(x)  # warm every lazy path (gemm operands, views)
-        plan.predict(x)
+        rows = self._load(plan, x)
+        plan.predict_inputs(rows)  # warm every lazy path (views, args)
+        plan.predict_inputs(rows)
         tracemalloc.start()
         try:
-            plan.predict(x)
+            plan.predict_inputs(rows)
             baseline = tracemalloc.get_traced_memory()[0]
             tracemalloc.reset_peak()
             for _ in range(repeats):
-                out = plan.predict(x)
+                out = plan.predict_inputs(rows)
             current, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -188,14 +200,16 @@ class TestZeroAllocation:
 
     @staticmethod
     def _default_server_plan(compiled, x):
-        """The arena a server built with the default ``ServeConfig()``
-        served ``compiled`` through."""
+        """The block plan a server built with the default
+        ``ServeConfig()`` predicted ``compiled``'s served rows through."""
         pool = DevicePool(1, compiled.arch)
         pool.load_replicated(compiled)
         server = InferenceServer(pool, ServeConfig())
         server.serve([Request(i, i * 1e-4, 1.0, row, 0)
                       for i, row in enumerate(x[:40])])
-        return server._plans[id(compiled)]
+        plan = server._plans[id(compiled)]
+        assert plan.max_rows == block_rows(compiled)
+        return plan
 
     @pytest.mark.parametrize("allow_native", [True, False])
     def test_full_width_plan_is_allocation_free(self, compiled, data,
@@ -216,27 +230,30 @@ class TestZeroAllocation:
         degraded = tier_set[1].compiled
         plan = self._default_server_plan(degraded, x)
         assert self._steady_state_peak(plan, x[:32]) < 8 * 1024
+        # A run consumes its input rows (they quantize in place).
         np.testing.assert_array_equal(
-            np.array(plan.predict(x[:32])),
+            np.array(plan.predict_inputs(self._load(plan, x[:32]))),
             reference_predictions(degraded, x[:32]),
         )
 
     def test_mixed_bucket_steady_state(self, compiled, data):
-        # Alternating batch sizes stays allocation-free too: each size's
-        # views are bound on its first use and reused after.
+        # Alternating block sizes (a finalize flushes a remainder of any
+        # size) stays allocation-free too: each size's views are bound
+        # on its first use and reused after.
         x, _ = data
         plan = self._default_server_plan(compiled, x)
+        self._load(plan, x[:32])
         for n in (32, 7, 1, 16):
-            plan.predict(x[:n])
+            plan.predict_inputs(n)
         tracemalloc.start()
         try:
             for n in (32, 7, 1, 16):
-                plan.predict(x[:n])
+                plan.predict_inputs(n)
             baseline = tracemalloc.get_traced_memory()[0]
             tracemalloc.reset_peak()
             for _ in range(10):
                 for n in (32, 7, 1, 16):
-                    plan.predict(x[:n])
+                    plan.predict_inputs(n)
             current, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

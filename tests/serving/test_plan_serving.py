@@ -8,7 +8,7 @@ from repro.compression.tiers import TierSpec, build_tiers
 from repro.config import PipelineConfig, ServeConfig, TierPolicy
 from repro.edgetpu import DevicePool, FailurePlan
 from repro.hdc.bagging import BaggingConfig, BaggingHDCTrainer
-from repro.runtime.plan import ModelPlan
+from repro.runtime.plan import ModelPlan, block_rows
 from repro.serving import InferenceServer, ModelSwapper
 from repro.serving.arrivals import Request
 from tests.serving.conftest import train_compiled
@@ -185,8 +185,11 @@ class TestPlanFaultPaths:
         server = InferenceServer(pool, config=PLAN, swapper=swapper)
         planned = server.serve(trace)
         assert swapper.swaps_committed == 1
-        # The old primary's arena went with it.
+        # The old primary's block plan went with it, after its pending
+        # rows ran on it; the replacement's is block-sized.
         assert list(server._plans) == [id(replacement)]
+        assert server._plans[id(replacement)].max_rows == \
+            block_rows(replacement)
         # Requests before the commit match the old model, after it the
         # replacement; every served row matches one of the two oracles.
         old = _reference(compiled, planned, trace)
@@ -236,3 +239,82 @@ class TestPlanFaultPaths:
             np.testing.assert_array_equal(
                 planned.predictions[rows],
                 _reference(tier.compiled, planned, trace)[rows])
+
+
+class TestPredictionBlocks:
+    """Dispatch charges each batch and the sink predicts in blocks."""
+
+    def _serve_recorded(self, compiled, trace, monkeypatch, rows=8,
+                        streamed=False, **kwargs):
+        """Serve with ``rows``-row blocks; returns the report, the
+        server and the row count of every block run, in order."""
+        from repro.serving import server as server_module
+        monkeypatch.setattr(server_module, "block_rows", lambda c: rows)
+        runs = []
+        run = server_module.PredictionBlocks._run
+
+        def recorded(sink, block):
+            runs.append(block.count)
+            run(sink, block)
+
+        monkeypatch.setattr(server_module.PredictionBlocks, "_run",
+                            recorded)
+        pool = DevicePool(2)
+        pool.load_replicated(compiled)
+        server = InferenceServer(pool, config=PLAN, **kwargs)
+        report = server.serve(iter(trace) if streamed else trace)
+        return report, server, runs
+
+    def test_batches_spanning_blocks_predict_exactly(self, serving_setup,
+                                                     monkeypatch):
+        # 16-row batches into 8-row blocks: every block boundary falls
+        # inside or between batches, and the remainder runs at finalize.
+        _, compiled, trace = serving_setup
+        report, server, runs = self._serve_recorded(compiled, trace,
+                                                    monkeypatch)
+        np.testing.assert_array_equal(report.predictions,
+                                      _reference(compiled, report, trace))
+        assert server._plans[id(compiled)].max_rows == 8
+        assert sum(runs) == report.served
+        # Only the finalize flush runs a partial block.
+        assert all(count == 8 for count in runs[:-1])
+        assert 1 <= runs[-1] <= 8
+
+    def test_streamed_trace_holds_one_block(self, serving_setup,
+                                            monkeypatch):
+        _, compiled, trace = serving_setup
+        report, _, runs = self._serve_recorded(compiled, trace,
+                                               monkeypatch, streamed=True)
+        np.testing.assert_array_equal(report.predictions,
+                                      _reference(compiled, report, trace))
+        assert max(runs) == 8 and sum(runs) == report.served
+
+    def test_a_swap_flushes_the_old_primary(self, serving_setup,
+                                            monkeypatch):
+        stream, compiled, trace = serving_setup
+        replacement = train_compiled(*stream.test_set(200), seed=17)
+        pool = DevicePool(2)
+        pool.load_replicated(compiled)
+        swapper = ModelSwapper(pool)
+        swapper.schedule(replacement, at_s=0.1)
+        from repro.serving import server as server_module
+        monkeypatch.setattr(server_module, "block_rows", lambda c: 8)
+        report = InferenceServer(pool, config=PLAN,
+                                 swapper=swapper).serve(trace)
+        old = _reference(compiled, report, trace)
+        new = _reference(replacement, report, trace)
+        commit = report.swap_records[0].committed_s
+        before = np.array([r.arrival_s for r in trace]) < commit - 0.05
+        # Rows served well before the commit ran on the old model, even
+        # those still pending in a block when it committed.
+        np.testing.assert_array_equal(report.predictions[before],
+                                      old[before])
+        assert np.all((report.predictions == old)
+                      | (report.predictions == new))
+
+    def test_block_rows_follow_the_widest_stage(self, serving_setup):
+        _, compiled, _ = serving_setup
+        widest = max([compiled.model.input_spec.size]
+                     + [op.weights.shape[1] for op in compiled.model.ops
+                        if hasattr(op, "weights")])
+        assert block_rows(compiled) == min(4096, (2 << 20) // widest)
