@@ -44,15 +44,17 @@
  * per process); the configuration is loaded per call and released at
  * its end, and tile state is per thread, so concurrent calls are safe.
  *
- * Epilogue (requant_lut, the one function that TFLite's integer
- * rounding, ROADMAP item 11, will replace): int32 -> float64, multiply,
- * roundscale 0x08 (rint, ties to even == np.round), add zero point,
- * clamp, convert back to int32 (exact: already integral in [-128, 127])
- * -- the numpy path's float64 arithmetic instruction for instruction.
- * The lookup is two vpermi2b over the table's halves where the build
- * has AVX-512 VBMI (every AMX build), else one vpgatherdd per 16
- * outputs from an int32 copy of the table built once per call (slower
- * on CPUs with the Gather Data Sampling mitigation, the same result).
+ * Epilogue: requant, the one function that TFLite's integer rounding
+ * (ROADMAP item 11) will replace, converts 16 accumulators to float64,
+ * multiplies, clamps to [qmin - zp, qmax - zp] and converts back with
+ * round-half-to-even (== np.round), then adds the zero point -- the
+ * numpy path's float64 rounding, exactly (rint is monotone and the
+ * clamp bounds are integers, so clamping first changes nothing).
+ * lookup_store then looks a row's 1-4 blocks of codes up at once: two
+ * vpermi2b over the table's halves where the build has AVX-512 VBMI
+ * (every AMX build), else one vpgatherdd per 16 codes from an int32
+ * copy of the table built once per call (slower on CPUs with the
+ * Gather Data Sampling mitigation, the same result).
  *
  * Data layout contract (prepared by repro/native/__init__.py):
  *   A    (M, K4*4) uint8  — activations + 128, K zero-padded to K4*4
@@ -79,10 +81,10 @@ typedef struct {
     int32_t zp_i;
 } Call;
 
-/* Requantize 16 int32 accumulators and store their 16 table entries.
- * Clamping before the rounding conversion is exact: rint is monotone
- * and the clamp bounds qmin - zp, qmax - zp are integers. */
-INLINE void requant_lut(const Call* c, __m512i acc, int8_t* o) {
+/* Requantize 16 int32 accumulators to their 16 int8 codes.  Clamping
+ * before the rounding conversion is exact: rint is monotone and the
+ * clamp bounds qmin - zp, qmax - zp are integers. */
+INLINE __m128i requant(const Call* c, __m512i acc) {
     __m512d vmult = _mm512_set1_pd(c->mult);
     __m512d lo = _mm512_set1_pd(c->qmin - c->zp);
     __m512d hi = _mm512_set1_pd(c->qmax - c->zp);
@@ -94,17 +96,34 @@ INLINE void requant_lut(const Call* c, __m512i acc, int8_t* o) {
     __m512i code = _mm512_add_epi32(_mm512_inserti64x4(
         _mm512_castsi256_si512(_mm512_cvt_roundpd_epi32(v0, rn)),
         _mm512_cvt_roundpd_epi32(v1, rn), 1), _mm512_set1_epi32(c->zp_i));
+    return _mm512_cvtepi32_epi8(code);
+}
+
+/* Look up NB (1-4, compile-time) adjacent groups of 16 codes and store
+ * their table entries at o. */
+INLINE void lookup_store(const Call* c, const __m128i* codes, int8_t* o,
+                         const int NB) {
 #ifdef __AVX512VBMI__
-    /* The code's int8 byte: its low 7 bits index a table half, its
-     * sign picks the half (negative codes are lut[0..127]). */
-    __m512i b = _mm512_castsi128_si512(_mm512_cvtepi32_epi8(code));
+    /* A code's byte: its low 7 bits index a table half, its sign picks
+     * the half (negative codes are lut[0..127]). */
+    __m512i b = _mm512_castsi128_si512(codes[0]);
+    if (NB > 1) b = _mm512_inserti32x4(b, codes[1], 1);
+    if (NB > 2) b = _mm512_inserti32x4(b, codes[2], 2);
+    if (NB > 3) b = _mm512_inserti32x4(b, codes[3], 3);
     __m512i neg = _mm512_permutex2var_epi8(c->tables[0], b, c->tables[1]);
     __m512i pos = _mm512_permutex2var_epi8(c->tables[2], b, c->tables[3]);
     __m512i val = _mm512_mask_blend_epi8(_mm512_movepi8_mask(b), pos, neg);
-    _mm_storeu_si128((__m128i*)o, _mm512_castsi512_si128(val));
+    if (NB == 4)
+        _mm512_storeu_si512(o, val);
+    else
+        _mm512_mask_storeu_epi8(o, (__mmask64)((1ULL << (16 * NB)) - 1),
+                                val);
 #else
-    __m512i val = _mm512_i32gather_epi32(code, c->lut32, 4);
-    _mm_storeu_si128((__m128i*)o, _mm512_cvtepi32_epi8(val));
+    for (int j = 0; j < NB; j++) {
+        __m512i val = _mm512_i32gather_epi32(
+            _mm512_cvtepi8_epi32(codes[j]), c->lut32, 4);
+        _mm_storeu_si128((__m128i*)(o + 16 * j), _mm512_cvtepi32_epi8(val));
+    }
 #endif
 }
 
@@ -131,11 +150,14 @@ INLINE void tile(const Call* c, int64_t m0, int64_t nb, const int MR,
         }
     }
 #pragma GCC unroll 6
-    for (int i = 0; i < MR; i++)
+    for (int i = 0; i < MR; i++) {
+        __m128i codes[4];
 #pragma GCC unroll 4
         for (int j = 0; j < NB; j++)
-            requant_lut(c, acc[i][j],
-                        c->out + (size_t)(m0 + i) * c->N + (nb + j) * 16);
+            codes[j] = requant(c, acc[i][j]);
+        lookup_store(c, codes, c->out + (size_t)(m0 + i) * c->N + nb * 16,
+                     NB);
+    }
 }
 
 /* The per-call state both engines share: the int32 table and the
@@ -207,10 +229,13 @@ static void tile_config(int r0, int r1) {
  * stored group at cbuf (row stride 32 int32) into rows m0.. of out. */
 INLINE void group_epilogue(const Call* c, const int32_t* cbuf, int64_t m0,
                            int64_t nb, int* done, int upto, const int NB) {
-    for (int i = *done; i < upto; i++)
+    for (int i = *done; i < upto; i++) {
+        __m128i codes[2];
         for (int j = 0; j < NB; j++)
-            requant_lut(c, _mm512_load_si512(cbuf + i * 32 + j * 16),
-                        c->out + (size_t)(m0 + i) * c->N + (nb + j) * 16);
+            codes[j] = requant(c, _mm512_load_si512(cbuf + i * 32 + j * 16));
+        lookup_store(c, codes, c->out + (size_t)(m0 + i) * c->N + nb * 16,
+                     NB);
+    }
     *done = upto;
 }
 
