@@ -1,6 +1,9 @@
 """Serving through the one int8 executor: arenas never change results."""
 
+from types import SimpleNamespace
+
 import numpy as np
+import pytest
 
 from repro import api, native
 from repro.cluster import ClusterConfig, TenantSpec
@@ -312,9 +315,19 @@ class TestPredictionBlocks:
         assert np.all((report.predictions == old)
                       | (report.predictions == new))
 
-    def test_block_rows_follow_the_widest_stage(self, serving_setup):
+    @pytest.mark.parametrize("widths, rows", [
+        ((16, 256, 3), 4096),          # the fleets' model: capped
+        ((617, 10_000, 26), 192),      # isolet: 209, in 32-row groups
+        ((617, 100_000, 26), 20),      # under one group: kept as is
+        ((617, 4_000_000, 26), 1),     # wider than the budget
+    ])
+    def test_block_rows_follow_the_widest_stage(self, widths, rows):
+        ops = [SimpleNamespace(output_dim=lambda _, w=w: w)
+               for w in widths[1:]]
+        compiled = SimpleNamespace(model=SimpleNamespace(
+            input_spec=SimpleNamespace(size=widths[0]), ops=ops))
+        assert block_rows(compiled) == rows
+
+    def test_served_models_block_rows(self, serving_setup):
         _, compiled, _ = serving_setup
-        widest = max([compiled.model.input_spec.size]
-                     + [op.weights.shape[1] for op in compiled.model.ops
-                        if hasattr(op, "weights")])
-        assert block_rows(compiled) == min(4096, (2 << 20) // widest)
+        assert block_rows(compiled) == 4096
