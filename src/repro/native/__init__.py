@@ -84,7 +84,6 @@ __all__ = [
     "aligned_zeros",
     "amx_available",
     "available",
-    "engines",
     "fc_fused_i8_args",
     "library",
     "pack_fc",
@@ -305,14 +304,6 @@ def available() -> bool:
 def amx_available() -> bool:
     """Whether the loaded kernels' AMX engine is usable."""
     return library() is not None and _AMX
-
-
-def engines() -> list[str]:
-    """The native engines that loaded: ``[]``, ``["vnni"]`` or
-    ``["vnni", "amx"]``."""
-    if library() is None:
-        return []
-    return ["vnni", "amx"] if _AMX else ["vnni"]
 
 
 class PackedFc:

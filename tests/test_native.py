@@ -334,7 +334,6 @@ class TestSmokeTest:
         if native.library().fc_amx_request() != 0:
             pytest.skip("the kernel does not grant the AMX tile state")
         assert native.amx_available()
-        assert native.engines() == ["vnni", "amx"]
 
     @needs_native
     def test_passes_on_the_loaded_kernel(self):
@@ -378,7 +377,6 @@ class TestSmokeTest:
         assert native.available()
         assert native.library() is damaged
         assert not native.amx_available()
-        assert native.engines() == ["vnni"]
 
     @needs_native
     def test_fails_when_the_table_is_ignored(self):
