@@ -109,8 +109,8 @@ class EdgeTpuDevice:
                 omitted, else a model made co-resident with
                 :meth:`load_resident`.
             executor: Optional callable ``executor(x) -> int8 outputs``
-                — the caller's own arena (a server or the training
-                encode passes its :meth:`ModelPlan.run_device
+                — the caller's own arena (the training encode passes
+                its :meth:`ModelPlan.run_device
                 <repro.runtime.plan.ModelPlan.run_device>`), whose
                 output view it reads before its next batch.  Without
                 one the device runs its own plan, sized to the largest

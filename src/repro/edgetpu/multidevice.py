@@ -15,9 +15,10 @@ load's modeled cost is the slowest device's.
 
 For the online serving layer the pool also models *faults*: a
 :class:`FailurePlan` schedules a USB stall or outright device loss at a
-virtual time, :meth:`DevicePool.try_invoke` trips it on first use after
-that time (raising :class:`DeviceFailedError` with the modeled
-detection cost), and :meth:`DevicePool.unload` /
+virtual time, :meth:`DevicePool.invoke_cost` (or
+:meth:`DevicePool.try_invoke`) trips it on first use after that time
+(raising :class:`DeviceFailedError` with the modeled detection cost),
+and :meth:`DevicePool.unload` /
 :meth:`DevicePool.reload` support hot model swaps.
 """
 
@@ -223,8 +224,7 @@ class DevicePool:
                 and i not in self.retired]
 
     def try_invoke(self, index: int, x: np.ndarray, at_s: float = 0.0,
-                   model: CompiledModel | None = None,
-                   executor=None):
+                   model: CompiledModel | None = None):
         """Invoke device ``index`` at virtual time ``at_s``.
 
         Trips any armed :class:`FailurePlan` whose time has come: the
@@ -238,24 +238,21 @@ class DevicePool:
             at_s: Virtual invocation time (drives fault injection).
             model: Run this co-resident model (see
                 :meth:`load_resident`) instead of the device's primary.
-            executor: Optional caller-owned executor (a server's
-                :meth:`ModelPlan.run_device
-                <repro.runtime.plan.ModelPlan.run_device>`), forwarded
-                to :meth:`EdgeTpuDevice.invoke`.
 
         Returns:
             The device's :class:`~repro.edgetpu.device.InvokeResult`.
         """
         device, model = self._ready(index, at_s, model)
-        return device.invoke(x, compiled=model, executor=executor)
+        return device.invoke(x, compiled=model)
 
     def invoke_cost(self, index: int, batch: int, at_s: float = 0.0,
                     model: CompiledModel | None = None):
         """Timing-only :meth:`try_invoke`: identical health checks,
         failure trips and device accounting, but no output arithmetic
-        (``InvokeResult.outputs`` is ``None``).  The cluster fast path
-        uses this to dispatch on modeled cost alone; it predicted every
-        row when the row was routed.
+        (``InvokeResult.outputs`` is ``None``).  Every serving dispatch,
+        standalone or in the cluster pump, charges its batch through
+        this: modeled cost depends on the row count alone, and the rows
+        are predicted elsewhere, in blocks.
         """
         device, model = self._ready(index, at_s, model)
         return device.invoke_cost(batch, compiled=model)

@@ -470,10 +470,10 @@ def fit_plan(plans: dict, compiled, rows: int) -> ModelPlan:
     """The owner's plan for ``compiled``, rebuilt when ``rows`` outgrow it.
 
     ``plans`` maps ``id(compiled)`` to that owner's :class:`ModelPlan`
-    (the plan pins the model, so the id stays valid).  A server passes
-    its ``max_batch``; a device, which cannot know its largest batch up
-    front, passes each batch's rows and so grows its arena to the
-    largest batch it has been asked to run.
+    (the plan pins the model, so the id stays valid).  A prediction
+    block or the cluster pump passes :func:`block_rows`; a device, which
+    cannot know its largest batch up front, passes each batch's rows and
+    so grows its arena to the largest batch it has been asked to run.
     """
     plan = plans.get(id(compiled))
     if plan is None or plan.max_rows < rows:
