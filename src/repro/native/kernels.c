@@ -43,6 +43,9 @@
  * The caller must hold the tile-data permission (fc_amx_request, once
  * per process); the configuration is loaded per call and released at
  * its end, and tile state is per thread, so concurrent calls are safe.
+ * A build without those flags (a CPU or compiler without AMX) holds the
+ * VNNI engine alone; repro/native/__init__.py picks the build and, per
+ * stage and batch, the engine.
  *
  * Epilogue: requant, the one function that TFLite's integer rounding
  * (ROADMAP item 11) will replace, converts 16 accumulators to float64,
