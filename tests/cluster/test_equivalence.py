@@ -28,11 +28,9 @@ from repro.cluster import (
     POLICIES,
     TenantSpec,
 )
-from repro.compression.tiers import TierSpec, build_tiers
 from repro.config import BackendSpec, FleetSpec, ServeConfig
 from repro.data.streams import DriftingStream, StreamConfig
 from repro.edgetpu.multidevice import DevicePool, FailurePlan
-from repro.hdc.bagging import BaggingConfig, BaggingHDCTrainer
 from repro.observability.metrics import MetricsRegistry
 from repro.observability.trace import Tracer
 from repro.runtime.placement import PlacementOptimizer
@@ -41,7 +39,11 @@ from repro.serving._reference import serve_reference
 from repro.serving.arrivals import Request
 from repro.serving.server import InferenceServer
 
-from tests.cluster.conftest import NUM_CLASSES, NUM_FEATURES
+from tests.cluster.conftest import (
+    NUM_CLASSES,
+    NUM_FEATURES,
+    build_tier_ladder,
+)
 
 
 def _trace(num_requests=300, rate_hz=300.0, kind="bursty", seed=5,
@@ -362,23 +364,7 @@ def test_cluster_fast_path_matches_scalar_under_failures(
 
 @pytest.fixture(scope="module")
 def tier_ladder():
-    stream = DriftingStream(
-        StreamConfig(num_features=NUM_FEATURES, num_classes=NUM_CLASSES,
-                     drift_rate=0.0),
-        seed=2,
-    )
-    x, y = stream.next_batch(240)
-    trainer = BaggingHDCTrainer(
-        BaggingConfig(num_models=3, dimension=256, iterations=3),
-        seed=7,
-    )
-    trainer.fit(x, y)
-    return build_tiers(
-        trainer.fuse(), x[:96],
-        specs=(TierSpec("full"),
-               TierSpec("mid", "dpq", dimension=128),
-               TierSpec("low", "ldc", dimension=64)),
-    )
+    return build_tier_ladder()
 
 
 def _compare_tiered(tenant_mix, tier_ladder, policy):
