@@ -244,11 +244,10 @@ class Cluster:
             )
             # Latency bookkeeping can defer too when nothing reads
             # per-request report state mid-run: the autoscaler polls
-            # miss rates, a metrics registry records per batch, tier
-            # ladders keep per-tier columns and a tracer records each
-            # request's span at its batch.
-            full = (config.autoscaler is None and metrics is None
-                    and tier_list is None)
+            # miss rates, tier ladders keep per-tier columns and a
+            # tracer records each request's span at its batch.  A
+            # registry reads the reports only at finalize.
+            full = config.autoscaler is None and tier_list is None
             for replica in self.replicas:
                 replica.enable_fast(DeferredPredictions(
                     full=full and replica.server.tracer is None
@@ -333,10 +332,7 @@ class Cluster:
         # Next arrival before any dispatch reschedule (inside submit),
         # preserving the engine-wide arrivals-win-ties discipline.
         self._schedule_next_traffic()
-        index = self.router.route(request)
-        if self.metrics is not None:
-            self.metrics.counter("cluster.routed").inc()
-        self.replicas[index].submit(request)
+        self.replicas[self.router.route(request)].submit(request)
 
     # ------------------------------------------------------------------
 
@@ -377,6 +373,9 @@ class Cluster:
         for replica in self.replicas:
             replica.resolve_deferred()
         reports = [replica.finalize() for replica in self.replicas]
+        if self.metrics is not None:
+            self.metrics.counter("cluster.routed").inc(
+                sum(self.router.routed_counts))
         makespan = max((r.makespan_s for r in reports), default=0.0)
         scaling = (list(self.autoscaler.events)
                    if self.autoscaler is not None else [])

@@ -134,10 +134,7 @@ class FastArrivalPump:
         # it (keyed by identity; the plan pins the model).
         self._plans: dict[int, ModelPlan] = {}
         self._chunks = traffic.chunks()
-        self._route_one = (self.router.route_least_queue
-                           if self.router.policy == "least_queue" else None)
-        self.merged = (self._route_one is not None
-                       or cluster.metrics is not None)
+        self.merged = self.router.policy == "least_queue"
         # Arrivals whose processing began, the next one's seq (drawn
         # while its predecessor ran; the first before the autoscaler's
         # first tick, as the scalar intake schedules it), and
@@ -198,30 +195,25 @@ class FastArrivalPump:
                 predicted[part, column] = plan.predict(features[part])
         return predicted
 
-    def _route(self, chunk) -> tuple[np.ndarray, np.ndarray]:
-        """Route one chunk and land each replica's predicted rows (and,
-        running ahead, their times and global indices); returns each
-        row's replica and replica-local id."""
+    def _route(self, chunk) -> None:
+        """Route one chunk and land each replica's predicted rows, and
+        their times and global indices for :meth:`Replica._advance`."""
         indices = self.router.route_chunk(chunk.tenants)
-        local = np.empty(len(indices), dtype=np.int64)
         for index, replica in enumerate(self.replicas):
             positions = np.flatnonzero(indices == index)
             if not len(positions):
                 continue
             times = chunk.times[positions]
-            base = replica._rows.bulk_append(
+            replica._rows.bulk_append(
                 times, chunk.deadlines[positions],
                 chunk.tenants[positions], chunk.labels[positions],
                 self._predict(replica, chunk.features[positions]),
             )
-            local[positions] = base + np.arange(len(positions))
-            if not self.merged:
-                admitted = replica._pend_k
-                replica._pend_k = 0
-                replica._pend_t = replica._pend_t[admitted:] + times.tolist()
-                replica._pend_g = (replica._pend_g[admitted:]
-                                   + (positions + chunk.base_id).tolist())
-        return indices, local
+            admitted = replica._pend_k
+            replica._pend_k = 0
+            replica._pend_t = replica._pend_t[admitted:] + times.tolist()
+            replica._pend_g = (replica._pend_g[admitted:]
+                               + (positions + chunk.base_id).tolist())
 
     # ------------------------------------------------------------------
     # Run-ahead
@@ -330,11 +322,8 @@ class FastArrivalPump:
     # ------------------------------------------------------------------
 
     def _columns(self, chunk) -> tuple:
-        """One chunk's rows as lists: each row's replica and local id,
-        or, under ``least_queue``, what :meth:`_Rows.append_row` takes
-        when the row is routed at its arrival."""
-        if self._route_one is None:
-            return tuple(column.tolist() for column in self._route(chunk))
+        """One chunk's rows as what :meth:`_Rows.append_row` takes when
+        the row is routed at its arrival."""
         # A least_queue cluster is never placed: every replica serves
         # the same model and tier ladder, so one prediction pass covers
         # the chunk wherever its rows land.
@@ -349,8 +338,7 @@ class FastArrivalPump:
         engine = self.engine
         cluster = self.cluster
         replicas = self.replicas
-        metrics = cluster.metrics
-        route_one = self._route_one
+        route_one = self.router.route_least_queue
         inf = math.inf
         top = engine.peek()
         chunk = next(self._chunks)
@@ -383,14 +371,10 @@ class FastArrivalPump:
                 # seq (or the trace end), the route, the submit.
                 index = self._next
                 now = arrival_s
-                if route_one is None:
-                    target = columns[0][row]
-                    local = columns[1][row]
-                else:
-                    target = route_one()
-                    local = replicas[target]._rows.append_row(
-                        now, columns[0][row], columns[1][row],
-                        columns[2][row], columns[3][row])
+                target = route_one()
+                local = replicas[target]._rows.append_row(
+                    now, columns[0][row], columns[1][row],
+                    columns[2][row], columns[3][row])
                 self._next = index + 1
                 row += 1
                 if self._next == self.total:
@@ -407,6 +391,4 @@ class FastArrivalPump:
                         row = 0
                         self._check_budget(max_events)
                     arrival_s = times[row]
-                if metrics is not None:
-                    metrics.counter("cluster.routed").inc()
                 replicas[target]._submit_fast(local, now, index)

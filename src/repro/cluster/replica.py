@@ -156,9 +156,9 @@ class _Rows:
 
     def bulk_append(self, arrivals: np.ndarray, deadlines: np.ndarray,
                     tenants: np.ndarray, labels: np.ndarray,
-                    predicted: np.ndarray) -> int:
+                    predicted: np.ndarray) -> None:
         """Append one routed block of rows in one slice write per
-        column; returns the base replica-local id of the block.
+        column.
 
         The cluster fast path calls this once per ``(chunk, replica)``
         with the chunk rows routed here, *before* their arrival events
@@ -178,7 +178,6 @@ class _Rows:
         self.labels[count:total] = labels
         self.predicted[count:total] = predicted
         self.count = total
-        return count
 
     def append_row(self, arrival: float, deadline: float, tenant: int,
                    label: int, predicted: np.ndarray) -> int:
@@ -263,6 +262,8 @@ class Replica:
         # The per-request intake's prediction sink (see _begin).
         self._blocks: PredictionBlocks | None = None
         self._finalized = False
+        # The deepest the queue got (read before each dispatch's pop).
+        self._deepest = 0
         # Pump state (see enable_fast); inert in scalar mode.
         self._fast = False
         self._defer = None
@@ -376,7 +377,6 @@ class Replica:
         report = self.report
         self._blocks = PredictionBlocks(server, report)
         tracer = server.tracer
-        metrics = server.metrics
         self._root = (tracer.add("serve", 0.0, 0.0,
                                  requests=trace_requests,
                                  devices=server.pool.num_devices)
@@ -393,8 +393,6 @@ class Replica:
                                                dtype=np.int64)
             report.tier_latency = [LatencyTracker()
                                    for _ in server._tiers]
-            if metrics is not None:
-                metrics.gauge("serve.tier_active").set(0)
 
     # ------------------------------------------------------------------
     # Event handlers
@@ -433,13 +431,10 @@ class Replica:
         """
         server = self.server
         report = self.report
-        metrics = server.metrics
         tracer = server.tracer
         queue = self.queue
         if self._rows is not None:
             request = self._rows.append(request)
-        if metrics is not None:
-            metrics.counter("serve.requests").inc()
         if len(queue) >= server.max_queue:
             report.dropped += 1
             if tracer is not None:
@@ -449,12 +444,8 @@ class Replica:
                            request.arrival_s, parent_id=self._root,
                            tags=("dropped",),
                            request_id=request.request_id)
-            if metrics is not None:
-                metrics.counter("serve.dropped").inc()
         else:
             queue.append(request)
-        if metrics is not None:
-            metrics.gauge("serve.queue_depth").set(len(queue))
         self._reschedule()
 
     def end_of_trace(self, now: float = 0.0, index: int = -1) -> None:
@@ -498,11 +489,10 @@ class Replica:
         self._dispatch_event = None
         server = self.server
         queue = self.queue
+        self._deepest = max(self._deepest, len(queue))
         batch = [queue.popleft()
                  for _ in range(min(server.batcher.max_batch,
                                     len(queue)))]
-        if server.metrics is not None:
-            server.metrics.gauge("serve.queue_depth").set(len(queue))
         self.host_free = server._dispatch_batch(
             batch, self.engine.now, self.device_free, self.device_busy,
             self.device_swap, self.host_free, self.report,
@@ -589,23 +579,16 @@ class Replica:
         arrival ``index``, at its arrival time ``now`` — the fast twin
         of :meth:`submit`."""
         server = self.server
-        metrics = server.metrics
         queue = self.queue
-        if metrics is not None:
-            metrics.counter("serve.requests").inc()
         if len(queue) >= server.max_queue:
             self.report.dropped += 1
             if server.tracer is not None:
                 server.tracer.add("request", now, now, parent_id=self._root,
                                   tags=("dropped",), request_id=local_id)
-            if metrics is not None:
-                metrics.counter("serve.dropped").inc()
         else:
             if not queue:
                 self._set_head(local_id)
             queue.append(local_id)
-        if metrics is not None:
-            metrics.gauge("serve.queue_depth").set(len(queue))
         self._clock = now
         self._reschedule_fast(now, index)
 
@@ -617,12 +600,12 @@ class Replica:
         server = self.server
         queue = self.queue
         popleft = queue.popleft
-        count = min(self._fast_max_batch, len(queue))
+        size = len(queue)
+        self._deepest = max(self._deepest, size)
+        count = min(self._fast_max_batch, size)
         ids = np.fromiter([popleft() for _ in range(count)], np.int64,
                           count)
-        depth = len(queue)
-        if server.metrics is not None:
-            server.metrics.gauge("serve.queue_depth").set(depth)
+        depth = size - count
         rows = self._rows
         if self._defer.full:
             # Fully deferred bookkeeping: the dispatch core never
@@ -859,19 +842,61 @@ class Replica:
             tracer.finish(self._root, report.makespan_s)
             tracer.advance(report.makespan_s)
             report.trace = tracer if tracer.enabled else None
-        metrics = server.metrics
-        if metrics is not None:
-            metrics.counter("serve.batches").inc(report.num_batches)
-            metrics.counter("serve.retries").inc(report.retried_batches)
-            metrics.counter("serve.fallbacks").inc(
-                report.fallback_batches
-            )
-            metrics.counter("serve.deadline_misses").inc(
-                report.deadline_misses
-            )
+        if server.metrics is not None:
+            self._write_metrics(server.metrics)
         if server.profiler is not None:
             server.profiler.charge("inference", report.makespan_s)
         return report
+
+    def _write_metrics(self, metrics) -> None:
+        """Write every ``serve.*`` instrument once, from the finished
+        report.
+
+        Each instrument ends as per-arrival and per-batch writes would
+        leave it, and exists only where one of those writes would have
+        made it.  In a shared registry the counters sum over the
+        replicas, ``serve.queue_depth`` ends at 0 with the fleet's
+        deepest queue as its peak, ``serve.tier_active`` ends at the
+        last replica's last tier, and the histograms fill replica by
+        replica.
+        """
+        report = self.report
+        counts = {"serve.requests": report.num_requests,
+                  "serve.dropped": report.dropped}
+        tiers = self.server._tiers
+        if tiers is not None:
+            for tier, batches, served in zip(tiers, report.tier_batches,
+                                             report.tier_served):
+                counts[f"serve.tier_batches.{tier.name}"] = batches
+                counts[f"serve.tier_served.{tier.name}"] = served
+            counts["serve.tier_sheds"] = report.tier_sheds
+        for name, count in counts.items():
+            if count:
+                metrics.counter(name).inc(count)
+        metrics.counter("serve.batches").inc(report.num_batches)
+        metrics.counter("serve.retries").inc(report.retried_batches)
+        metrics.counter("serve.fallbacks").inc(report.fallback_batches)
+        metrics.counter("serve.deadline_misses").inc(report.deadline_misses)
+        if report.num_requests:
+            # The deepest queue sets the peak; every run ends on a
+            # dispatch that empties its queue.
+            depth = metrics.gauge("serve.queue_depth")
+            depth.set(self._deepest)
+            depth.set(0)
+        if tiers is not None:
+            # Tier 0 at the start, the highest tier that served a batch
+            # (the peak), then the last batch's tier.
+            active = metrics.gauge("serve.tier_active")
+            active.set(0)
+            active.set(max((index for index, batches
+                            in enumerate(report.tier_batches) if batches),
+                           default=0))
+            active.set(self.server._active_tier)
+        if report.num_batches:
+            metrics.histogram("serve.batch_size").record_many(
+                np.array(report.batch_sizes))
+            # Served latencies, in dispatch order.
+            metrics.histogram("serve.latency_s").merge(report.latency)
 
     # Cluster-report accessors (valid after finalize) -------------------
 

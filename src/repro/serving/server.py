@@ -416,9 +416,11 @@ class InferenceServer:
         tracer: Explicit :class:`~repro.observability.trace.Tracer` to
             record into (overrides ``config.tracing``).
         metrics: Optional
-            :class:`~repro.observability.metrics.MetricsRegistry`;
-            the serve loop maintains ``serve.*`` counters, the queue
-            depth gauge and latency/batch-size histograms in it.
+            :class:`~repro.observability.metrics.MetricsRegistry`.
+            Each run writes its ``serve.*`` counters, the queue-depth
+            and tier gauges and the latency and batch-size histograms
+            into it once, from the finished report; nothing is written
+            per request or per batch.
     """
 
     def __init__(self, pool: DevicePool, config: ServeConfig | None = None,
@@ -711,17 +713,6 @@ class InferenceServer:
             report.tier_batches[tier_index] += 1
             if tier_index != 0:
                 report.tier_sheds += 1
-            if self.metrics is not None:
-                name = self._tiers[tier_index].name
-                self.metrics.counter(
-                    f"serve.tier_batches.{name}"
-                ).inc()
-                self.metrics.counter(
-                    f"serve.tier_served.{name}"
-                ).inc(rows)
-                self.metrics.gauge("serve.tier_active").set(tier_index)
-                if tier_index != 0:
-                    self.metrics.counter("serve.tier_sheds").inc()
             if tracer is not None and tier_index != self._active_tier:
                 # Zero-duration marker: the policy changed the serving
                 # tier at this batch boundary.
@@ -808,16 +799,14 @@ class InferenceServer:
         if defer.full:
             # Fully deferred bookkeeping: nothing observes per-request
             # report state mid-run (the cluster only grants ``full``
-            # with no autoscaler, metrics, tiers or tracer), so one
-            # (ids, completion) note replaces the whole per-batch
-            # epilogue — the scatter, histogram ingest and miss count
-            # replay bit-identically at resolve time.
+            # with no autoscaler, tiers or tracer), so one (ids,
+            # completion) note replaces the whole per-batch epilogue —
+            # the scatter, histogram ingest and miss count replay
+            # bit-identically at resolve time.
             defer.book(ids, completion)
             return host_free
         if tracer is not None:
             tracer.finish(batch_span, completion)
-        if self.metrics is not None:
-            self.metrics.histogram("serve.batch_size").record(rows)
         # Columnar bookkeeping: one slice write (and one bulk histogram
         # ingest) per batch.  ``completion - arrivals`` is elementwise
         # IEEE-identical to the scalar per-request subtraction, so
@@ -844,8 +833,4 @@ class InferenceServer:
                 )
                 tracer.add("queue.wait", arrival_list[k], dispatch_t,
                            parent_id=span, request_id=id_list[k])
-        if self.metrics is not None:
-            self.metrics.histogram("serve.latency_s").record_many(
-                latencies
-            )
         return host_free

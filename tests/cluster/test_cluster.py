@@ -213,12 +213,16 @@ def test_max_events_budget_guards_runaway_runs(compiled_model,
                  total_requests=2000, max_events=50)
 
 
-@pytest.mark.parametrize("autoscaled", [False, True])
+@pytest.mark.parametrize("autoscaled,observed", [
+    pytest.param(False, False, id="static"),
+    pytest.param(True, False, id="autoscaled"),
+    pytest.param(False, True, id="registry"),
+])
 def test_unobserved_run_fires_no_engine_event_per_arrival_or_batch(
-        compiled_model, tenant_mix, monkeypatch, autoscaled):
-    """Without a registry, round_robin replicas run ahead between
-    cluster-level events: the engine fires those events and nothing
-    for the 2000 arrivals and their batches."""
+        compiled_model, tenant_mix, monkeypatch, autoscaled, observed):
+    """Round_robin replicas run ahead between cluster-level events, a
+    registry attached or not: the engine fires those events and
+    nothing for the 2000 arrivals and their batches."""
     from repro.cluster.autoscaler import Autoscaler
     fired = []
     for name in ("_tick", "_commit_add"):
@@ -233,14 +237,35 @@ def test_unobserved_run_fires_no_engine_event_per_arrival_or_batch(
                                    up_streak=1, cooldown_s=1.0,
                                    provision_s=0.5)
                   if autoscaled else None)
+    metrics = MetricsRegistry() if observed else None
     cluster = Cluster(compiled_model, ClusterConfig(
         tenants=tenant_mix, total_requests=2000, num_replicas=2, seed=7,
-        serve=ServeConfig(max_batch=4), autoscaler=autoscaler))
+        serve=ServeConfig(max_batch=4), autoscaler=autoscaler),
+        metrics=metrics)
     report = cluster.run()
     assert not cluster._pump.merged
     assert sum(r.num_batches for r in report.replica_reports) > 100
     assert bool(fired) == autoscaled
     assert cluster.engine.events_processed <= len(fired) + 2
+    if observed:
+        assert metrics.counter("serve.requests").value == 2000
+
+
+def test_registry_observed_cluster_defers_fully(compiled_model,
+                                                tenant_mix):
+    """A registry reads the reports only at finalize, so an untiered,
+    unscaled, untraced cluster with one defers its whole latency
+    bookkeeping to the epilogue."""
+    from repro.cluster.fastpath import DeferredPredictions
+    metrics = MetricsRegistry()
+    cluster = Cluster(compiled_model,
+                      ClusterConfig(tenants=tenant_mix, total_requests=500),
+                      metrics=metrics)
+    for replica in cluster.replicas:
+        assert isinstance(replica._defer, DeferredPredictions)
+        assert replica._defer.full
+    report = cluster.run()
+    assert len(metrics.histogram("serve.latency_s")) == report.served
 
 
 def test_serve_cluster_accepts_pipeline_results_and_rejects_junk(
