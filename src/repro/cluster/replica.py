@@ -850,52 +850,41 @@ class Replica:
 
     def _write_metrics(self, metrics) -> None:
         """Write every ``serve.*`` instrument once, from the finished
-        report.
-
-        Each instrument ends as per-arrival and per-batch writes would
-        leave it, and exists only where one of those writes would have
-        made it.  In a shared registry the counters sum over the
-        replicas, ``serve.queue_depth`` ends at 0 with the fleet's
-        deepest queue as its peak, ``serve.tier_active`` ends at the
-        last replica's last tier, and the histograms fill replica by
-        replica.
-        """
+        report, as per-arrival and per-batch writes would leave it (see
+        "Metrics" in ``docs/architecture.md``)."""
         report = self.report
+        tiers = self.server._tiers or ()
         counts = {"serve.requests": report.num_requests,
-                  "serve.dropped": report.dropped}
-        tiers = self.server._tiers
-        if tiers is not None:
-            for tier, batches, served in zip(tiers, report.tier_batches,
-                                             report.tier_served):
-                counts[f"serve.tier_batches.{tier.name}"] = batches
-                counts[f"serve.tier_served.{tier.name}"] = served
-            counts["serve.tier_sheds"] = report.tier_sheds
+                  "serve.dropped": report.dropped,
+                  "serve.tier_sheds": report.tier_sheds}
+        for tier, batches, served in zip(tiers, report.tier_batches,
+                                         report.tier_served):
+            counts[f"serve.tier_batches.{tier.name}"] = batches
+            counts[f"serve.tier_served.{tier.name}"] = served
         for name, count in counts.items():
-            if count:
+            if count:  # a count of zero was never written
                 metrics.counter(name).inc(count)
         metrics.counter("serve.batches").inc(report.num_batches)
         metrics.counter("serve.retries").inc(report.retried_batches)
         metrics.counter("serve.fallbacks").inc(report.fallback_batches)
         metrics.counter("serve.deadline_misses").inc(report.deadline_misses)
         if report.num_requests:
-            # The deepest queue sets the peak; every run ends on a
+            # The deepest queue is the peak; every run ends on a
             # dispatch that empties its queue.
             depth = metrics.gauge("serve.queue_depth")
             depth.set(self._deepest)
             depth.set(0)
-        if tiers is not None:
-            # Tier 0 at the start, the highest tier that served a batch
-            # (the peak), then the last batch's tier.
+        if tiers:
+            # Tier 0, the highest tier that served a batch (the peak),
+            # then the last batch's tier.
             active = metrics.gauge("serve.tier_active")
-            active.set(0)
-            active.set(max((index for index, batches
-                            in enumerate(report.tier_batches) if batches),
-                           default=0))
-            active.set(self.server._active_tier)
+            used = [i for i, n in enumerate(report.tier_batches) if n]
+            for tier in (0, max(used, default=0), self.server._active_tier):
+                active.set(tier)
         if report.num_batches:
             metrics.histogram("serve.batch_size").record_many(
                 np.array(report.batch_sizes))
-            # Served latencies, in dispatch order.
+            # The served latencies, in dispatch order.
             metrics.histogram("serve.latency_s").merge(report.latency)
 
     # Cluster-report accessors (valid after finalize) -------------------
