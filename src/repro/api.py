@@ -252,11 +252,12 @@ def serve(deployment: Deployment, requests: list[Request], *,
             ``ServeConfig(tracing=True)`` records per-request spans onto
             :attr:`ServeReport.trace <repro.serving.server.ServeReport>`;
             ``ServeConfig(tiers=TierPolicy(...))`` tunes when tiered
-            serving sheds.  Every batch runs at its real size through
-            the server's one int8 executor, an arena-backed
-            :class:`~repro.runtime.plan.ModelPlan` holding int8 and
-            packed weights only (native VNNI kernels where available,
-            the in-place numpy arena otherwise — bit-identical).
+            serving sheds.  Every batch is charged at its real size
+            and its rows are predicted in blocks, through one
+            arena-backed :class:`~repro.runtime.plan.ModelPlan` per
+            serving model (native VNNI or AMX-INT8 kernels where
+            available, the in-place numpy arena otherwise —
+            bit-identical).
         host: Host platform for tails and CPU fallback.
         swapper: Optional hot-swap scheduler bound to the deployment's
             pool.
@@ -264,7 +265,8 @@ def serve(deployment: Deployment, requests: list[Request], *,
             co-resident on the pool and overloaded batches shed to them
             instead of dropping.
         tracer: Record into this tracer instead of a fresh one.
-        metrics: Registry for the server's ``serve.*`` instruments.
+        metrics: Registry for the server's ``serve.*`` instruments,
+            written once when the run finalizes.
 
     Returns:
         The :class:`~repro.serving.server.ServeReport` (a
@@ -299,8 +301,9 @@ def serve_cluster(trained, *, config, tiers: TierSet | None = None,
             (tenants, replica count, router policy, autoscaler knobs).
         tiers: Optional :func:`compress` ladder, co-resident on every
             replica.
-        metrics: Registry shared across the fleet (``serve.*``
-            instruments aggregate; the cluster adds ``cluster.*``).
+        metrics: Registry shared across the fleet (each replica's
+            ``serve.*`` instruments, written once at finalize,
+            aggregate; the cluster adds ``cluster.*``).
         tracer: Record cluster-level spans into this tracer (overrides
             ``config.tracing``).
 

@@ -177,9 +177,10 @@ class Cluster:
             (:class:`~repro.compression.tiers.TierSet`); each replica
             gets the ladder co-resident and sheds under its serve
             config's policy, exactly like a single tiered server.
-        metrics: Shared registry; replicas write their ``serve.*``
-            instruments into it (aggregating across the fleet) and the
-            cluster adds ``cluster.*``.
+        metrics: Shared registry; each replica writes its ``serve.*``
+            instruments into it once, at finalize (aggregating across
+            the fleet), and the cluster adds ``cluster.*``.  It changes
+            neither the pump's loop nor what it defers.
         tracer: Cluster-level tracer (overrides ``config.tracing``).
     """
 

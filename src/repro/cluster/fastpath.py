@@ -16,18 +16,19 @@ contract ``tests/cluster/test_equivalence.py`` pins):
   re-keyed where the scalar intake cancels and reinserts its dispatch
   event, so the engine heap carries only cluster-level events
   (autoscaler ticks, device-online commits).
-- **Run-ahead**, with no shared metrics registry and routing blind to
-  replica state (every policy but ``least_queue``): replicas are
-  independent between cluster-level events, so each advances through
-  its routed rows to the next one in one loop (``Replica._advance``):
-  admissions inline, the dispatch core once per batch, no engine
-  traffic.  Only a replica's own events can tie inside a window, and
-  ``Replica._reached`` orders them as the scalar intake's seqs do.
-- **Merged order**, for ``least_queue`` (each row picks its replica at
-  its arrival) or a registry (which sees writes in global order): one
-  loop takes the earliest key among the next arrival, the replicas'
-  dispatches and the next cluster-level event, every seq drawn where
-  the scalar intake draws it.
+- **Run-ahead**, for every policy but ``least_queue`` (routing blind
+  to replica state): replicas are independent between cluster-level
+  events, so each advances through its routed rows to the next one in
+  one loop (``Replica._advance``): admissions inline, the dispatch
+  core once per batch, no engine traffic.  Only a replica's own events
+  can tie inside a window, and ``Replica._reached`` orders them as the
+  scalar intake's seqs do.
+- **Merged order**, for ``least_queue`` alone (each row picks its
+  replica at its arrival; a metrics registry, written only at
+  ``Replica.finalize``, picks no loop): one loop takes the earliest
+  key among the next arrival, the replicas' dispatches and the next
+  cluster-level event, every seq drawn where the scalar intake draws
+  it.
 - :class:`DeferredPredictions` gathers each served row's prediction by
   its serving tier after the simulation and, when nothing observes
   per-request state mid-run, replays the latency bookkeeping there.
@@ -63,7 +64,8 @@ class DeferredPredictions:
             histogram ingest, deadline misses).  Only sound when
             nothing reads per-request report state mid-run — the
             cluster enables it exactly when there is no autoscaler, no
-            metrics registry, no tier ladder and no replica tracer.
+            tier ladder and no replica tracer (a metrics registry reads
+            the reports only after :meth:`resolve`).
     """
 
     def __init__(self, full: bool = False):

@@ -269,11 +269,11 @@ class ServeConfig:
             uses the default :class:`TierPolicy` when tiers are
             present.
 
-    Every server runs one int8 executor — an arena-backed
-    :class:`~repro.runtime.plan.ModelPlan` per resident model, sized
-    to ``max_batch`` and run at each batch's real size — so there is
-    no execution-path selector here; ``REPRO_NATIVE=0`` turns off the
-    native VNNI kernels (results are bit-identical either way).
+    There is no execution-path selector here: batches are charged at
+    their real size and their rows predicted in ``block_rows`` blocks
+    through one arena-backed :class:`~repro.runtime.plan.ModelPlan` per
+    serving model, on native VNNI or AMX-INT8 kernels;
+    ``REPRO_NATIVE=0`` turns them off (results are bit-identical).
     """
 
     batcher: str = "dynamic"

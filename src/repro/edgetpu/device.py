@@ -156,11 +156,11 @@ class EdgeTpuDevice:
                     compiled: CompiledModel | None = None) -> InvokeResult:
         """Charge one invoke without computing outputs.
 
-        The timing-only twin of :meth:`invoke` for callers that do the
-        arithmetic elsewhere (the cluster fast path predicts each row
-        when it is routed): the modeled latency depends only on the
-        batch size, so the elapsed time, byte counts and device stats
-        here are bit-identical to running :meth:`invoke` on a real
+        The timing-only twin of :meth:`invoke` that every serving
+        dispatch charges through (its rows are predicted elsewhere, in
+        blocks): the modeled latency depends only on the batch size, so
+        the elapsed time, byte counts and device stats here are
+        bit-identical to running :meth:`invoke` on a real
         ``(batch, input_dim)`` int8 array.  Returns the compiled
         model's shared, read-only
         :meth:`~repro.edgetpu.compiler.CompiledModel.invoke_cost`

@@ -275,11 +275,11 @@ class _HostModel:
 class ModelPlan:
     """One compiled model's arena-backed execution plan.
 
-    Built once per owner; afterwards the steady-state path
-
-    ``stage() -> run_device() -> run_tail()``
-
-    performs no heap allocations: features land in a preallocated
+    Built once per owner; afterwards its entry points — :attr:`inputs`
+    with :meth:`predict_inputs` (a server's prediction blocks),
+    :meth:`predict` (the cluster pump's routed rows) and
+    :meth:`run_device` (device invokes and the training encode) —
+    perform no heap allocations: features land in a preallocated
     float64 scratch, quantize in place, flow through per-stage arenas,
     and predictions come back as a view into a preallocated buffer.
     Every call takes the batch at its real size ``n <= max_rows`` and

@@ -416,11 +416,9 @@ class InferenceServer:
         tracer: Explicit :class:`~repro.observability.trace.Tracer` to
             record into (overrides ``config.tracing``).
         metrics: Optional
-            :class:`~repro.observability.metrics.MetricsRegistry`.
-            Each run writes its ``serve.*`` counters, the queue-depth
-            and tier gauges and the latency and batch-size histograms
-            into it once, from the finished report; nothing is written
-            per request or per batch.
+            :class:`~repro.observability.metrics.MetricsRegistry`; a
+            run writes its ``serve.*`` counters, gauges and histograms
+            into it once, from the finished report.
     """
 
     def __init__(self, pool: DevicePool, config: ServeConfig | None = None,
