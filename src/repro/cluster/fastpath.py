@@ -324,8 +324,8 @@ class FastArrivalPump:
     # ------------------------------------------------------------------
 
     def _columns(self, chunk) -> tuple:
-        """One chunk's rows as what :meth:`_Rows.append_row` takes when
-        the row is routed at its arrival."""
+        """One chunk's columns as lists: what :meth:`_Rows.append_row`
+        takes for each row, routed at its arrival."""
         # A least_queue cluster is never placed: every replica serves
         # the same model and tier ladder, so one prediction pass covers
         # the chunk wherever its rows land.

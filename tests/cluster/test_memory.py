@@ -98,8 +98,10 @@ def _cluster_peak(compiled_model, tenant_mix, total_requests, policy,
 # boxed float.  Marginal bytes/request through ``report.summary()``:
 # round_robin measured 115 (145 with latencies kept as Python floats);
 # least_queue with a metrics registry, which also keeps every latency
-# in the ``serve.latency_s`` histogram, measured 139 (170 with floats on
-# the scalar per-request intake).  Each bound sits between the two.
+# in the ``serve.latency_s`` histogram, measured 144 with its latency
+# bookkeeping fully deferred (139 per batch, before a registry stopped
+# turning deferral off; 170 with floats on the scalar per-request
+# intake).  Each bound sits between the float figure and the rest.
 @pytest.mark.parametrize("policy,with_metrics,bound", [
     pytest.param("round_robin", False, 125.0, id="round_robin"),
     pytest.param("least_queue", True, 146.0, id="least_queue_metrics"),
