@@ -7,7 +7,8 @@ tick reads two signals across the fleet:
 - **queue depth** — the deepest replica admission queue right now;
 - **windowed deadline-miss rate** — misses over served requests since
   the previous tick, from cumulative :class:`ServeReport` counters
-  (no per-request bookkeeping).
+  (no per-request bookkeeping; each replica settles any latency
+  bookkeeping it deferred first).
 
 Scale-up trips when either signal is high for ``up_streak``
 consecutive ticks (hysteresis) and the cooldown has elapsed; the new
@@ -196,6 +197,8 @@ class Autoscaler:
     def _tick(self) -> None:
         config = self.config
         now = self.engine.now
+        for replica in self.replicas:
+            replica.settle()
         depths = [len(replica.queue) for replica in self.replicas]
         deepest = max(depths)
         miss_rate = self._window_miss_rate()

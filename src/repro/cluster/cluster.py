@@ -243,12 +243,13 @@ class Cluster:
                 DeferredPredictions,
                 FastArrivalPump,
             )
-            # Latency bookkeeping can defer too when nothing reads
-            # per-request report state mid-run: the autoscaler polls
-            # miss rates, tier ladders keep per-tier columns and a
-            # tracer records each request's span at its batch.  A
-            # registry reads the reports only at finalize.
-            full = config.autoscaler is None and tier_list is None
+            # Latency bookkeeping defers too unless per-request state
+            # is needed at each batch: tier ladders keep per-tier
+            # columns and a tracer records each request's span at its
+            # batch.  The autoscaler settles every replica before it
+            # reads their miss counts; a registry reads the reports
+            # only at finalize.
+            full = tier_list is None
             for replica in self.replicas:
                 replica.enable_fast(DeferredPredictions(
                     full=full and replica.server.tracer is None

@@ -19,9 +19,13 @@ contract ``tests/cluster/test_equivalence.py`` pins):
 - **Run-ahead**, for every policy but ``least_queue`` (routing blind
   to replica state): replicas are independent between cluster-level
   events, so each advances through its routed rows to the next one in
-  one loop (``Replica._advance``): admissions inline, the dispatch
-  core once per batch, no engine traffic.  Only a replica's own events
-  can tie inside a window, and ``Replica._reached`` orders them as the
+  one loop (``Replica._advance``), with no engine traffic.  Where its
+  queue is empty, a replica steps whole size-triggered batches: the
+  longest run of regular groups of ``max_batch`` rows
+  (``Replica._step_groups``) goes to the dispatch core in one call;
+  ties, deadline triggers, drops and the trace-end flush take the
+  per-row loop, admissions inline.  Only a replica's own events can
+  tie inside a window, and ``Replica._reached`` orders them as the
   scalar intake's seqs do.
 - **Merged order**, for ``least_queue`` alone (each row picks its
   replica at its arrival; a metrics registry, written only at
@@ -30,8 +34,10 @@ contract ``tests/cluster/test_equivalence.py`` pins):
   cluster-level event, every seq drawn where the scalar intake draws
   it.
 - :class:`DeferredPredictions` gathers each served row's prediction by
-  its serving tier after the simulation and, when nothing observes
-  per-request state mid-run, replays the latency bookkeeping there.
+  its serving tier after the simulation and, without a tier ladder or
+  a replica tracer, books each dispatch-core run's ids and completions
+  and replays the latency bookkeeping when it settles: at each
+  autoscaler tick and at the end.
 
 Every policy runs this pump, traced replicas included; the scalar
 intake survives as the oracle tests force through
@@ -61,53 +67,59 @@ class DeferredPredictions:
 
     Args:
         full: Also defer the per-batch latency bookkeeping (scatter,
-            histogram ingest, deadline misses).  Only sound when
-            nothing reads per-request report state mid-run — the
-            cluster enables it exactly when there is no autoscaler, no
-            tier ladder and no replica tracer (a metrics registry reads
-            the reports only after :meth:`resolve`).
+            histogram ingest, deadline misses) to :meth:`settle`.  Only
+            sound when nothing reads per-request report state between
+            settles — the cluster enables it exactly when there is no
+            tier ladder and no replica tracer (the autoscaler settles
+            every replica before it reads their counters; a metrics
+            registry reads the reports only after :meth:`resolve`).
     """
 
     def __init__(self, full: bool = False):
         self.full = full
-        # Dispatch-order (ids, completion) pairs, full mode only.
+        # Full mode only: the booked ids (one array per dispatch-core
+        # run, in dispatch order), then each batch's size and
+        # completion.
         self._book_ids: list[np.ndarray] = []
+        self._book_sizes: list[int] = []
         self._book_completions: list[float] = []
 
-    def book(self, ids: np.ndarray, completion: float) -> None:
-        """Full mode: record one batch's completion for the deferred
-        latency bookkeeping (called once per dispatched batch, in
-        dispatch order)."""
+    def book(self, ids: np.ndarray, rows: int,
+             completions: list[float]) -> None:
+        """Full mode: record a run of batches of ``rows`` rows each —
+        their ``ids`` in dispatch order and one completion per batch —
+        for the deferred latency bookkeeping (called once per
+        dispatch-core run, in dispatch order)."""
         self._book_ids.append(ids)
-        self._book_completions.append(completion)
+        self._book_sizes.extend([rows] * len(completions))
+        self._book_completions.extend(completions)
+
+    def settle(self, rows: "_Rows", report: "ServeReport") -> None:
+        """Full mode: replay the booked latency bookkeeping, in dispatch
+        order — one subtract, one scatter, one histogram extend and one
+        miss count, elementwise-identical to the per-batch epilogue."""
+        if not self._book_ids:
+            return
+        ids = (self._book_ids[0] if len(self._book_ids) == 1
+               else np.concatenate(self._book_ids))
+        completions = np.repeat(np.array(self._book_completions),
+                                self._book_sizes)
+        latencies = completions - rows.arrivals[ids]
+        report.latencies[ids] = latencies
+        report.latency.record_many(latencies)
+        report.deadline_misses += int(
+            np.count_nonzero(rows.deadlines[ids] < completions)
+        )
+        self._book_ids.clear()
+        self._book_sizes.clear()
+        self._book_completions.clear()
 
     def resolve(self, rows: "_Rows", report: "ServeReport") -> None:
-        """Run every deferred computation against the report.
-
-        In full mode the latency bookkeeping replays first, in dispatch
-        order: one subtract, one scatter, one histogram extend and one
-        miss count, elementwise-identical to the per-batch epilogue.
-        Then every served row (finite latency) takes its serving tier's
+        """Run every deferred computation against the report: settle,
+        then give every served row (finite latency) its serving tier's
         prediction in one gather; drops keep their ``-1``.
         """
-        if self._book_ids:
-            ids = (self._book_ids[0] if len(self._book_ids) == 1
-                   else np.concatenate(self._book_ids))
-            sizes = np.fromiter(
-                (len(block) for block in self._book_ids),
-                dtype=np.int64, count=len(self._book_ids),
-            )
-            completions = np.repeat(
-                np.array(self._book_completions), sizes
-            )
-            latencies = completions - rows.arrivals[ids]
-            report.latencies[ids] = latencies
-            report.latency.record_many(latencies)
-            report.deadline_misses += int(
-                np.count_nonzero(rows.deadlines[ids] < completions)
-            )
-            self._book_ids.clear()
-            self._book_completions.clear()
+        self.settle(rows, report)
         if rows.predicted is None:  # no row was ever routed here
             return
         served = np.flatnonzero(~np.isnan(report.latencies[:rows.count]))

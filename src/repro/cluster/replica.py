@@ -37,13 +37,16 @@ The actor serves either mode the cluster needs:
   arrivals call it, and so does the scalar cluster intake that tests
   keep as the pump's oracle.
 
-Elastic capacity (:meth:`add_device` / :meth:`retire_device`) extends
-the per-device accounting arrays in step with the pool and keeps
-device online spans, so the autoscaler's device-seconds bill is exact.
+Per-device state (free-at, busy and swap seconds, online spans) lives
+in the server's :class:`~repro.edgetpu.multidevice.DevicePool` as
+columns; elastic capacity (:meth:`add_device` / :meth:`retire_device`)
+opens and closes online spans there, so the autoscaler's
+device-seconds bill is exact.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 from collections import deque
 from dataclasses import replace
@@ -228,9 +231,10 @@ class Replica:
     Args:
         server: The :class:`~repro.serving.server.InferenceServer` to
             run.  The replica owns the simulation state the old loop
-            kept in locals (queue, per-device free/busy/swap times,
-            host-free time) — the server contributes policies, cost
-            models and the dispatch path.
+            kept in locals (queue, host-free time; the per-device
+            free/busy/swap columns restart in the server's pool) — the
+            server contributes policies, cost models and the dispatch
+            path.
         engine: The shared :class:`EventEngine`.
         replica_id: Identity in a cluster (0 for standalone serving).
     """
@@ -241,15 +245,9 @@ class Replica:
         self.engine = engine
         self.replica_id = replica_id
         self.queue: deque[Request] = deque()
-        num_devices = server.pool.num_devices
-        self.device_free = [0.0] * num_devices
-        self.device_busy = [0.0] * num_devices
-        self.device_swap = [0.0] * num_devices
+        # Every pre-existing device is free and online from t=0.
+        server.pool.start_run()
         self.host_free = 0.0
-        # Every pre-existing device has been online since t=0; entries
-        # are [start, end] with end None while the device is in service.
-        self.online_spans: list[list] = [[0.0, None]
-                                         for _ in range(num_devices)]
         self.report: ServeReport | None = None
         self._root = None
         self._dispatch_event: Event | None = None
@@ -268,7 +266,9 @@ class Replica:
         self._fast = False
         self._defer = None
         self._fast_max_batch = 0
-        self._fast_est: list[float | None] = []
+        self._fast_est: list[float] = []
+        self._step_est: np.ndarray | None = None
+        self._steps = False
         self._head_column = "deadlines"
         self._head_shift = self._head_base = 0.0
         # The pending dispatch as a key the replica owns: time (inf for
@@ -494,8 +494,7 @@ class Replica:
                  for _ in range(min(server.batcher.max_batch,
                                     len(queue)))]
         self.host_free = server._dispatch_batch(
-            batch, self.engine.now, self.device_free, self.device_busy,
-            self.device_swap, self.host_free, self.report,
+            batch, self.engine.now, self.host_free, self.report,
             server.tracer, self._root, queue_depth=len(queue),
             defer=self._blocks,
         )
@@ -514,7 +513,9 @@ class Replica:
         :class:`~repro.cluster.fastpath.DeferredPredictions` sink).  The
         stock batchers' triggers run inline as ``(head column + shift)
         - estimate[size]``: ``(deadline - slack) - service estimate``,
-        or ``(arrival + timeout) - 0``.
+        or ``(arrival + timeout) - 0``, from a per-size table built
+        here.  Run-ahead steps whole batches (:meth:`_step_groups`)
+        unless ``max_queue < max_batch``.
         """
         from repro.serving.batcher import DynamicBatcher
         if self._rows is None or self._source is not None:
@@ -524,13 +525,19 @@ class Replica:
             # A hot swap would invalidate the inline estimate cache.
             raise ValueError("fast mode does not support a swapper")
         batcher = server.batcher
+        sizes = range(1, batcher.max_batch)
         if isinstance(batcher, DynamicBatcher):
             self._head_column, self._head_shift = "deadlines", -batcher.slack_s
-            self._fast_est = [None] * batcher.max_batch
+            estimates = [server.service_estimate(size) for size in sizes]
         else:
             self._head_column, self._head_shift = "arrivals", batcher.timeout_s
-            self._fast_est = [0.0] * batcher.max_batch
+            estimates = [0.0 for _ in sizes]
+        # estimate[size] for sizes 1..max_batch - 1 (a full queue
+        # dispatches at once).
+        self._fast_est = [0.0] + estimates
+        self._step_est = np.array(estimates)
         self._fast_max_batch = batcher.max_batch
+        self._steps = server.max_queue >= batcher.max_batch
         self._defer = defer
         self._fast = True
 
@@ -555,11 +562,7 @@ class Replica:
         if size >= self._fast_max_batch:
             ready = now
         else:
-            estimate = self._fast_est[size]
-            if estimate is None:
-                estimate = self.server.service_estimate(size)
-                self._fast_est[size] = estimate
-            ready = self._head_base - estimate
+            ready = self._head_base - self._fast_est[size]
             if ready < now:
                 ready = now
             elif ready == math.inf:
@@ -601,7 +604,8 @@ class Replica:
         queue = self.queue
         popleft = queue.popleft
         size = len(queue)
-        self._deepest = max(self._deepest, size)
+        if size > self._deepest:
+            self._deepest = size
         count = min(self._fast_max_batch, size)
         ids = np.fromiter([popleft() for _ in range(count)], np.int64,
                           count)
@@ -615,10 +619,8 @@ class Replica:
             arrivals = rows.arrivals[ids]
             deadlines = rows.deadlines[ids]
         self.host_free = server._dispatch_columns(
-            ids, arrivals, deadlines, None,
-            now, self.device_free, self.device_busy,
-            self.device_swap, self.host_free, self.report,
-            server.tracer, self._root, queue_depth=depth,
+            ids, [now], count, arrivals, deadlines, None, self.host_free,
+            self.report, server.tracer, self._root, queue_depth=depth,
             defer=self._defer,
         )
         self._clock = now
@@ -663,6 +665,9 @@ class Replica:
         before the bound — global arrival ``bound_index`` at
         ``bound_s``, or (``bound_index < 0``) the cluster-level event
         ``(bound_s, bound_seq)``, whose seq orders against the stamps.
+        Wherever the queue is empty, whole size-triggered batches step
+        at once (:meth:`_step_groups`); the per-row loop takes the first
+        group that is not regular.
         """
         pend_t = self._pend_t
         pend_g = self._pend_g
@@ -670,13 +675,13 @@ class Replica:
         count = len(pend_g)
         queue = self.queue
         append = queue.append
-        server = self.server
-        max_queue = server.max_queue
+        max_queue = self.server.max_queue
         max_batch = self._fast_max_batch
         estimates = self._fast_est
-        tracer = server.tracer
+        tracer = self.server.tracer
         stamp = self._stamp
         inf = math.inf
+        steps = self._steps and not self._source_done
         local = self._rows.count - (count - k)
         due = self._due
         seq = self._due_seq
@@ -697,6 +702,13 @@ class Replica:
                 head = self._head_base
                 size = len(queue)
                 continue
+            if not size and steps:
+                taken = self._step_groups(k, local, limit, bound_s)
+                if taken:
+                    k += taken
+                    local += taken
+                    last = pend_t[k - 1]
+                    continue
             if size >= max_queue:
                 self.report.dropped += 1
                 if tracer is not None:
@@ -717,11 +729,7 @@ class Replica:
             if size >= max_batch:
                 due = now
             elif size:
-                estimate = estimates[size]
-                if estimate is None:
-                    estimate = server.service_estimate(size)
-                    estimates[size] = estimate
-                due = head - estimate
+                due = head - estimates[size]
                 if due < now or (due == inf and self._source_done):
                     due = now
         self._pend_k = k
@@ -733,6 +741,87 @@ class Replica:
                 if bound_index >= 0 else self._due_seq < bound_seq)):
             self._on_dispatch_fast()
             due = self._due
+
+    def _step_groups(self, k: int, local: int, limit: int,
+                     bound_s: float) -> int:
+        """Admit and dispatch, in one step, the longest run of regular
+        groups of ``max_batch`` pending rows from ``k`` (replica-local
+        id ``local``) while the queue is empty; returns the rows taken.
+
+        A group (arrivals ``t_0 … t_{b-1}``, head base ``B``) is regular
+        when the per-row loop would admit all of it and then dispatch it
+        at its last row's arrival: ``B - estimate[s] > t_s`` for
+        ``s = 1 … b-1`` (no deadline or timeout trigger first), and
+        ``t_{b-1}`` before the next pending row below ``limit`` or, for
+        the last group, before the window bound (no tie to order; the
+        pending rows below ``limit`` never come after ``bound_s``).
+        With ``max_queue >= max_batch`` nothing drops.  The first group
+        is tested in Python, so a replica whose queue rarely fills pays
+        O(1) per attempt; the rest in numpy, in doubling spans.
+        """
+        batch = self._fast_max_batch
+        rows_left = bisect.bisect_left(self._pend_g, limit, k) - k
+        groups = rows_left // batch
+        if not groups:
+            return 0
+        pend_t = self._pend_t
+        rows = self._rows
+        shift = self._head_shift
+        head = float(getattr(rows, self._head_column)[local]) + shift
+        estimates = self._fast_est
+        for size in range(1, batch):
+            if not head - estimates[size] > pend_t[k + size]:
+                return 0
+        after = k + batch
+        if not pend_t[after - 1] < (pend_t[after] if rows_left > batch
+                                    else bound_s):
+            return 0
+        times = rows.arrivals
+        bases = getattr(rows, self._head_column)
+        done, span = 1, 4
+        while done < groups:
+            stop = min(groups, done + span)
+            low, high = local + done * batch, local + stop * batch
+            block = times[low:high].reshape(stop - done, batch)
+            following = np.empty(stop - done)
+            following[:-1] = block[1:, 0]
+            following[-1] = (times[high] if stop * batch < rows_left
+                             else bound_s)
+            regular = block[:, -1] < following
+            if batch > 1:
+                regular &= ((bases[low:high:batch, None] + shift)
+                            - self._step_est > block[:, 1:]).all(axis=1)
+            if not regular.all():
+                done += int(regular.argmin())
+                break
+            done, span = stop, span * 2
+        taken = done * batch
+        server = self.server
+        ids = np.arange(local, local + taken, dtype=np.int64)
+        if self._defer.full:
+            arrivals = deadlines = None
+        else:
+            arrivals = rows.arrivals[local:local + taken]
+            deadlines = rows.deadlines[local:local + taken]
+        # Each group closes at its last row's arrival, leaving the
+        # queue empty.
+        closes = pend_t[k + batch - 1:k + taken:batch]
+        self.host_free = server._dispatch_columns(
+            ids, closes, batch, arrivals, deadlines, None, self.host_free,
+            self.report, server.tracer, self._root, queue_depth=0,
+            defer=self._defer,
+        )
+        if batch > self._deepest:
+            self._deepest = batch
+        self._clock = closes[-1]
+        return taken
+
+    def settle(self) -> None:
+        """Replay the latency bookkeeping a fully deferring sink has
+        booked, so the report's counters are current; the autoscaler
+        calls it before it reads them.  A no-op in scalar mode."""
+        if self._defer is not None:
+            self._defer.settle(self._rows, self.report)
 
     def resolve_deferred(self) -> None:
         """Replay every deferred computation — the prediction gather
@@ -749,33 +838,31 @@ class Replica:
 
     def add_device(self) -> int:
         """Attach one device, load the current model set onto it, and
-        extend the accounting arrays; returns the pool index.
+        open its online span; returns the pool index.
 
         The device becomes dispatchable once its model load completes
-        (``device_free`` starts at now + load), mirroring a real
-        attach-then-deploy.  Provisioning lead time is the autoscaler's
-        to charge — it schedules the add event in the future.
+        (it is free from now + load), mirroring a real attach-then-deploy.
+        Provisioning lead time is the autoscaler's to charge — it
+        schedules the add event in the future.
         """
         server = self.server
         pool = server.pool
-        index = pool.add_device()
+        now = self.engine.now
+        index = pool.add_device(at_s=now)
         load = pool.reload(index, server._compiled)
         if server._tiers is not None:
             for tier in server._tiers[1:]:
                 load = max(load,
                            pool.devices[index].load_resident(tier.compiled))
-        now = self.engine.now
-        self.device_free.append(now + load)
-        self.device_busy.append(0.0)
-        self.device_swap.append(0.0)
-        self.online_spans.append([now, None])
+        pool.free_at[index] = now + load
         return index
 
     def retire_device(self, index: int) -> None:
         """Take device ``index`` out of service and close its online
         span.  In-flight work finishes; no new batches land on it."""
-        self.server.pool.retire(index)
-        span = self.online_spans[index]
+        pool = self.server.pool
+        pool.retire(index)
+        span = pool.online[index]
         if span[1] is None:
             span[1] = self.engine.now
 
@@ -784,7 +871,7 @@ class Replica:
         provisioning bill the autoscaler benchmark compares against
         static fleets."""
         total = 0.0
-        for start, end in self.online_spans:
+        for start, end in self.server.pool.online:
             total += (until_s if end is None else end) - start
         return total
 
@@ -825,11 +912,12 @@ class Replica:
             # warn and return NaN — the makespan is just the virtual
             # clock at the last event.
             report.makespan_s = float(now)
-        report.device_busy_seconds = [float(b) for b in self.device_busy]
-        report.device_swap_seconds = [float(s) for s in self.device_swap]
+        pool = server.pool
+        report.device_busy_seconds = [float(b) for b in pool.busy]
+        report.device_swap_seconds = [float(s) for s in pool.swap]
         report.device_idle_seconds = [
             max(0.0, report.makespan_s - b - s)
-            for b, s in zip(self.device_busy, self.device_swap)
+            for b, s in zip(pool.busy, pool.swap)
         ]
         report.device_energy_j = [
             device.energy_joules() for device in server.pool.devices

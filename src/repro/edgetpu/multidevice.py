@@ -15,10 +15,10 @@ load's modeled cost is the slowest device's.
 
 For the online serving layer the pool also models *faults*: a
 :class:`FailurePlan` schedules a USB stall or outright device loss at a
-virtual time, :meth:`DevicePool.invoke_cost` (or
-:meth:`DevicePool.try_invoke`) trips it on first use after that time
-(raising :class:`DeviceFailedError` with the modeled detection cost),
-and :meth:`DevicePool.unload` /
+virtual time, and the first dispatch to that device at or after it
+trips it (:meth:`DevicePool.trip`; :meth:`DevicePool.invoke_cost` and
+:meth:`DevicePool.try_invoke` raise :class:`DeviceFailedError` with the
+modeled detection cost), and :meth:`DevicePool.unload` /
 :meth:`DevicePool.reload` support hot model swaps.
 """
 
@@ -31,7 +31,7 @@ import numpy as np
 from repro.edgetpu.arch import EdgeTpuArch
 from repro.edgetpu.backend import AcceleratorArch
 from repro.edgetpu.compiler import CompiledModel
-from repro.edgetpu.device import EdgeTpuDevice
+from repro.edgetpu.device import DeviceCounters, DeviceStats, EdgeTpuDevice
 
 __all__ = [
     "DeviceFailedError",
@@ -121,6 +121,13 @@ class DevicePool:
     predictions are bit-identical across backends, only modeled
     time/energy differs.
 
+    The pool owns its devices' state as columns, one slot per device:
+    the serving run's free-at, busy and swap-blocked seconds and online
+    spans (:meth:`start_run` zeroes them), and the cumulative invoke
+    counters (:attr:`counters`; each device's ``stats`` is a view of its
+    slot).  :attr:`healthy` caches the dispatchable devices and changes
+    only on failure, retirement, add and load.
+
     Args:
         num_devices: Pool size.
         arch: Architecture shared by all devices (homogeneous pools).
@@ -145,12 +152,36 @@ class DevicePool:
             shared = arch if arch is not None else EdgeTpuArch()
             device_archs = [shared] * num_devices
         self.arch = device_archs[0]
-        self.devices = [EdgeTpuDevice(a) for a in device_archs]
+        self.counters = DeviceCounters(num_devices)
+        self.devices = [EdgeTpuDevice(a, DeviceStats(self.counters, i))
+                        for i, a in enumerate(device_archs)]
         self.models: list[CompiledModel | None] = [None] * num_devices
         self.load_seconds: list[float] = [0.0] * num_devices
         self.failed: set[int] = set()
         self.retired: set[int] = set()
-        self._failure_plans: dict[int, FailurePlan] = {}
+        # Armed plans by device; a tripped plan stays (its device is
+        # failed, so nothing dispatches to it again).
+        self.failure_plans: dict[int, FailurePlan] = {}
+        # Dispatchable devices, ascending; refreshed in place, so a
+        # reference stays current.
+        self.healthy: list[int] = []
+        self.start_run()
+
+    def start_run(self) -> None:
+        """Zero the serving run's columns: every device free at 0 and
+        online since 0, no busy or swap-blocked seconds."""
+        count = self.num_devices
+        self.free_at = [0.0] * count
+        self.busy = [0.0] * count
+        self.swap = [0.0] * count
+        # [start, end] per device, end None while it is in service.
+        self.online: list[list] = [[0.0, None] for _ in range(count)]
+
+    def _refresh_health(self) -> None:
+        self.healthy[:] = [i for i in range(self.num_devices)
+                           if self.models[i] is not None
+                           and i not in self.failed
+                           and i not in self.retired]
 
     @property
     def num_devices(self) -> int:
@@ -166,21 +197,29 @@ class DevicePool:
     # Elastic capacity (the cluster autoscaler's device-level knob)
     # ------------------------------------------------------------------
 
-    def add_device(self, arch: AcceleratorArch | None = None) -> int:
-        """Attach one new (empty) device; returns its pool index.
+    def add_device(self, arch: AcceleratorArch | None = None,
+                   at_s: float = 0.0) -> int:
+        """Attach one new (empty) device at virtual time ``at_s``;
+        returns its pool index.
 
         The autoscaler's scale-up primitive: the device joins healthy
         but holds no model — load the current primary (and any resident
         tiers) onto it before dispatching, charging the load time on
-        the virtual clock like any other deployment.  Defaults to the
-        pool's primary architecture; pass ``arch=`` to grow a mixed
-        pool.
+        the virtual clock like any other deployment.  Its online span
+        opens at ``at_s``.  Defaults to the pool's primary
+        architecture; pass ``arch=`` to grow a mixed pool.
         """
-        self.devices.append(EdgeTpuDevice(arch if arch is not None
-                                          else self.arch))
+        slot = self.counters.add_slot()
+        self.devices.append(EdgeTpuDevice(
+            arch if arch is not None else self.arch,
+            DeviceStats(self.counters, slot)))
         self.models.append(None)
         self.load_seconds.append(0.0)
-        return self.num_devices - 1
+        self.free_at.append(at_s)
+        self.busy.append(0.0)
+        self.swap.append(0.0)
+        self.online.append([at_s, None])
+        return slot
 
     def retire(self, index: int) -> None:
         """Remove device ``index`` from service (scale-down).
@@ -193,13 +232,13 @@ class DevicePool:
         """
         if not 0 <= index < self.num_devices:
             raise ValueError(f"device index {index} out of range")
-        remaining = [i for i in self.healthy_indices() if i != index]
-        if not remaining:
+        if not [i for i in self.healthy if i != index]:
             raise ValueError(
                 f"cannot retire device {index}: it is the last "
                 f"serviceable device in the pool"
             )
         self.retired.add(index)
+        self._refresh_health()
 
     # ------------------------------------------------------------------
     # Fault injection
@@ -214,14 +253,35 @@ class DevicePool:
                 f"device_index {plan.device_index} out of range for a "
                 f"{self.num_devices}-device pool"
             )
-        self._failure_plans[plan.device_index] = plan
+        self.failure_plans[plan.device_index] = plan
 
     def healthy_indices(self) -> list[int]:
         """Devices that hold a model, have not failed, and are not
-        retired."""
-        return [i for i in range(self.num_devices)
-                if self.models[i] is not None and i not in self.failed
-                and i not in self.retired]
+        retired (a copy of :attr:`healthy`)."""
+        return list(self.healthy)
+
+    def trip(self, index: int, at_s: float) -> FailurePlan | None:
+        """Trip device ``index``'s armed failure if it is due at
+        ``at_s``: the device is marked failed and its model dropped (a
+        lost device must be re-enumerated and reloaded).  Returns the
+        tripped plan, else ``None``."""
+        plan = self.failure_plans.get(index)
+        if plan is None or at_s < plan.at_s:
+            return None
+        self.failed.add(index)
+        self.unload(index)
+        return plan
+
+    def cost_record(self, index: int, batch: int,
+                    model: CompiledModel | None = None):
+        """The cost record an invoke of ``batch`` rows on device
+        ``index`` charges: its primary's, or the variant of co-resident
+        ``model`` it holds (:meth:`CompiledModel.invoke_cost
+        <repro.edgetpu.compiler.CompiledModel.invoke_cost>`)."""
+        if model is None:
+            return self.models[index].invoke_cost(batch)
+        device = self.devices[index]
+        return device._resolve(model.variant(device.arch)).invoke_cost(batch)
 
     def try_invoke(self, index: int, x: np.ndarray, at_s: float = 0.0,
                    model: CompiledModel | None = None):
@@ -249,10 +309,9 @@ class DevicePool:
                     model: CompiledModel | None = None):
         """Timing-only :meth:`try_invoke`: identical health checks,
         failure trips and device accounting, but no output arithmetic
-        (``InvokeResult.outputs`` is ``None``).  Every serving dispatch,
-        standalone or in the cluster pump, charges its batch through
-        this: modeled cost depends on the row count alone, and the rows
-        are predicted elsewhere, in blocks.
+        (``InvokeResult.outputs`` is ``None``): one charge of the
+        :meth:`cost_record` the serving dispatch core writes into the
+        pool's columns in place.
         """
         device, model = self._ready(index, at_s, model)
         return device.invoke_cost(batch, compiled=model)
@@ -266,13 +325,11 @@ class DevicePool:
         if not 0 <= index < self.num_devices:
             raise ValueError(f"device index {index} out of range")
         if index in self.failed:
-            plan = self._failure_plans.get(index)
+            plan = self.failure_plans.get(index)
             mode = plan.mode if plan is not None else "device_loss"
             raise DeviceFailedError(index, mode, 0.0)
-        plan = self._failure_plans.get(index)
-        if plan is not None and at_s >= plan.at_s:
-            self.failed.add(index)
-            self.unload(index)
+        plan = self.trip(index, at_s)
+        if plan is not None:
             raise DeviceFailedError(
                 index, plan.mode, plan.resolved_detect_seconds
             )
@@ -293,6 +350,7 @@ class DevicePool:
         self.models[index] = None
         self.devices[index].compiled = None
         self.load_seconds[index] = 0.0
+        self._refresh_health()
 
     def reload(self, index: int, compiled: CompiledModel) -> float:
         """Pin ``compiled`` onto device ``index``; returns load seconds.
@@ -309,6 +367,7 @@ class DevicePool:
         seconds = self.devices[index].load_model(compiled)
         self.models[index] = compiled
         self.load_seconds[index] = seconds
+        self._refresh_health()
         return seconds
 
     def load_replicated(self, compiled: CompiledModel) -> float:
@@ -328,6 +387,7 @@ class DevicePool:
             self.models[index] = variant
             self.load_seconds[index] = seconds
             slowest = max(slowest, seconds)
+        self._refresh_health()
         return slowest
 
     def load_resident(self, compiled: CompiledModel) -> float:

@@ -69,9 +69,8 @@ def serve_reference(server, requests: list[Request]):
             metrics.gauge("serve.tier_active").set(0)
     blocks = PredictionBlocks(server, report)
     queue: deque[Request] = deque()
-    device_free = [0.0] * server.pool.num_devices
-    device_busy = [0.0] * server.pool.num_devices
-    device_swap = [0.0] * server.pool.num_devices
+    pool = server.pool
+    pool.start_run()
     host_free = 0.0
     now = 0.0
     index = 0
@@ -113,8 +112,7 @@ def serve_reference(server, requests: list[Request]):
         if metrics is not None:
             metrics.gauge("serve.queue_depth").set(len(queue))
         host_free = server._dispatch_batch(
-            batch, now, device_free, device_busy, device_swap,
-            host_free, report, tracer, root,
+            batch, now, host_free, report, tracer, root,
             queue_depth=len(queue), defer=blocks,
         )
 
@@ -131,11 +129,11 @@ def serve_reference(server, requests: list[Request]):
         # warn and return NaN — the makespan is just the virtual
         # clock at the last event.
         report.makespan_s = float(now)
-    report.device_busy_seconds = [float(b) for b in device_busy]
-    report.device_swap_seconds = [float(s) for s in device_swap]
+    report.device_busy_seconds = [float(b) for b in pool.busy]
+    report.device_swap_seconds = [float(s) for s in pool.swap]
     report.device_idle_seconds = [
         max(0.0, report.makespan_s - b - s)
-        for b, s in zip(device_busy, device_swap)
+        for b, s in zip(pool.busy, pool.swap)
     ]
     report.device_energy_j = [
         device.energy_joules() for device in server.pool.devices

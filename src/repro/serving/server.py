@@ -549,8 +549,7 @@ class InferenceServer:
             return self.service_estimate(batch_size)
         return self._estimate(self._tiers[tier_index].compiled, batch_size)
 
-    def _select_tier(self, deadlines, dispatch_t, device_free,
-                     queue_depth) -> int:
+    def _select_tier(self, deadlines, dispatch_t, queue_depth) -> int:
         """Pick the serving tier for one closed batch.
 
         Pure in the modeled state (earliest device availability, queue
@@ -560,12 +559,10 @@ class InferenceServer:
         tier whose predicted completion restores the headroom wins,
         falling back to the cheapest tier.
         """
-        if self._tiers is None:
-            return 0
         policy = self._tier_policy
-        healthy = self.pool.healthy_indices()
+        free = self.pool.free_at
         earliest = min(
-            (max(dispatch_t, device_free[i]) for i in healthy),
+            (max(dispatch_t, free[i]) for i in self.pool.healthy),
             default=dispatch_t,
         )
         budget = float(np.min(deadlines)) - policy.headroom_s
@@ -615,8 +612,7 @@ class InferenceServer:
 
     # ------------------------------------------------------------------
 
-    def _dispatch_batch(self, batch, dispatch_t, device_free,
-                        device_busy, device_swap, host_free, report,
+    def _dispatch_batch(self, batch, dispatch_t, host_free, report,
                         tracer=None, root=None, queue_depth=0, *,
                         defer) -> float:
         """Serve one closed batch; returns the updated host-free time.
@@ -636,199 +632,248 @@ class InferenceServer:
                                 dtype=np.float64, count=rows)
         features = [r.features for r in batch]
         return self._dispatch_columns(
-            ids, arrivals, deadlines, features, dispatch_t,
-            device_free, device_busy, device_swap, host_free, report,
-            tracer, root, queue_depth=queue_depth, defer=defer,
+            ids, [dispatch_t], rows, arrivals, deadlines, features,
+            host_free, report, tracer, root, queue_depth=queue_depth,
+            defer=defer,
         )
 
-    def _dispatch_columns(self, ids, arrivals, deadlines, features,
-                          dispatch_t, device_free, device_busy,
-                          device_swap, host_free, report, tracer=None,
+    def _poll_swap(self, dispatch_t, tracer, root, defer) -> None:
+        """Commit a due hot swap at a batch boundary."""
+        swapped = self.swapper.poll(dispatch_t)
+        if swapped is None:
+            return
+        # The old primary's pending rows run on it before its arena
+        # goes; degraded tiers keep theirs (a swap replaces only tier
+        # 0).  The cluster pump never swaps.
+        defer.flush()
+        self._plans.pop(id(self._compiled), None)
+        self._compiled = swapped
+        self._estimates = {}
+        # The commit's device load blocks every reloaded device.
+        load = self.swapper.records[-1].load_seconds
+        pool = self.pool
+        for i in pool.healthy:
+            # Account the non-overlapped part of the reload window
+            # (report-only: a device still finishing a batch absorbs
+            # part of the reload into busy time, and the event times
+            # below are unchanged).
+            pool.swap[i] += max(
+                0.0, dispatch_t + load - max(dispatch_t, pool.free_at[i]))
+            pool.free_at[i] = max(pool.free_at[i], dispatch_t + load)
+        if tracer is not None:
+            tracer.add("model.swap", dispatch_t, dispatch_t + load,
+                       parent_id=root, tags=("swap",), load_s=load)
+
+    def _dispatch_columns(self, ids, times, rows, arrivals, deadlines,
+                          features, host_free, report, tracer=None,
                           root=None, queue_depth=0, *, defer) -> float:
-        """Serve one closed batch given as columns; returns the updated
-        host-free time.
+        """Serve a run of closed batches given as columns; returns the
+        updated host-free time.
 
-        The columnar core of the dispatch path: ``ids``/``arrivals``/
-        ``deadlines`` are aligned int64/float64 arrays, ``features`` a
-        row list or 2-D array, or ``None`` when the caller predicted
-        the rows already (the cluster pump).  The per-request report
-        bookkeeping — latency scatter, latency histograms, deadline
-        misses, tier columns — is one vectorized slice write per batch
-        instead of a Python loop per request, with float arithmetic
-        elementwise-identical to the scalar loop it replaced.
+        The dispatch core, one entry for every batch: batch *j* of
+        ``rows`` rows closes at ``times[j]`` and holds
+        ``ids[j * rows:(j + 1) * rows]`` (int64), with aligned float64
+        ``arrivals``/``deadlines`` slices, or ``None`` when ``defer``
+        books the bookkeeping (full deferral).  Standalone serving and
+        the pump's per-row loop pass one batch; the pump's run-ahead
+        passes a run of size-triggered batches
+        (:meth:`Replica._advance <repro.cluster.replica.Replica._advance>`),
+        each ``queue_depth`` deep.  ``features`` (one batch) is a row
+        list or 2-D array, or ``None`` when the caller predicted the
+        rows already (the cluster pump).
 
-        Every invoke is charged by
-        :meth:`~repro.edgetpu.multidevice.DevicePool.invoke_cost`
-        (timing only: modeled times never depend on predicted values).
+        Each batch lands on the healthy device free first (ties to the
+        lowest index), charged in place from the pool's columns and that
+        device's :meth:`~repro.edgetpu.multidevice.DevicePool.
+        cost_record` (timing only: modeled times never depend on
+        predicted values).  Failure plans are checked only when one is
+        armed.  The per-request report bookkeeping — latency scatter,
+        latency histograms, deadline misses, tier columns — is one
+        vectorized slice write per batch, float arithmetic
+        elementwise-identical to the scalar loop it replaced; a sink in
+        full mode instead books the run's ids and completions once.
         ``defer`` receives the predictions: a :class:`PredictionBlocks`
         sink is handed the batch's rows with the model that served them,
         while the cluster pump's
         :class:`~repro.cluster.fastpath.DeferredPredictions` resolves
         each row's served tier after the simulation.
         """
-        if self.swapper is not None:
-            swapped = self.swapper.poll(dispatch_t)
-            if swapped is not None:
-                # The old primary's pending rows run on it before its
-                # arena goes; degraded tiers keep theirs (a swap
-                # replaces only tier 0).  The cluster pump never swaps.
-                defer.flush()
-                self._plans.pop(id(self._compiled), None)
-                self._compiled = swapped
-                self._estimates = {}
-                # The commit's device load blocks every reloaded device.
-                load = self.swapper.records[-1].load_seconds
-                for i in self.pool.healthy_indices():
-                    # Account the non-overlapped part of the reload
-                    # window (report-only: a device still finishing a
-                    # batch absorbs part of the reload into busy time,
-                    # and the event times below are unchanged).
-                    device_swap[i] += max(
-                        0.0,
-                        dispatch_t + load
-                        - max(dispatch_t, device_free[i]),
-                    )
-                    device_free[i] = max(device_free[i],
-                                         dispatch_t + load)
-                if tracer is not None:
-                    tracer.add("model.swap", dispatch_t,
-                               dispatch_t + load, parent_id=root,
-                               tags=("swap",), load_s=load)
-
-        rows = len(ids)
-        tier_index = self._select_tier(deadlines, dispatch_t,
-                                       device_free, queue_depth)
-        if tier_index == 0:
+        pool = self.pool
+        free, busy = pool.free_at, pool.busy
+        counters = pool.counters
+        invocations, samples = counters.invocations, counters.samples
+        charged = counters.busy_seconds
+        bytes_in, bytes_out = counters.bytes_in, counters.bytes_out
+        healthy = pool.healthy
+        plans = pool.failure_plans
+        tiers = self._tiers
+        full = defer.full
+        # This run's cost records by (tier, device), tails by model.
+        records: dict = {}
+        tails: dict = {}
+        completions = []
+        host_seconds = report.host_seconds
+        low = 0
+        for dispatch_t in times:
+            high = low + rows
+            if not full:
+                batch_ids = ids[low:high]
+                batch_arrivals = arrivals[low:high]
+                batch_deadlines = deadlines[low:high]
+            if self.swapper is not None:
+                self._poll_swap(dispatch_t, tracer, root, defer)
+            if tiers is None:
+                tier_index = 0
+            else:
+                tier_index = self._select_tier(batch_deadlines, dispatch_t,
+                                               queue_depth)
+                report.tier_batches[tier_index] += 1
+                if tier_index != 0:
+                    report.tier_sheds += 1
+                if tracer is not None and tier_index != self._active_tier:
+                    # Zero-duration marker: the policy changed the
+                    # serving tier at this batch boundary.
+                    tracer.add("tier.switch", dispatch_t, dispatch_t,
+                               parent_id=root, tags=("tier",),
+                               from_tier=self._active_tier,
+                               to_tier=tier_index,
+                               tier=tiers[tier_index].name)
+                self._active_tier = tier_index
             # Tier 0 is whatever the pool currently serves as primary
             # (it tracks hot swaps); degraded tiers are fixed resident
             # models.
-            compiled = self._compiled
-            invoke_model = None
-        else:
-            compiled = self._tiers[tier_index].compiled
-            invoke_model = compiled
-        if self._tiers is not None:
-            report.tier_batches[tier_index] += 1
-            if tier_index != 0:
-                report.tier_sheds += 1
-            if tracer is not None and tier_index != self._active_tier:
-                # Zero-duration marker: the policy changed the serving
-                # tier at this batch boundary.
-                tracer.add("tier.switch", dispatch_t, dispatch_t,
-                           parent_id=root, tags=("tier",),
-                           from_tier=self._active_tier,
-                           to_tier=tier_index,
-                           tier=self._tiers[tier_index].name)
-            self._active_tier = tier_index
-
-        batch_span = (tracer.add("serve.batch", dispatch_t, dispatch_t,
-                                 parent_id=root, batch=rows,
-                                 tier=tier_index)
-                      if tracer is not None else None)
-        completion = None
-        detect_t = dispatch_t
-        attempts = 0
-        failed_once = False
-        while attempts < 2:
-            healthy = self.pool.healthy_indices()
-            if not healthy:
-                break
-            chosen = min(healthy, key=lambda i: (device_free[i], i))
-            start = max(detect_t, device_free[chosen])
-            try:
-                invoke = self.pool.invoke_cost(chosen, rows, at_s=start,
-                                               model=invoke_model)
-            except DeviceFailedError as err:
-                attempts += 1
-                failed_once = True
-                detect_t = start + err.detect_seconds
+            compiled = (self._compiled if tier_index == 0
+                        else tiers[tier_index].compiled)
+            batch_span = (tracer.add("serve.batch", dispatch_t, dispatch_t,
+                                     parent_id=root, batch=rows,
+                                     tier=tier_index)
+                          if tracer is not None else None)
+            completion = None
+            detect_t = dispatch_t
+            failed_once = False
+            for _attempt in range(2):
+                if not healthy:
+                    break
+                chosen = (healthy[0] if len(healthy) == 1
+                          else min(healthy, key=free.__getitem__))
+                start = free[chosen]
+                if detect_t >= start:
+                    start = detect_t
+                if plans:
+                    plan = pool.trip(chosen, start)
+                    if plan is not None:
+                        failed_once = True
+                        detect_t = start + plan.resolved_detect_seconds
+                        if tracer is not None:
+                            tracer.add("device.detect", start, detect_t,
+                                       parent_id=batch_span,
+                                       tags=("failure",), device=chosen)
+                        continue
+                key = chosen if tier_index == 0 else (tier_index, chosen)
+                record = records.get(key)
+                if record is None:
+                    record = records[key] = pool.cost_record(
+                        chosen, rows, compiled if tier_index else None)
+                elapsed = record.elapsed_s
+                device_done = start + elapsed
+                free[chosen] = device_done
+                busy[chosen] += elapsed
+                invocations[chosen] += 1
+                samples[chosen] += rows
+                charged[chosen] += elapsed
+                bytes_in[chosen] += record.bytes_in
+                bytes_out[chosen] += record.bytes_out
+                tail_cost = tails.get(id(compiled))
+                if tail_cost is None:
+                    tail_cost = tails[id(compiled)] = self._tail_seconds(
+                        compiled, rows)
+                tail_start = host_free if host_free >= device_done \
+                    else device_done
+                host_free = tail_start + tail_cost
+                host_seconds += tail_cost
+                completion = host_free
+                if failed_once:
+                    report.retried_batches += 1
                 if tracer is not None:
-                    tracer.add("device.detect", start, detect_t,
-                               parent_id=batch_span, tags=("failure",),
-                               device=chosen)
+                    # elapsed_s carries the exact device charge:
+                    # recomputing it as end_s - start_s can differ in
+                    # the last float bit.
+                    tracer.add("device.invoke", start, device_done,
+                               parent_id=batch_span, phase="inference",
+                               device=chosen, batch=rows,
+                               elapsed_s=elapsed,
+                               bytes_in=record.bytes_in,
+                               bytes_out=record.bytes_out,
+                               tags=("retry",) if failed_once else ())
+                    tracer.add("host.tail", tail_start, host_free,
+                               parent_id=batch_span, phase="inference",
+                               batch=rows)
+                break
+
+            if completion is None:
+                # Retry exhausted or no healthy device: the CPU-fallback
+                # path — the host runs the whole chain, bit-identical to
+                # the device's, so its rows join the same prediction
+                # block.  Modeled cost stays per-op (fusion is
+                # execution dispatch, not a timing change).
+                cost = host_ops_seconds(self.host, compiled,
+                                        compiled.model.ops,
+                                        compiled.model.input_spec.size,
+                                        rows)
+                fallback_start = max(host_free, detect_t)
+                host_free = fallback_start + cost
+                host_seconds += cost
+                completion = host_free
+                report.fallback_batches += 1
+                if tracer is not None:
+                    tracer.add("host.fallback", fallback_start, host_free,
+                               parent_id=batch_span, phase="inference",
+                               tags=("fallback",), batch=rows)
+
+            if features is not None:
+                defer.add(batch_ids, features, compiled)
+            low = high
+            if full:
+                # Fully deferred bookkeeping: nothing observes
+                # per-request report state mid-run (the cluster grants
+                # ``full`` only without tiers or a tracer), so the
+                # run's (ids, completions) note replaces the per-batch
+                # epilogue — the scatter, histogram ingest and miss
+                # count replay bit-identically when the sink settles.
+                completions.append(completion)
                 continue
-            device_done = start + invoke.elapsed_s
-            device_free[chosen] = device_done
-            device_busy[chosen] += invoke.elapsed_s
-            tail_cost = self._tail_seconds(compiled, rows)
-            tail_start = max(host_free, device_done)
-            host_free = tail_start + tail_cost
-            report.host_seconds += tail_cost
-            completion = host_free
-            if failed_once:
-                report.retried_batches += 1
             if tracer is not None:
-                # elapsed_s carries the exact device charge: recomputing
-                # it as end_s - start_s can differ in the last float bit.
-                tracer.add("device.invoke", start, device_done,
-                           parent_id=batch_span, phase="inference",
-                           device=chosen, batch=rows,
-                           elapsed_s=invoke.elapsed_s,
-                           bytes_in=invoke.bytes_in,
-                           bytes_out=invoke.bytes_out,
-                           tags=("retry",) if failed_once else ())
-                tracer.add("host.tail", tail_start, host_free,
-                           parent_id=batch_span, phase="inference",
-                           batch=rows)
-            break
-
-        if completion is None:
-            # Retry exhausted or no healthy device: the CPU-fallback
-            # path — the host runs the whole chain, bit-identical to
-            # the device's, so its rows join the same prediction block.
-            # Modeled cost stays per-op (fusion is execution dispatch,
-            # not a timing change).
-            cost = host_ops_seconds(self.host, compiled, compiled.model.ops,
-                                    compiled.model.input_spec.size, rows)
-            fallback_start = max(host_free, detect_t)
-            host_free = fallback_start + cost
-            report.host_seconds += cost
-            completion = host_free
-            report.fallback_batches += 1
+                tracer.finish(batch_span, completion)
+            # Columnar bookkeeping: one slice write (and one bulk
+            # histogram ingest) per batch.  ``completion - arrivals`` is
+            # elementwise IEEE-identical to the scalar per-request
+            # subtraction, so every recorded latency carries the exact
+            # same bits.
+            latencies = completion - batch_arrivals
+            report.latencies[batch_ids] = latencies
+            report.latency.record_many(latencies)
+            if report.request_tiers is not None:
+                report.request_tiers[batch_ids] = tier_index
+                report.tier_served[tier_index] += rows
+                report.tier_latency[tier_index].record_many(latencies)
+            missed = batch_deadlines < completion
+            report.deadline_misses += int(np.count_nonzero(missed))
             if tracer is not None:
-                tracer.add("host.fallback", fallback_start, host_free,
-                           parent_id=batch_span, phase="inference",
-                           tags=("fallback",), batch=rows)
-
-        if features is not None:
-            defer.add(ids, features, compiled)
-        report.num_batches += 1
-        report.batch_sizes.append(rows)
-        if defer.full:
-            # Fully deferred bookkeeping: nothing observes per-request
-            # report state mid-run (the cluster only grants ``full``
-            # with no autoscaler, tiers or tracer), so one (ids,
-            # completion) note replaces the whole per-batch epilogue —
-            # the scatter, histogram ingest and miss count replay
-            # bit-identically at resolve time.
-            defer.book(ids, completion)
-            return host_free
-        if tracer is not None:
-            tracer.finish(batch_span, completion)
-        # Columnar bookkeeping: one slice write (and one bulk histogram
-        # ingest) per batch.  ``completion - arrivals`` is elementwise
-        # IEEE-identical to the scalar per-request subtraction, so
-        # every recorded latency carries the exact same bits.
-        latencies = completion - arrivals
-        report.latencies[ids] = latencies
-        report.latency.record_many(latencies)
-        if report.request_tiers is not None:
-            report.request_tiers[ids] = tier_index
-            report.tier_served[tier_index] += rows
-            report.tier_latency[tier_index].record_many(latencies)
-        missed = deadlines < completion
-        report.deadline_misses += int(np.count_nonzero(missed))
-        if tracer is not None:
-            id_list = ids.tolist()
-            arrival_list = arrivals.tolist()
-            missed_list = missed.tolist()
-            for k in range(rows):
-                span = tracer.add(
-                    "request", arrival_list[k], completion,
-                    parent_id=root,
-                    tags=("deadline_miss",) if missed_list[k] else (),
-                    request_id=id_list[k], batch=rows,
-                )
-                tracer.add("queue.wait", arrival_list[k], dispatch_t,
-                           parent_id=span, request_id=id_list[k])
+                id_list = batch_ids.tolist()
+                arrival_list = batch_arrivals.tolist()
+                missed_list = missed.tolist()
+                for k in range(rows):
+                    span = tracer.add(
+                        "request", arrival_list[k], completion,
+                        parent_id=root,
+                        tags=("deadline_miss",) if missed_list[k] else (),
+                        request_id=id_list[k], batch=rows,
+                    )
+                    tracer.add("queue.wait", arrival_list[k], dispatch_t,
+                               parent_id=span, request_id=id_list[k])
+        report.host_seconds = host_seconds
+        report.num_batches += len(times)
+        report.batch_sizes.extend([rows] * len(times))
+        if full:
+            defer.book(ids, rows, completions)
         return host_free

@@ -2,8 +2,8 @@
 
 :func:`check_cluster_report` reads a :class:`~repro.cluster.ClusterReport`
 together with the :class:`~repro.cluster.Cluster` that produced it (the
-per-request arrival and deadline columns and the device online spans
-live on its replicas).  ``conftest.py`` runs it after every
+per-request arrival and deadline columns live on its replicas, the
+device online spans in their pools).  ``conftest.py`` runs it after every
 ``Cluster.run`` in this package.
 """
 
@@ -28,6 +28,6 @@ def check_cluster_report(cluster, report) -> None:
         # run ends (the last completion, or a later autoscaler event).
         run_end = max(report.makespan_s, cluster.engine.now)
         for busy, (start, end) in zip(serve.device_busy_seconds,
-                                      replica.online_spans):
+                                      replica.server.pool.online):
             online = (run_end if end is None else end) - start
             assert busy <= online, (busy, online)

@@ -50,6 +50,9 @@ class _FakeReplica:
         self.server.pool._devices.remove(index)
         self.retired.append(index)
 
+    def settle(self):
+        pass
+
 
 def _scaler(replicas, engine, alive, **knobs):
     defaults = dict(interval_s=1.0, queue_high=10, queue_low=2,
