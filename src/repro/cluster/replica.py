@@ -766,8 +766,9 @@ class Replica:
             return 0
         pend_t = self._pend_t
         rows = self._rows
+        bases = getattr(rows, self._head_column)
         shift = self._head_shift
-        head = float(getattr(rows, self._head_column)[local]) + shift
+        head = float(bases[local]) + shift
         estimates = self._fast_est
         for size in range(1, batch):
             if not head - estimates[size] > pend_t[k + size]:
@@ -777,7 +778,6 @@ class Replica:
                                     else bound_s):
             return 0
         times = rows.arrivals
-        bases = getattr(rows, self._head_column)
         done, span = 1, 4
         while done < groups:
             stop = min(groups, done + span)
