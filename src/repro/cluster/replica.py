@@ -755,47 +755,30 @@ class Replica:
         ``t_{b-1}`` before the next pending row below ``limit`` or, for
         the last group, before the window bound (no tie to order; the
         pending rows below ``limit`` never come after ``bound_s``).
-        With ``max_queue >= max_batch`` nothing drops.  The first group
-        is tested in Python, so a replica whose queue rarely fills pays
-        O(1) per attempt; the rest in numpy, in doubling spans.
+        With ``max_queue >= max_batch`` nothing drops.  One numpy pass
+        tests every whole group below ``limit``.
         """
         batch = self._fast_max_batch
         rows_left = bisect.bisect_left(self._pend_g, limit, k) - k
         groups = rows_left // batch
         if not groups:
             return 0
-        pend_t = self._pend_t
         rows = self._rows
-        bases = getattr(rows, self._head_column)
-        shift = self._head_shift
-        head = float(bases[local]) + shift
-        estimates = self._fast_est
-        for size in range(1, batch):
-            if not head - estimates[size] > pend_t[k + size]:
-                return 0
-        after = k + batch
-        if not pend_t[after - 1] < (pend_t[after] if rows_left > batch
-                                    else bound_s):
-            return 0
         times = rows.arrivals
-        done, span = 1, 4
-        while done < groups:
-            stop = min(groups, done + span)
-            low, high = local + done * batch, local + stop * batch
-            block = times[low:high].reshape(stop - done, batch)
-            following = np.empty(stop - done)
-            following[:-1] = block[1:, 0]
-            following[-1] = (times[high] if stop * batch < rows_left
-                             else bound_s)
-            regular = block[:, -1] < following
-            if batch > 1:
-                regular &= ((bases[low:high:batch, None] + shift)
-                            - self._step_est > block[:, 1:]).all(axis=1)
-            if not regular.all():
-                done += int(regular.argmin())
-                break
-            done, span = stop, span * 2
-        taken = done * batch
+        high = local + groups * batch
+        block = times[local:high].reshape(groups, batch)
+        following = np.empty(groups)
+        following[:-1] = block[1:, 0]
+        following[-1] = times[high] if high - local < rows_left else bound_s
+        regular = block[:, -1] < following
+        if batch > 1:
+            bases = getattr(rows, self._head_column)[local:high:batch]
+            regular &= ((bases[:, None] + self._head_shift)
+                        - self._step_est > block[:, 1:]).all(axis=1)
+        run = groups if regular.all() else int(regular.argmin())
+        if not run:
+            return 0
+        taken = run * batch
         server = self.server
         ids = np.arange(local, local + taken, dtype=np.int64)
         if self._defer.full:
@@ -805,7 +788,7 @@ class Replica:
             deadlines = rows.deadlines[local:local + taken]
         # Each group closes at its last row's arrival, leaving the
         # queue empty.
-        closes = pend_t[k + batch - 1:k + taken:batch]
+        closes = self._pend_t[k + batch - 1:k + taken:batch]
         self.host_free = server._dispatch_columns(
             ids, closes, batch, arrivals, deadlines, None, self.host_free,
             self.report, server.tracer, self._root, queue_depth=0,

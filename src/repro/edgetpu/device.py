@@ -10,7 +10,7 @@ transfers and MXU/vector compute.
 
 from __future__ import annotations
 
-from dataclasses import replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -19,60 +19,19 @@ from repro.edgetpu.backend import AcceleratorArch
 from repro.edgetpu.compiler import CompiledModel, InvokeResult
 from repro.runtime.plan import fit_plan
 
-__all__ = ["DeviceCounters", "DeviceStats", "EdgeTpuDevice", "InvokeResult"]
+__all__ = ["EdgeTpuDevice", "InvokeResult"]
 
 
-class DeviceCounters:
-    """Cumulative counters of a set of devices, one column per counter
-    and one slot per device: a :class:`~repro.edgetpu.multidevice.
-    DevicePool` owns one for its devices, which the dispatch core
-    charges in place; a lone device owns a one-slot table."""
-
-    def __init__(self, slots: int = 1):
-        self.invocations = [0] * slots
-        self.models_loaded = [0] * slots
-        self.busy_seconds = [0.0] * slots
-        self.bytes_in = [0] * slots
-        self.bytes_out = [0] * slots
-        self.samples = [0] * slots
-
-    def add_slot(self) -> int:
-        """Append one zeroed slot; returns its index."""
-        for column in (self.invocations, self.models_loaded,
-                       self.bytes_in, self.bytes_out, self.samples):
-            column.append(0)
-        self.busy_seconds.append(0.0)
-        return len(self.busy_seconds) - 1
-
-
-def _slot(name: str) -> property:
-    def get(stats):
-        return getattr(stats._counters, name)[stats._slot]
-
-    def put(stats, value):
-        getattr(stats._counters, name)[stats._slot] = value
-
-    return property(get, put)
-
-
+@dataclass
 class DeviceStats:
-    """One device's cumulative counters: a view of its slot in a
-    :class:`DeviceCounters` (its own one-slot table by default)."""
+    """Cumulative device counters."""
 
-    __slots__ = ("_counters", "_slot")
-
-    def __init__(self, counters: DeviceCounters | None = None,
-                 slot: int = 0):
-        self._counters = counters if counters is not None \
-            else DeviceCounters()
-        self._slot = slot
-
-    invocations = _slot("invocations")
-    models_loaded = _slot("models_loaded")
-    busy_seconds = _slot("busy_seconds")
-    bytes_in = _slot("bytes_in")
-    bytes_out = _slot("bytes_out")
-    samples = _slot("samples")
+    invocations: int = 0
+    models_loaded: int = 0
+    busy_seconds: float = 0.0
+    bytes_in: int = 0
+    bytes_out: int = 0
+    samples: int = 0
 
 
 class EdgeTpuDevice:
@@ -84,21 +43,15 @@ class EdgeTpuDevice:
         load_time = device.load_model(compiled)
         result = device.invoke(quantized_batch)
 
-    Args:
-        arch: The device architecture (the stock Edge TPU by default).
-        stats: The counters to charge; a pool passes each device a view
-            of its slot in the pool's columns.
-
     Attributes:
         arch: The device architecture.
         stats: Cumulative counters (invocations, busy time, bytes moved).
     """
 
-    def __init__(self, arch: AcceleratorArch | None = None,
-                 stats: DeviceStats | None = None):
+    def __init__(self, arch: AcceleratorArch | None = None):
         self.arch = arch if arch is not None else EdgeTpuArch()
         self.compiled: CompiledModel | None = None
-        self.stats = stats if stats is not None else DeviceStats()
+        self.stats = DeviceStats()
         # Co-resident models (serving tiers) by identity.  Residents
         # survive load_model — a hot swap of the primary must not evict
         # the degradation ladder.
@@ -203,9 +156,12 @@ class EdgeTpuDevice:
                     compiled: CompiledModel | None = None) -> InvokeResult:
         """Charge one invoke without computing outputs.
 
-        The timing-only twin of :meth:`invoke` that every serving
-        dispatch charges through (its rows are predicted elsewhere, in
-        blocks): the modeled latency depends only on the batch size, so
+        The timing-only twin of :meth:`invoke`, kept for direct callers
+        and the benchmark's span wrappers: serving dispatch reads
+        :meth:`DevicePool.cost_record
+        <repro.edgetpu.multidevice.DevicePool.cost_record>` and charges
+        the same record into :attr:`stats` and the pool's columns
+        itself.  The modeled latency depends only on the batch size, so
         the elapsed time, byte counts and device stats here are
         bit-identical to running :meth:`invoke` on a real
         ``(batch, input_dim)`` int8 array.  Returns the compiled

@@ -31,7 +31,7 @@ import numpy as np
 from repro.edgetpu.arch import EdgeTpuArch
 from repro.edgetpu.backend import AcceleratorArch
 from repro.edgetpu.compiler import CompiledModel
-from repro.edgetpu.device import DeviceCounters, DeviceStats, EdgeTpuDevice
+from repro.edgetpu.device import EdgeTpuDevice
 
 __all__ = [
     "DeviceFailedError",
@@ -121,12 +121,11 @@ class DevicePool:
     predictions are bit-identical across backends, only modeled
     time/energy differs.
 
-    The pool owns its devices' state as columns, one slot per device:
-    the serving run's free-at, busy and swap-blocked seconds and online
-    spans (:meth:`start_run` zeroes them), and the cumulative invoke
-    counters (:attr:`counters`; each device's ``stats`` is a view of its
-    slot).  :attr:`healthy` caches the dispatchable devices and changes
-    only on failure, retirement, add and load.
+    The pool owns the serving run's device state as columns, one slot
+    per device: free-at, busy and swap-blocked seconds and online spans
+    (:meth:`start_run` zeroes them); each device keeps its cumulative
+    ``stats``.  :attr:`healthy` caches the dispatchable devices and
+    changes only on failure, retirement, add and load.
 
     Args:
         num_devices: Pool size.
@@ -152,9 +151,7 @@ class DevicePool:
             shared = arch if arch is not None else EdgeTpuArch()
             device_archs = [shared] * num_devices
         self.arch = device_archs[0]
-        self.counters = DeviceCounters(num_devices)
-        self.devices = [EdgeTpuDevice(a, DeviceStats(self.counters, i))
-                        for i, a in enumerate(device_archs)]
+        self.devices = [EdgeTpuDevice(a) for a in device_archs]
         self.models: list[CompiledModel | None] = [None] * num_devices
         self.load_seconds: list[float] = [0.0] * num_devices
         self.failed: set[int] = set()
@@ -209,17 +206,15 @@ class DevicePool:
         opens at ``at_s``.  Defaults to the pool's primary
         architecture; pass ``arch=`` to grow a mixed pool.
         """
-        slot = self.counters.add_slot()
-        self.devices.append(EdgeTpuDevice(
-            arch if arch is not None else self.arch,
-            DeviceStats(self.counters, slot)))
+        self.devices.append(EdgeTpuDevice(arch if arch is not None
+                                          else self.arch))
         self.models.append(None)
         self.load_seconds.append(0.0)
         self.free_at.append(at_s)
         self.busy.append(0.0)
         self.swap.append(0.0)
         self.online.append([at_s, None])
-        return slot
+        return self.num_devices - 1
 
     def retire(self, index: int) -> None:
         """Remove device ``index`` from service (scale-down).
@@ -310,8 +305,7 @@ class DevicePool:
         """Timing-only :meth:`try_invoke`: identical health checks,
         failure trips and device accounting, but no output arithmetic
         (``InvokeResult.outputs`` is ``None``): one charge of the
-        :meth:`cost_record` the serving dispatch core writes into the
-        pool's columns in place.
+        :meth:`cost_record` the serving dispatch core charges in place.
         """
         device, model = self._ready(index, at_s, model)
         return device.invoke_cost(batch, compiled=model)

@@ -50,12 +50,9 @@ class LatencyTracker:
     doubles when full: 8 bytes per value (plus doubling slack) instead
     of a boxed Python float's ~33, which is what lets a fleet-scale run
     keep every latency of every replica, tenant and histogram exactly.
-    Percentiles select their ranks (one :func:`numpy.partition` per
-    :meth:`percentile` or :meth:`summary` call) instead of sorting, and
-    read equal values as a stable sort orders them: only ``0.0`` and
-    ``-0.0`` differ among equal values, so a zero rank is taken among
-    the zeros in insertion order, exactly as :func:`sorted` over a list
-    of floats gives it.
+    Percentiles read a cached stable sort of it, so equal values (``0.0``
+    and ``-0.0`` among them) keep insertion order, exactly as
+    :func:`sorted` over a list of floats does.
     """
 
     _INITIAL = 16
@@ -63,6 +60,9 @@ class LatencyTracker:
     def __init__(self):
         self._buffer = np.empty(0)
         self._count = 0
+        # The cache protocol is "None means invalid"; an empty tracker
+        # has nothing cached yet, so it starts invalid too.
+        self._sorted: np.ndarray | None = None
 
     @property
     def _values(self) -> np.ndarray:
@@ -81,6 +81,7 @@ class LatencyTracker:
             buffer = self._buffer = grown
         buffer[count:total] = values
         self._count = total
+        self._sorted = None
 
     def record(self, seconds: float) -> None:
         """Add one observation (seconds, must be >= 0)."""
@@ -145,22 +146,10 @@ class LatencyTracker:
     def __len__(self) -> int:
         return self._count
 
-    def _rank(self, p: float) -> int:
-        """The nearest rank (1-based) of percentile ``p``."""
-        return max(1, math.ceil(p / 100.0 * self._count))
-
-    def _select(self, ranks: list[int]) -> list[float]:
-        """The values at 1-based ``ranks`` of the stable sort, by one
-        partition.  Every value is >= 0, so the zeros rank first."""
-        values = self._values
-        chosen = np.partition(values, [rank - 1 for rank in ranks])
-        picked = []
-        for rank in ranks:
-            value = float(chosen[rank - 1])
-            if value == 0.0:
-                value = float(values[values == 0.0][rank - 1])
-            picked.append(value)
-        return picked
+    def _ordered(self) -> np.ndarray:
+        if self._sorted is None:
+            self._sorted = np.sort(self._values, kind="stable")
+        return self._sorted
 
     def percentile(self, p: float) -> float:
         """Nearest-rank percentile ``p`` in [0, 100]."""
@@ -168,7 +157,9 @@ class LatencyTracker:
             raise ValueError(f"percentile must be in [0, 100], got {p}")
         if not self._count:
             raise ValueError("no latencies recorded")
-        return self._select([self._rank(p)])[0]
+        ordered = self._ordered()
+        rank = max(1, math.ceil(p / 100.0 * len(ordered)))
+        return float(ordered[rank - 1])
 
     @property
     def p50(self) -> float:
@@ -207,22 +198,19 @@ class LatencyTracker:
         """Worst observed latency."""
         if not self._count:
             raise ValueError("no latencies recorded")
-        return self._select([self._count])[0]
+        return float(self._ordered()[-1])
 
     def summary(self) -> dict:
         """Machine-readable percentile summary."""
         if not self._count:
             return {"count": 0}
-        p50, p95, p99, worst = self._select(
-            [self._rank(50.0), self._rank(95.0), self._rank(99.0),
-             self._count])
         return {
             "count": self._count,
             "mean_s": self.mean,
-            "p50_s": p50,
-            "p95_s": p95,
-            "p99_s": p99,
-            "max_s": worst,
+            "p50_s": self.p50,
+            "p95_s": self.p95,
+            "p99_s": self.p99,
+            "max_s": self.max,
         }
 
 

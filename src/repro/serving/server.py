@@ -683,11 +683,12 @@ class InferenceServer:
         rows already (the cluster pump).
 
         Each batch lands on the healthy device free first (ties to the
-        lowest index), charged in place from the pool's columns and that
-        device's :meth:`~repro.edgetpu.multidevice.DevicePool.
-        cost_record` (timing only: modeled times never depend on
-        predicted values).  Failure plans are checked only when one is
-        armed.  The per-request report bookkeeping — latency scatter,
+        lowest index) and charges that device's
+        :meth:`~repro.edgetpu.multidevice.DevicePool.cost_record` in
+        place, into the pool's free-at and busy columns and the device's
+        ``stats`` (timing only: modeled times never depend on predicted
+        values).  Failure plans are checked only when one is armed.
+        The per-request report bookkeeping — latency scatter,
         latency histograms, deadline misses, tier columns — is one
         vectorized slice write per batch, float arithmetic
         elementwise-identical to the scalar loop it replaced; a sink in
@@ -700,10 +701,7 @@ class InferenceServer:
         """
         pool = self.pool
         free, busy = pool.free_at, pool.busy
-        counters = pool.counters
-        invocations, samples = counters.invocations, counters.samples
-        charged = counters.busy_seconds
-        bytes_in, bytes_out = counters.bytes_in, counters.bytes_out
+        devices = pool.devices
         healthy = pool.healthy
         plans = pool.failure_plans
         tiers = self._tiers
@@ -778,11 +776,12 @@ class InferenceServer:
                 device_done = start + elapsed
                 free[chosen] = device_done
                 busy[chosen] += elapsed
-                invocations[chosen] += 1
-                samples[chosen] += rows
-                charged[chosen] += elapsed
-                bytes_in[chosen] += record.bytes_in
-                bytes_out[chosen] += record.bytes_out
+                stats = devices[chosen].stats
+                stats.invocations += 1
+                stats.samples += rows
+                stats.busy_seconds += elapsed
+                stats.bytes_in += record.bytes_in
+                stats.bytes_out += record.bytes_out
                 tail_cost = tails.get(id(compiled))
                 if tail_cost is None:
                     tail_cost = tails[id(compiled)] = self._tail_seconds(

@@ -75,6 +75,12 @@ class TestLatencyTrackerEdges:
         with pytest.raises(ValueError, match="no latencies"):
             tracker.max
 
+    def test_cache_starts_invalid(self):
+        # The cache protocol is "None means stale": a fresh tracker
+        # must start stale, not with a cached (empty) sort that a first
+        # record() would have to know to invalidate.
+        assert LatencyTracker()._sorted is None
+
     def test_record_after_read_invalidates_cache(self):
         tracker = LatencyTracker()
         tracker.record(0.002)
