@@ -24,9 +24,9 @@ contract ``tests/cluster/test_equivalence.py`` pins):
   longest run of regular groups of ``max_batch`` rows
   (``Replica._step_groups``) goes to the dispatch core in one call;
   ties, deadline triggers, drops and the trace-end flush take the
-  per-row loop, admissions inline.  Only a replica's own events can
-  tie inside a window, and ``Replica._reached`` orders them as the
-  scalar intake's seqs do.
+  per-row loop, which admits through ``Replica._submit_fast`` as merged
+  order does.  Only a replica's own events can tie inside a window,
+  and ``Replica._reached`` orders them as the scalar intake's seqs do.
 - **Merged order**, for ``least_queue`` alone (each row picks its
   replica at its arrival; a metrics registry, written only at
   ``Replica.finalize``, picks no loop): one loop takes the earliest

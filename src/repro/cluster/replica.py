@@ -25,9 +25,10 @@ Two details carry the equivalence:
 The actor serves either mode the cluster needs:
 
 - **Standalone** (:meth:`bind`): the replica owns the trace — a list
-  (the exact, byte-identical path) or any iterator (the streamed path:
-  requests are pulled lazily, report rows live in growable arrays, and
-  a 10⁶-request trace never exists in memory).
+  or any iterator.  Requests are pulled lazily and their report rows
+  live in growable arrays under replica-local ids, so a 10⁶-request
+  trace never exists in memory; a list is validated in full before
+  anything runs.
 - **Routed** (:meth:`open` / :meth:`end_of_trace`): the cluster pump
   lands routed rows as columns with replica-local ids and keeps the
   pending dispatch as a key the replica owns (:meth:`enable_fast`); the
@@ -67,12 +68,11 @@ __all__ = ["Replica"]
 
 
 class _Rows:
-    """Growable request-order columns backing a streamed ServeReport.
+    """Growable request-order columns backing a replica's ServeReport.
 
-    The exact (list-input) path preallocates the report arrays to the
-    trace length, exactly as the old loop did.  The streamed path does
-    not know the length, so the per-request columns live here in
-    doubling arrays; the report's ``predictions``/``latencies`` (and
+    Every intake lands here: standalone requests (from a list or an
+    iterator) and routed pump rows alike.  The per-request columns live
+    in doubling arrays; the report's ``predictions``/``latencies`` (and
     ``request_tiers`` when tiered) *are* these arrays — regrown copies
     are written back so the dispatch path always indexes live storage.
     ``trim`` slices everything to the final count.
@@ -80,8 +80,7 @@ class _Rows:
     Beyond the report's own columns this keeps ``arrivals``,
     ``deadlines`` and ``tenants``: the cluster report needs them for
     per-tenant latency splits and SLA attainment, and the makespan
-    needs arrivals (the old loop re-read them from the request list,
-    which no longer exists).
+    needs arrivals.
     """
 
     __slots__ = ("count", "capacity", "report", "tiered", "has_labels",
@@ -253,9 +252,6 @@ class Replica:
         self._dispatch_event: Event | None = None
         self._source: Iterator[Request] | None = None
         self._source_done = False
-        self._prev_arrival = -math.inf
-        self._exact_requests: list[Request] | None = None
-        self._first_request: Request | None = None
         self._rows: _Rows | None = None
         # The per-request intake's prediction sink (see _begin).
         self._blocks: PredictionBlocks | None = None
@@ -293,88 +289,66 @@ class Replica:
         """Attach a standalone trace; the replica schedules its own
         arrival events.
 
-        A list (or tuple) takes the exact path — report arrays
-        preallocated to the trace length, arrival order validated up
-        front, byte-identical to the old loop.  Any other iterable is
-        streamed: requests are pulled one at a time as their arrival
-        events fire, so the trace never has to exist in memory.
+        Requests are pulled one at a time as their arrival events fire
+        and recorded under replica-local ids, so the trace never has to
+        exist in memory.  Each is validated as it is pulled; a list (or
+        tuple) is validated in full first, so a bad request rejects it
+        before anything runs.
         """
-        if self.report is not None:
-            raise RuntimeError("replica already has a trace bound")
+        checked = self._checked(requests)
+        trace_requests = None
         if isinstance(requests, (list, tuple)):
-            self._bind_list(list(requests))
-        else:
-            self._bind_stream(iter(requests))
+            for _ in checked:
+                pass
+            checked, trace_requests = iter(requests), len(requests)
+        self._begin(trace_requests)
+        self._source = checked
+        self._schedule_next_arrival()
 
-    def _bind_list(self, requests: list[Request]) -> None:
-        num_requests = len(requests)
-        for left, right in zip(requests, requests[1:]):
-            if right.arrival_s < left.arrival_s:
-                raise ValueError("requests must be in arrival order")
+    def _checked(self, requests: Iterable[Request]) -> Iterator[Request]:
+        """Yield ``requests``, rejecting the first one out of arrival
+        order, whose features are not the ``(width,)`` row the served
+        model takes (its batch would otherwise fail mid-run), or whose
+        label presence differs from the first request's (the report
+        keeps one label column or none)."""
+        expected = (self.server._compiled.model.input_spec.size,)
+        previous = -math.inf
+        first = None
         for request in requests:
-            self._check_width(request)
-            self._check_label(request)
-        report = ServeReport(num_requests=num_requests)
-        report.predictions = np.full(num_requests, -1, dtype=np.int64)
-        report.latencies = np.full(num_requests, np.nan)
-        if num_requests and requests[0].label is not None:
-            report.labels = np.array(
-                [r.label for r in requests], dtype=np.int64
-            )
-        self.report = report
-        self._exact_requests = requests
-        self._begin(trace_requests=num_requests)
-        self._source = iter(requests)
-        self._schedule_next_arrival()
-
-    def _bind_stream(self, requests: Iterator[Request]) -> None:
-        self.report = ServeReport(num_requests=0)
-        self._rows = _Rows(self.report,
-                           tiered=self.server._tiers is not None)
-        self._begin(trace_requests=None)
-        self._source = requests
-        self._schedule_next_arrival()
-
-    def _check_label(self, request: Request) -> None:
-        """Reject a trace that labels some requests but not all: the
-        report keeps one label column or none."""
-        first = self._first_request
-        if first is None:
-            self._first_request = request
-        elif (request.label is None) != (first.label is None):
-            raise ValueError(
-                f"request {request.request_id} is "
-                f"{'un' if request.label is None else ''}labelled but "
-                f"request {first.request_id} is not; label every "
-                f"request of a trace or none"
-            )
-
-    def _check_width(self, request: Request) -> None:
-        """Reject a request the served model cannot take before it is
-        queued (its batch would otherwise fail mid-run)."""
-        width = np.size(request.features)
-        expected = self.server._compiled.model.input_spec.size
-        if width != expected:
-            raise ValueError(
-                f"request {request.request_id} has {width} features but "
-                f"the model takes {expected}"
-            )
+            if request.arrival_s < previous:
+                raise ValueError("requests must be in arrival order")
+            shape = np.shape(request.features)
+            if shape != expected:
+                raise ValueError(
+                    f"request {request.request_id} has feature shape "
+                    f"{shape} but the model takes {expected}"
+                )
+            if first is None:
+                first = request
+            elif (request.label is None) != (first.label is None):
+                raise ValueError(
+                    f"request {request.request_id} is "
+                    f"{'un' if request.label is None else ''}labelled but "
+                    f"request {first.request_id} is not; label every "
+                    f"request of a trace or none"
+                )
+            previous = request.arrival_s
+            yield request
 
     def open(self) -> None:
         """Prepare for routed traffic: requests arrive via
         :meth:`submit` and the router signals :meth:`end_of_trace`."""
-        if self.report is not None:
-            raise RuntimeError("replica already has a trace bound")
-        self.report = ServeReport(num_requests=0)
-        self._rows = _Rows(self.report,
-                           tiered=self.server._tiers is not None)
         self._begin(trace_requests=None)
 
     def _begin(self, trace_requests: int | None) -> None:
-        """The old loop's preamble: root span, tier accounting reset,
-        and the sink that predicts the served rows in blocks."""
+        """The old loop's preamble: the report and its columns, root
+        span, tier accounting reset, and the sink that predicts the
+        served rows in blocks."""
+        if self.report is not None:
+            raise RuntimeError("replica already has a trace bound")
         server = self.server
-        report = self.report
+        report = self.report = ServeReport(num_requests=0)
+        self._rows = _Rows(report, tiered=server._tiers is not None)
         self._blocks = PredictionBlocks(server, report)
         tracer = server.tracer
         self._root = (tracer.add("serve", 0.0, 0.0,
@@ -388,9 +362,6 @@ class Replica:
             report.tier_served = [0] * len(server._tiers)
             report.tier_build_accuracy = [t.build_accuracy
                                           for t in server._tiers]
-            if self._rows is None:
-                report.request_tiers = np.full(report.num_requests, -1,
-                                               dtype=np.int64)
             report.tier_latency = [LatencyTracker()
                                    for _ in server._tiers]
 
@@ -405,14 +376,6 @@ class Replica:
             self._source = None
             self._source_done = True
             return
-        if self._rows is not None:
-            # The exact path validated the whole list up front; the
-            # streamed path validates as it pulls.
-            if request.arrival_s < self._prev_arrival:
-                raise ValueError("requests must be in arrival order")
-            self._check_width(request)
-            self._check_label(request)
-            self._prev_arrival = request.arrival_s
         self.engine.at(max(self.engine.now, request.arrival_s),
                        self._on_arrival, request)
 
@@ -424,17 +387,18 @@ class Replica:
         self.submit(request)
 
     def submit(self, request: Request) -> None:
-        """Admit (or drop) one request at the current virtual time.
+        """Record one request's columns under its replica-local id, then
+        admit (or drop) it at the current virtual time.
 
-        This is the old loop's admission block verbatim; in routed mode
-        the router calls it directly at the request's arrival event.
+        After the record, this is the old loop's admission block
+        verbatim; in routed mode the router calls it directly at the
+        request's arrival event.
         """
         server = self.server
         report = self.report
         tracer = server.tracer
         queue = self.queue
-        if self._rows is not None:
-            request = self._rows.append(request)
+        request = self._rows.append(request)
         if len(queue) >= server.max_queue:
             report.dropped += 1
             if tracer is not None:
@@ -518,7 +482,7 @@ class Replica:
         unless ``max_queue < max_batch``.
         """
         from repro.serving.batcher import DynamicBatcher
-        if self._rows is None or self._source is not None:
+        if self.report is None or self._source is not None:
             raise RuntimeError("fast mode requires an open() replica")
         server = self.server
         if server.swapper is not None:
@@ -578,9 +542,10 @@ class Replica:
         self._due_seq = self.engine.draw_seq() if stamp is None else stamp
 
     def _submit_fast(self, local_id: int, now: float, index: int) -> None:
-        """Merged order: admit (or drop) routed row ``local_id``, global
-        arrival ``index``, at its arrival time ``now`` — the fast twin
-        of :meth:`submit`."""
+        """Admit (or drop) routed row ``local_id``, global arrival
+        ``index``, at its arrival time ``now`` — the fast twin of
+        :meth:`submit`, for merged order and run-ahead's per-row loop
+        alike."""
         server = self.server
         queue = self.queue
         if len(queue) >= server.max_queue:
@@ -660,83 +625,44 @@ class Replica:
         """Run ahead to a window bound, with no engine traffic.
 
         Admits each routed row (``_pend_t``/``_pend_g``: arrival times
-        and global indices) below global index ``limit``, inline, after
-        the dispatches due before it; then fires the dispatches ordered
-        before the bound — global arrival ``bound_index`` at
-        ``bound_s``, or (``bound_index < 0``) the cluster-level event
-        ``(bound_s, bound_seq)``, whose seq orders against the stamps.
-        Wherever the queue is empty, whole size-triggered batches step
-        at once (:meth:`_step_groups`); the per-row loop takes the first
-        group that is not regular.
+        and global indices) below global index ``limit`` through
+        :meth:`_submit_fast`, after the dispatches due before it; then
+        fires the dispatches ordered before the bound — global arrival
+        ``bound_index`` at ``bound_s``, or (``bound_index < 0``) the
+        cluster-level event ``(bound_s, bound_seq)``, whose seq orders
+        against the stamps.  Wherever the queue is empty, whole
+        size-triggered batches step at once (:meth:`_step_groups`); the
+        per-row loop takes the first group that is not regular.
         """
         pend_t = self._pend_t
         pend_g = self._pend_g
         k = self._pend_k
         count = len(pend_g)
         queue = self.queue
-        append = queue.append
-        max_queue = self.server.max_queue
-        max_batch = self._fast_max_batch
-        estimates = self._fast_est
-        tracer = self.server.tracer
-        stamp = self._stamp
-        inf = math.inf
         steps = self._steps and not self._source_done
         local = self._rows.count - (count - k)
-        due = self._due
-        seq = self._due_seq
-        origin = self._due_origin
-        head = self._head_base
-        size = len(queue)
-        last = -inf
         while k < count:
             index = pend_g[k]
             if index >= limit:
                 break
             now = pend_t[k]
-            if due <= now and (due < now
-                               or not self._reached(origin, index - 1)):
-                self._due, self._due_seq, self._due_origin = due, seq, origin
+            due = self._due
+            if due <= now and (due < now or not self._reached(
+                    self._due_origin, index - 1)):
                 self._on_dispatch_fast()
-                due, seq, origin = self._due, self._due_seq, self._due_origin
-                head = self._head_base
-                size = len(queue)
                 continue
-            if not size and steps:
+            if not queue and steps:
                 taken = self._step_groups(k, local, limit, bound_s)
                 if taken:
                     k += taken
                     local += taken
-                    last = pend_t[k - 1]
                     continue
-            if size >= max_queue:
-                self.report.dropped += 1
-                if tracer is not None:
-                    tracer.add("request", now, now, parent_id=self._root,
-                               tags=("dropped",), request_id=local)
-            else:
-                if not size:
-                    self._set_head(local)
-                    head = self._head_base
-                append(local)
-                size += 1
+            self._submit_fast(local, now, index)
             local += 1
             k += 1
-            last = now
-            # _reschedule_fast(now, index), inline.
-            origin = index
-            seq = stamp
-            if size >= max_batch:
-                due = now
-            elif size:
-                due = head - estimates[size]
-                if due < now or (due == inf and self._source_done):
-                    due = now
         self._pend_k = k
-        self._due, self._due_seq, self._due_origin = due, seq, origin
-        if last > self._clock:
-            self._clock = last
-        while due < bound_s or (due == bound_s and due != inf and (
+        due = self._due
+        while due < bound_s or (due == bound_s and due != math.inf and (
                 not self._reached(self._due_origin, bound_index - 1)
                 if bound_index >= 0 else self._due_seq < bound_seq)):
             self._on_dispatch_fast()
@@ -877,13 +803,8 @@ class Replica:
         report = self.report
         now = self.engine.now
         self._blocks.flush()
-        if self._rows is not None:
-            self._rows.trim()
-            arrivals = self._rows.arrivals
-        else:
-            arrivals = np.array(
-                [r.arrival_s for r in self._exact_requests]
-            )
+        self._rows.trim()
+        arrivals = self._rows.arrivals
         report.served = report.num_requests - report.dropped
         if report.served:
             report.makespan_s = float(
@@ -962,21 +883,15 @@ class Replica:
 
     @property
     def arrivals(self) -> np.ndarray:
-        """Per-request arrival times (streamed/routed traces only)."""
-        if self._rows is None:
-            raise RuntimeError("exact traces keep arrivals on the list")
+        """Per-request arrival times."""
         return self._rows.arrivals
 
     @property
     def deadlines(self) -> np.ndarray:
-        """Per-request absolute deadlines (streamed/routed only)."""
-        if self._rows is None:
-            raise RuntimeError("exact traces keep deadlines on the list")
+        """Per-request absolute deadlines."""
         return self._rows.deadlines
 
     @property
     def tenants(self) -> np.ndarray:
-        """Per-request tenant ids, ``-1`` for none (streamed/routed)."""
-        if self._rows is None:
-            raise RuntimeError("exact traces carry no tenant column")
+        """Per-request tenant ids, ``-1`` for none."""
         return self._rows.tenants

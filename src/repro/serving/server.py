@@ -347,8 +347,8 @@ class PredictionBlocks:
         self._blocks: dict[int, _Block] = {}
 
     def add(self, ids: np.ndarray, features, compiled: CompiledModel) -> None:
-        """Queue one served batch: ``ids`` and ``features`` aligned, a
-        row list or a 2-D array."""
+        """Queue one served batch: ``ids`` and the row list
+        ``features`` aligned."""
         block = self._blocks.get(id(compiled))
         if block is None:
             block = self._blocks[id(compiled)] = _Block(fit_plan(
@@ -360,11 +360,8 @@ class PredictionBlocks:
             start = block.count
             take = min(len(ids) - done, size - start)
             block.ids[start:start + take] = ids[done:done + take]
-            if isinstance(features, np.ndarray):
-                inputs[start:start + take] = features[done:done + take]
-            else:
-                for row in range(take):
-                    inputs[start + row] = features[done + row]
+            for row in range(take):
+                inputs[start + row] = features[done + row]
             block.count = start + take
             done += take
             if block.count == size:
@@ -594,10 +591,12 @@ class InferenceServer:
         time.
 
         Args:
-            requests: A list (or tuple) of requests — the exact path,
-                byte-identical to the historical loop — or any iterator
-                of them, consumed lazily so a 10⁶-request trace is
-                never materialized.
+            requests: A list (or tuple) of requests or any iterator of
+                them, consumed one request per arrival event into
+                report columns in trace order (ids ``0 … n-1``, whatever
+                ids the requests carry).  A list is validated in full
+                before anything runs, an iterator as each request is
+                pulled, so a 10⁶-request trace is never materialized.
         """
         # Local import: the cluster layer builds on serving, so the
         # dependency must point that way at module-import time.
@@ -679,8 +678,8 @@ class InferenceServer:
         passes a run of size-triggered batches
         (:meth:`Replica._advance <repro.cluster.replica.Replica._advance>`),
         each ``queue_depth`` deep.  ``features`` (one batch) is a row
-        list or 2-D array, or ``None`` when the caller predicted the
-        rows already (the cluster pump).
+        list (from :meth:`_dispatch_batch`), or ``None`` when the caller
+        predicted the rows already (the cluster pump).
 
         Each batch lands on the healthy device free first (ties to the
         lowest index) and charges that device's

@@ -15,6 +15,7 @@ across router policies, placed fleets, tiered shedding, autoscaling,
 metrics, failure injection and cluster and replica tracing.
 """
 
+import dataclasses
 import json
 import math
 
@@ -92,12 +93,22 @@ def test_serve_matches_reference_loop(compiled_model, config):
     _assert_reports_identical(new, old)
 
 
-def test_streamed_input_matches_list_input(compiled_model):
+@pytest.mark.parametrize("request_id", [
+    pytest.param(lambda i, n: i, id="ids-in-order"),
+    pytest.param(lambda i, n: i + 1000, id="ids-shifted"),
+    pytest.param(lambda i, n: n - 1 - i, id="ids-reversed"),
+])
+def test_streamed_input_matches_list_input(compiled_model, request_id):
+    # Reports are in trace order whatever ids the requests carry: a
+    # list serves exactly as the same requests streamed.
     config = ServeConfig()
-    requests = _trace()
-    exact = _server(compiled_model, config).serve(requests)
+    trace = _trace()
+    requests = [dataclasses.replace(r, request_id=request_id(i, len(trace)))
+                for i, r in enumerate(trace)]
+    listed = _server(compiled_model, config).serve(requests)
     streamed = _server(compiled_model, config).serve(iter(requests))
-    _assert_reports_identical(streamed, exact)
+    _assert_reports_identical(listed, streamed)
+    assert listed.accuracy == streamed.accuracy
 
 
 def test_traced_serve_matches_reference_spans(compiled_model):

@@ -1,5 +1,8 @@
 """Tests for the online inference server event loop."""
 
+import math
+import re
+
 import numpy as np
 import pytest
 
@@ -248,21 +251,26 @@ class TestValidation:
             server.serve([trace[1], trace[0]])
 
     @pytest.mark.parametrize("as_list", [True, False])
+    @pytest.mark.parametrize("shape", [(5,), (4, 4), (16, 1)],
+                             ids=lambda shape: "x".join(map(str, shape)))
     def test_feature_width_checked_before_serving(self, serving_setup,
-                                                  as_list):
-        # Forty 16-wide requests, then a 5-wide one: a list is rejected
+                                                  as_list, shape):
+        # Forty (16,) requests, then one of another shape: 5 features,
+        # or all 16 as a (4, 4) or (16, 1) array.  A list is rejected
         # before anything runs, an iterator when that request is pulled.
         _, compiled, trace = serving_setup
         bad = trace[40]
+        features = bad.features[:math.prod(shape)].reshape(shape)
         requests = trace[:40] + [Request(bad.request_id, bad.arrival_s,
-                                         bad.deadline_s, bad.features[:5],
+                                         bad.deadline_s, features,
                                          bad.label)]
         pool = DevicePool(1)
         pool.load_replicated(compiled)
         server = InferenceServer(pool, DYNAMIC_16)
         with pytest.raises(ValueError,
-                           match="request 40 has 5 features but the "
-                                 "model takes 16"):
+                           match=re.escape(f"request 40 has feature shape "
+                                           f"{shape} but the model takes "
+                                           f"(16,)")):
             server.serve(requests if as_list else iter(requests))
         # Nothing ran before a list was rejected; an iterator had
         # already served batches of the requests before it.
